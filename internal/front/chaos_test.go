@@ -8,9 +8,11 @@ package front_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,23 +96,42 @@ func (b *chaosBackend) url() string { return "http://" + b.addr }
 type chaosFleet struct {
 	backends []*chaosBackend
 	proxies  []*faultinject.Proxy
+	names    []string // the front's name for each proxy, as in X-Backend
 	front    *front.Front
 	url      string // front base URL
 }
 
+// startChaosFleet starts the fleet.  The front knows the backends by the
+// quickstart fleet's fixed names, which its client dials through to the
+// proxies' loopback ports: the ring places backends by name, so every run
+// routes each request to the same backend instead of one drawn by the
+// random ports.
 func startChaosFleet(t *testing.T, mod func(*front.Options)) *chaosFleet {
 	t.Helper()
 	fl := &chaosFleet{}
-	var urls []string
+	dial := map[string]string{} // name's host:port -> proxy's host:port
 	for i := 0; i < 3; i++ {
 		b := startChaosBackend(t)
 		p := faultinject.New(b.url())
 		t.Cleanup(p.Close)
 		fl.backends = append(fl.backends, b)
 		fl.proxies = append(fl.proxies, p)
-		urls = append(urls, p.URL())
+		host := fmt.Sprintf("localhost:%d", 8081+i)
+		dial[host] = strings.TrimPrefix(p.URL(), "http://")
+		fl.names = append(fl.names, "http://"+host)
 	}
-	f, fs := newFront(t, urls, func(o *front.Options) {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.Proxy = nil
+	var d net.Dialer
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if real, ok := dial[addr]; ok {
+			addr = real
+		}
+		return d.DialContext(ctx, network, addr)
+	}
+	t.Cleanup(tr.CloseIdleConnections)
+	f, fs := newFront(t, fl.names, func(o *front.Options) {
+		o.Client = &http.Client{Transport: tr}
 		o.MaxAttempts = 4
 		o.AttemptTimeout = 10 * time.Second
 		o.RequestTimeout = 30 * time.Second
@@ -228,18 +249,29 @@ func TestChaosKillRestartMidRun(t *testing.T) {
 	total := workers * iters
 	var killed, restarted atomic.Bool
 	var mu sync.Mutex // serialises kill/restart against each other
+	victim := -1      // guarded by mu
 	replay(t, fl.url, reqs, refs, workers, iters, func(done int) {
 		switch {
 		case done >= total/3 && killed.CompareAndSwap(false, true):
 			mu.Lock()
-			fl.backends[1].kill()
+			// Kill the backend the front has sent the most requests: the
+			// ring decides which backends own the eight request keys, and
+			// killing one that owns none of them would test nothing.
+			st := fl.front.Stats(t.Context())
+			victim = 0
+			for i, b := range st.Backends {
+				if b.Requests > st.Backends[victim].Requests {
+					victim = i
+				}
+			}
+			fl.backends[victim].kill()
 			mu.Unlock()
-			t.Logf("killed backend 1 after %d/%d requests", done, total)
+			t.Logf("killed backend %d after %d/%d requests", victim, done, total)
 		case done >= 2*total/3 && killed.Load() && restarted.CompareAndSwap(false, true):
 			mu.Lock()
-			fl.backends[1].restart(t)
+			fl.backends[victim].restart(t)
 			mu.Unlock()
-			t.Logf("restarted backend 1 after %d/%d requests", done, total)
+			t.Logf("restarted backend %d after %d/%d requests", victim, done, total)
 		}
 	})
 	if !killed.Load() || !restarted.Load() {
@@ -252,7 +284,7 @@ func TestChaosKillRestartMidRun(t *testing.T) {
 	// Neither signal alone is guaranteed — they race — but both absent means
 	// the dead window was never exercised.
 	stats := fl.front.Stats(t.Context())
-	if stats.Retries == 0 && stats.Backends[1].Transitions == 0 {
+	if stats.Retries == 0 && stats.Backends[victim].Transitions == 0 {
 		t.Error("no retries and no health transitions on the killed backend — the kill never bit")
 	}
 	if stats.Requests != uint64(total) {

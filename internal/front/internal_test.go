@@ -1,6 +1,9 @@
 package front
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -113,4 +116,50 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.allow() {
 		t.Fatal("non-consecutive failures opened the breaker")
 	}
+}
+
+// ringShares returns each backend's share of the 64-bit key space: a point
+// owns the arc from its predecessor (exclusive) up to itself, and the first
+// point the arc that wraps past the last.
+func ringShares(r *ring) []float64 {
+	shares := make([]float64, r.n)
+	prev := r.hashes[len(r.hashes)-1]
+	for i, h := range r.hashes {
+		shares[r.backends[i]] += float64(h-prev) / (1 << 64)
+		prev = h
+	}
+	return shares
+}
+
+// TestRingBalanceLoopbackNames pins the ring's balance on the names real
+// fleets use: backends on one host whose names differ only in the port.
+// Over 500 seeded loopback port triples, and for the quickstart fleet
+// localhost:8081..8083, no backend may own more than 1.5x the mean share
+// of the key space.
+func TestRingBalanceLoopbackNames(t *testing.T) {
+	worst := 0.0
+	check := func(names []string) {
+		t.Helper()
+		shares := ringShares(newRing(names, 64))
+		ratio := slices.Max(shares) * float64(len(names)) // the mean share is 1/n
+		worst = max(worst, ratio)
+		if ratio > 1.5 {
+			t.Errorf("names %v: max/mean key share %.2f (shares %.3f)", names, ratio, shares)
+		}
+	}
+	check([]string{"http://localhost:8081", "http://localhost:8082", "http://localhost:8083"})
+	rng := rand.New(rand.NewSource(8081))
+	hosts := []string{"127.0.0.1", "localhost"}
+	for trial := 0; trial < 500; trial++ {
+		host := hosts[trial%len(hosts)]
+		var names []string
+		for len(names) < 3 {
+			name := fmt.Sprintf("http://%s:%d", host, 1024+rng.Intn(65536-1024))
+			if !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+		check(names)
+	}
+	t.Logf("worst max/mean key share: %.2f", worst)
 }

@@ -140,7 +140,7 @@ func TestFrontSessionSticky(t *testing.T) {
 type frontSession struct {
 	id   string
 	seq  []int
-	home string // proxy URL of the backend that served the last operation
+	home string // front name of the backend that served the last operation
 }
 
 // TestChaosSessionFailoverMidRun is the session e2e: live sessions spread
@@ -213,8 +213,8 @@ func TestChaosSessionFailoverMidRun(t *testing.T) {
 	// Kill the backend homing session 0; note the orphan count.
 	victimURL := sessions[0].home
 	victim := -1
-	for i, p := range fl.proxies {
-		if p.URL() == victimURL {
+	for i, name := range fl.names {
+		if name == victimURL {
 			victim = i
 		}
 	}

@@ -60,6 +60,36 @@
 // fewer nonzeros than the reinversion's eta columns, which is where most of
 // the revised path's speedup over PR-2 comes from.
 //
+// # Crash start
+//
+// A cold start installs an identity basis: the slack of every <= row, and
+// for = and >= rows an artificial that phase one must price out.  On the
+// BasisLU engine an = or >= row that holds a unit column singleton — a
+// structural column whose only nonzero is exactly +1, in that row — starts
+// with that column basic instead, at b_i (non-negative after the row
+// normalisation); with several, the lowest index wins.  Such a column is the
+// row's unit vector, so the basis is still the identity, the empty LU and
+// update-eta factors stay exact, and no initial factorization runs.  The
+// row's artificial keeps its column index, nonbasic at zero (phase one may
+// still price it back in), so WarmBasis snapshots, installBasisDual's column
+// arithmetic and the artificial column range are unchanged.  Which column
+// serves which row is a property of the matrix: it is found once when the
+// CSC form is built (Problem.CrashColumn reports it), not per solve.
+//
+// The paper's model is full of such rows: each interval's per-disk fetch
+// balance holds that disk's scratch column (the idle fetch of Lemma 3), with
+// cost 0 and coefficient +1.  At serving size most of a cold solve is phase
+// one spent pricing out exactly those rows' artificials; with the crash,
+// BenchmarkRevisedSolveServeSize (n=40, D=3) takes 460 pivots, 333 of them
+// in phase one, instead of 1,261 and 992.
+//
+// BasisEta keeps the identity start.  It is the engine the experiment suite
+// pins (with PricingDantzig) and the cascade's Dantzig+eta reference rung.
+// The committed BENCH rows were recorded from its identity start, and a
+// crash start lands some degenerate E2/E7 programs on other optimal
+// vertices, whose rounded schedules differ; it also keeps the reference rung
+// independent of the crash.
+//
 // # Warm starts
 //
 // A solve can start from the optimal basis of an earlier solve instead of
@@ -83,11 +113,13 @@
 // extended in place by appended rows and columns (Problem.AddVariable,
 // AddConstraint, ExtendConstraint on old rows gaining only new columns), the
 // old optimal basis B extends to B' = [[B, 0], [C, S]] with the new rows'
-// crash slack/artificial columns in S.  B' keeps every old column's reduced
-// cost — the transplant is dual feasible by construction — while the
-// appended rows may violate primal feasibility.  Solver.SolveDualFrom
-// transplants the snapshot (installBasisDual accepts donor artificials and
-// skips the primal-feasibility gate installBasis enforces), runs dual
+// cold-start columns in S (slacks, artificials and crash unit columns, all
+// unit vectors).  When the crash columns cost nothing, as the paper model's
+// scratch columns do, B' keeps every old column's reduced cost — the
+// transplant is dual feasible by construction — while the appended rows may
+// violate primal feasibility.  Solver.SolveDualFrom transplants the
+// snapshot (installBasisDual accepts donor artificials and skips the
+// primal-feasibility gate installBasis enforces), runs dual
 // simplex pivots that drive out the worst primal violation per pivot while
 // keeping reduced costs non-negative, and finishes with an ordinary primal
 // phase that prices in the appended columns — the only ones that can carry

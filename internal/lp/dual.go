@@ -9,8 +9,9 @@ import "math"
 // When a problem grows by appended rows and columns (Problem.AddVariable,
 // AddConstraint, ExtendConstraint on old rows gaining only NEW columns), the
 // old optimal basis B extends to B' = [[B, 0], [C, S]] where S holds the
-// crash slack/artificial columns of the new rows.  B' is nonsingular whenever
-// B is, and its simplex multipliers are y' = (y_old, 0): every OLD column
+// cold-start columns of the new rows: slacks, artificials and (BasisLU)
+// crash unit columns.  B' is nonsingular whenever B is, and when S's columns
+// cost nothing its simplex multipliers are y' = (y_old, 0): every OLD column
 // keeps its reduced cost, so the transplanted basis stays dual feasible with
 // respect to the old column set, while the appended rows may leave basic
 // values negative (a violated new inequality) or basic artificials positive
@@ -50,9 +51,9 @@ func (b *WarmBasis) matchesPrefix(r *revisedSolver) bool {
 
 // installBasisDual transplants a prefix-shaped snapshot onto the loaded
 // problem: the snapshot's basic columns are remapped into the extended
-// column space row by row, the appended rows keep the crash basis load
-// installed (slack for inequalities, artificial for equalities), and the
-// whole basis is refactorized.  Unlike installBasis there is no primal
+// column space row by row, the appended rows keep the basis load installed
+// (slack, artificial or crash column), and the whole basis is
+// refactorized.  Unlike installBasis there is no primal
 // feasibility requirement — that is the dual phase's job — and donor
 // artificials are accepted: slack and artificial columns are both enumerated
 // in row order over the shared, sense-identical prefix, so donor offset k

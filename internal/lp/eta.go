@@ -8,9 +8,10 @@ package lp
 // arrays, so the whole file is three slices regardless of pivot count and is
 // reusable across solves without allocation.
 //
-// With the initial basis being the identity (slack/artificial starting basis)
-// or a fresh refactorization, the basis inverse is E_k^-1 ... E_1^-1 applied
-// oldest-first (ftran) and its transpose applied newest-first (btran).
+// With the initial basis being the identity (slacks, artificials and the
+// crash start's unit columns) or a fresh refactorization, the basis inverse
+// is E_k^-1 ... E_1^-1 applied oldest-first (ftran) and its transpose
+// applied newest-first (btran).
 type etaFile struct {
 	pivRow []int32
 	pivInv []float64 // 1/alpha_r per eta

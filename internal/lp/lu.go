@@ -116,7 +116,7 @@ const luDrop = 1e-12
 const luSingular = 1e-11
 
 // reset empties the factor (keeping capacity), leaving it representing the
-// identity — the state matching the initial slack/artificial basis.
+// identity — the state matching the initial basis of load.
 func (lu *luFactor) reset() {
 	lu.rows = 0
 	lu.pivRow = lu.pivRow[:0]

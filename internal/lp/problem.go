@@ -248,6 +248,13 @@ func (p *Problem) csc() *cscMatrix {
 	return p.cscCache
 }
 
+// CrashColumn returns the structural variable a cold revised solve on the
+// default BasisLU engine starts basic in constraint row i, or -1 when the
+// row starts on its slack or artificial.  Only equality and (after a
+// negative right-hand side flips the row) >= rows have one: the
+// lowest-index variable whose only coefficient is exactly +1 in that row.
+func (p *Problem) CrashColumn(i int) int { return int(p.csc().crashCol[i]) }
+
 // Constraint returns the i-th constraint.
 func (p *Problem) Constraint(i int) Constraint {
 	return p.cons[i]

@@ -309,13 +309,33 @@ func buildE7SizedProblem(tb testing.TB) *lp.Problem {
 	return m.Problem
 }
 
+// buildServeSizedProblem constructs the synchronized-schedule LP at the size
+// pcserve's lp-optimal requests solve (n=22–48, where E7's is n=11).
+func buildServeSizedProblem(tb testing.TB) *lp.Problem {
+	tb.Helper()
+	seq := workload.Zipf(40, 10, 1.1, 17)
+	in := workload.Instance(seq, 5, 4, 3, workload.AssignStripe, 0)
+	m, err := lpmodel.Build(in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m.Problem
+}
+
 // benchSolve measures repeated solves of the E7-sized problem with a reused
-// Solver, after one untimed warm-up solve so the steady-state (buffer-reuse)
-// cost is what gets reported even at -benchtime 1x.
+// Solver (see benchSolveProblem).
 func benchSolve(b *testing.B, opts lp.Options) {
-	p := buildE7SizedProblem(b)
+	benchSolveProblem(b, buildE7SizedProblem(b), opts)
+}
+
+// benchSolveProblem measures repeated solves of p with a reused Solver,
+// after one untimed warm-up solve so the steady-state (buffer-reuse) cost is
+// what gets reported even at -benchtime 1x.  The solve's pivot counts ride
+// along as pivots/op and phase1-pivots/op.
+func benchSolveProblem(b *testing.B, p *lp.Problem, opts lp.Options) {
 	solver := lp.NewSolver()
-	if _, err := solver.Solve(p, opts); err != nil {
+	sol, err := solver.Solve(p, opts)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -325,12 +345,20 @@ func benchSolve(b *testing.B, opts lp.Options) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(sol.Iterations), "pivots/op")
+	b.ReportMetric(float64(sol.Phase1Iterations), "phase1-pivots/op")
 }
 
 // BenchmarkRevisedSolveE7Size is the production revised-simplex path with a
 // reused Solver.
 func BenchmarkRevisedSolveE7Size(b *testing.B) {
 	benchSolve(b, lp.Options{Method: lp.MethodRevised})
+}
+
+// BenchmarkRevisedSolveServeSize is the production path at serving size: a
+// cold solve of an n=40, D=3 model, where phase one is most of the work.
+func BenchmarkRevisedSolveServeSize(b *testing.B) {
+	benchSolveProblem(b, buildServeSizedProblem(b), lp.Options{Method: lp.MethodRevised})
 }
 
 // BenchmarkFlatSolveE7Size is the PR-1 flat-tableau path on the same

@@ -94,6 +94,10 @@ type revisedSolver struct {
 	numericRefactors int
 	warmStarted      bool
 
+	// identityStart disables the BasisLU crash start, so in-package tests
+	// can compare it against the slack/artificial identity start.
+	identityStart bool
+
 	// Symbolic-factorization reuse (lusym.go): probFP is the current
 	// problem's structural fingerprint and symCache the per-solver store of
 	// recorded elimination skeletons, keyed by (probFP, basis columns).
@@ -242,9 +246,11 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	return r.solution(StatusOptimal, p), nil
 }
 
-// load fetches the problem's CSC matrix and installs the initial slack/
-// artificial basis, which is the identity (so the factored inverse starts
-// empty and exact).
+// load fetches the problem's CSC matrix and installs the initial basis:
+// slacks for <= rows, artificials for = and >= rows and, on the BasisLU
+// path, a unit column singleton in place of the artificial wherever the row
+// has one (cscMatrix.crashCol).  Either way the basis is the identity, so
+// the factored inverse starts empty and exact.
 func (r *revisedSolver) load(p *Problem) {
 	r.m = p.csc()
 	rows := r.m.rows
@@ -329,6 +335,17 @@ func (r *revisedSolver) load(p *Problem) {
 			r.rowArt[i] = int32(artIdx)
 			r.setBasic(i, r.artLo+artIdx)
 			artIdx++
+		}
+	}
+	if r.basisMode != BasisLU || r.identityStart {
+		return
+	}
+	// Crash start: the replaced artificial keeps its column, nonbasic at
+	// zero, so the column layout is the same with or without the crash.
+	for i, j := range r.m.crashCol {
+		if j >= 0 {
+			r.inBasis[r.basis[i]] = false
+			r.setBasic(i, int(j))
 		}
 	}
 }

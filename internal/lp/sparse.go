@@ -32,6 +32,13 @@ type cscMatrix struct {
 	// its normalised (non-negative) right-hand side.
 	sense []Sense
 	b     []float64
+
+	// crashCol[i] is the structural column the BasisLU engine starts basic
+	// in row i instead of an artificial (see revisedSolver.load), or -1.  It
+	// is set for EQ and GE rows only: the lowest-index column whose single
+	// nonzero is exactly +1 in row i.  Such a column is the row's unit
+	// vector, so the crash basis stays the identity.
+	crashCol []int32
 }
 
 // buildCSC assembles the CSC form of p's constraint matrix.  Cost is
@@ -102,6 +109,22 @@ func buildCSC(p *Problem) *cscMatrix {
 			m.colIdxR[at] = int32(j)
 			m.valR[at] = m.val[s]
 			nextRow[i] = at + 1
+		}
+	}
+
+	// Crash columns: a descending sweep leaves each row with its
+	// lowest-index unit column singleton.
+	m.crashCol = make([]int32, rows)
+	for i := range m.crashCol {
+		m.crashCol[i] = -1
+	}
+	for j := cols - 1; j >= 0; j-- {
+		s := m.colPtr[j]
+		if m.colPtr[j+1]-s != 1 || m.val[s] != 1 {
+			continue
+		}
+		if i := m.rowIdx[s]; m.sense[i] != LE {
+			m.crashCol[i] = int32(j)
 		}
 	}
 	return m

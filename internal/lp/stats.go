@@ -11,6 +11,9 @@ type Counters struct {
 	Solves uint64
 	// Iterations is the total number of simplex pivots across all solves.
 	Iterations uint64
+	// Phase1Pivots is the part of Iterations spent in phase one, finding a
+	// basic feasible solution.
+	Phase1Pivots uint64
 	// PricingPasses is the total number of full reduced-cost sweeps.
 	PricingPasses uint64
 	// Refactorizations is the total number of basis-inverse rebuilds
@@ -50,10 +53,10 @@ type Counters struct {
 }
 
 var stats struct {
-	solves, iters, passes, refactors, etas, luFills, warmStarts atomic.Uint64
-	symReuses, numRefactors                                     atomic.Uint64
-	verified, verifyFails, cascadeFalls                         atomic.Uint64
-	dualPivots, ftUpdates                                       atomic.Uint64
+	solves, iters, phase1, passes, refactors, etas, luFills atomic.Uint64
+	warmStarts, symReuses, numRefactors                     atomic.Uint64
+	verified, verifyFails, cascadeFalls                     atomic.Uint64
+	dualPivots, ftUpdates                                   atomic.Uint64
 }
 
 // recordSolve folds one finished solve into the package counters; callers
@@ -61,6 +64,7 @@ var stats struct {
 func recordSolve(sol *Solution) {
 	stats.solves.Add(1)
 	stats.iters.Add(uint64(sol.Iterations))
+	stats.phase1.Add(uint64(sol.Phase1Iterations))
 	stats.passes.Add(uint64(sol.PricingPasses))
 	stats.refactors.Add(uint64(sol.Refactorizations))
 	stats.etas.Add(uint64(sol.EtaColumns))
@@ -79,6 +83,7 @@ func StatsSnapshot() Counters {
 	return Counters{
 		Solves:           stats.solves.Load(),
 		Iterations:       stats.iters.Load(),
+		Phase1Pivots:     stats.phase1.Load(),
 		PricingPasses:    stats.passes.Load(),
 		Refactorizations: stats.refactors.Load(),
 		EtaColumns:       stats.etas.Load(),
@@ -98,6 +103,7 @@ func StatsSnapshot() Counters {
 func StatsReset() {
 	stats.solves.Store(0)
 	stats.iters.Store(0)
+	stats.phase1.Store(0)
 	stats.passes.Store(0)
 	stats.refactors.Store(0)
 	stats.etas.Store(0)

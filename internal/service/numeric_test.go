@@ -153,8 +153,8 @@ func TestStatsWireFieldsGolden(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing lp block: %v", m)
 	}
-	for _, k := range []string{"verified_solves", "verify_failures", "cascade_fallbacks",
-		"symbolic_reuses", "numeric_refactors"} {
+	for _, k := range []string{"phase1_pivots", "verified_solves", "verify_failures",
+		"cascade_fallbacks", "symbolic_reuses", "numeric_refactors", "dual_pivots", "ft_updates"} {
 		if _, ok := lpBlock[k]; !ok {
 			t.Errorf("lp stats missing %q: %v", k, lpBlock)
 		}

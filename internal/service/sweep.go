@@ -116,6 +116,7 @@ func lpCountersDiff(after, before lp.Counters) lp.Counters {
 	return lp.Counters{
 		Solves:           after.Solves - before.Solves,
 		Iterations:       after.Iterations - before.Iterations,
+		Phase1Pivots:     after.Phase1Pivots - before.Phase1Pivots,
 		PricingPasses:    after.PricingPasses - before.PricingPasses,
 		Refactorizations: after.Refactorizations - before.Refactorizations,
 		EtaColumns:       after.EtaColumns - before.EtaColumns,
@@ -126,6 +127,8 @@ func lpCountersDiff(after, before lp.Counters) lp.Counters {
 		CascadeFallbacks: after.CascadeFallbacks - before.CascadeFallbacks,
 		SymbolicReuses:   after.SymbolicReuses - before.SymbolicReuses,
 		NumericRefactors: after.NumericRefactors - before.NumericRefactors,
+		DualPivots:       after.DualPivots - before.DualPivots,
+		FTUpdates:        after.FTUpdates - before.FTUpdates,
 	}
 }
 

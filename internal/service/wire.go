@@ -217,6 +217,7 @@ func (t *TableWire) Table() *report.Table {
 type LPCountersWire struct {
 	Solves           uint64 `json:"solves"`
 	Iterations       uint64 `json:"iterations"`
+	Phase1Pivots     uint64 `json:"phase1_pivots"`
 	PricingPasses    uint64 `json:"pricing_passes"`
 	Refactorizations uint64 `json:"refactorizations"`
 	EtaColumns       uint64 `json:"eta_columns"`
@@ -236,6 +237,7 @@ func lpCountersWire(c lp.Counters) LPCountersWire {
 	return LPCountersWire{
 		Solves:           c.Solves,
 		Iterations:       c.Iterations,
+		Phase1Pivots:     c.Phase1Pivots,
 		PricingPasses:    c.PricingPasses,
 		Refactorizations: c.Refactorizations,
 		EtaColumns:       c.EtaColumns,

@@ -10,9 +10,11 @@
 #    pivot-row accumulator, and the LU factorization workspace — on the
 #    reusable Solver: a cold solve on warmed buffers allocates only the
 #    Solution, its X vector and the certificate's dual copy, so the same
-#    MAX_ALLOCS bound applies.  The Verified variant runs the full cascade
-#    path (Options.Cascade plus certificate checking) to guarantee
-#    verification never adds per-solve allocations beyond that copy.
+#    MAX_ALLOCS bound applies, also at serving size
+#    (BenchmarkRevisedSolveServeSize, n=40, D=3).  The Verified variant
+#    runs the full cascade path (Options.Cascade plus certificate checking)
+#    to guarantee verification never adds per-solve allocations beyond that
+#    copy.
 #  * The batched LP paths must hold their amortization promises:
 #    BenchmarkBatchSolveE7Size (internal/lp) runs the twelve-solve E7 warm
 #    sweep through one lp.Batch, where steady state is two allocations per
@@ -51,7 +53,7 @@ MAX_BATCH_ALLOCS="${MAX_BATCH_ALLOCS:-24}"
 MAX_BATCH_BUILD_ALLOCS="${MAX_BATCH_BUILD_ALLOCS:-64}"
 MAX_EXTEND_ALLOCS="${MAX_EXTEND_ALLOCS:-512}"
 out=$(go test -run '^$' -bench 'BenchmarkLPSolve(Revised|Flat)$|BenchmarkOptSearch(AStar|Landmark|Parallel)|BenchmarkModelBatchBuild$' -benchmem -benchtime 1x .)
-lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolve(SteepestEdge|DantzigEta|Verified)?E7Size$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
+lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolve(SteepestEdge|DantzigEta|Verified)?E7Size$|BenchmarkRevisedSolveServeSize$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
 extout=$(go test -run '^$' -bench 'BenchmarkModelExtendResolve$' -benchmem -benchtime 16x ./internal/lpmodel)
 out=$(printf '%s\n%s\n%s' "$out" "$lpout" "$extout")
 echo "$out"
