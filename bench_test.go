@@ -41,7 +41,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	var tab *report.Table
 	for i := 0; i < b.N; i++ {
-		tab, err = exp.Run()
+		tab, err = exp.Run(experiments.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

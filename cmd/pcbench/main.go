@@ -33,8 +33,8 @@
 // historical schedule rows stay byte-reproducible; -pricing and -basis
 // select the new engines (steepest-edge, lu) for comparisons.
 //
-// The -json output is produced by service.RunSweep, the same code path the
-// pcserve /v1/sweep endpoint streams; with -serve-url, pcbench becomes a
+// The -json output is produced by service.RunSweepWith, the same code path
+// the pcserve /v1/sweep endpoint streams; with -serve-url, pcbench becomes a
 // smoke client of a running server and fails if the served bytes differ from
 // what this process computes locally.
 package main
@@ -109,7 +109,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "-replay is a standalone benchmark; it cannot be combined with -json, -serve-url or -timings")
 			return 2
 		}
-		return runReplay(*solver, *pricing, *basis)
+		return runReplay(&service.SweepRequest{Solver: *solver, Pricing: *pricing, Basis: *basis})
 	}
 	var benchTimings map[string]float64
 	if *timings != "" {
@@ -123,8 +123,7 @@ func run() int {
 			return 2
 		}
 	}
-	experiments.SetBatch(*batch)
-	experiments.SetOptWorkers(*optWorkers)
+	base := experiments.Config{OptWorkers: *optWorkers, NoBatch: !*batch}
 	var ids []string
 	if *runFlag != "" {
 		ids = strings.Split(*runFlag, ",")
@@ -152,7 +151,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "-serve-url cannot be combined with -timings (the server's sweep carries no local benchmark figures)")
 			return 2
 		}
-		return runAgainstServer(*serveURL, req)
+		return runAgainstServer(*serveURL, base, req)
 	}
 
 	if *cpuProfile != "" {
@@ -171,12 +170,12 @@ func run() int {
 
 	code := 0
 	if *jsonOut {
-		// The sweep runner snapshots the process-wide counters around the
-		// run and is shared with the pcserve /v1/sweep endpoint, so CLI and
-		// service output are the same bytes.  Print whatever completed even
-		// when some experiment failed, so one broken experiment does not
-		// hide the others' results.
-		resp, err := service.RunSweep(req)
+		// The sweep runner counts the run's solver work in fresh sinks and
+		// is shared with the pcserve /v1/sweep endpoint, so CLI and service
+		// output are the same bytes.  Print whatever completed even when
+		// some experiment failed, so one broken experiment does not hide
+		// the others' results.
+		resp, err := service.RunSweepWith(base, req)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
@@ -189,7 +188,7 @@ func run() int {
 			}
 		}
 	} else {
-		code = runText(req, *csv)
+		code = runText(base, req, *csv)
 	}
 
 	if *memProfile != "" {
@@ -219,24 +218,15 @@ func run() int {
 // trajectory's wall-clock record of the same gap is the
 // BenchmarkReplayIncrementalStep / BenchmarkReplayColdStep pair in the
 // BENCH_*.json timings block.
-func runReplay(solver, pricing, basis string) int {
-	method, _ := lp.ParseMethod(solver)
-	experiments.SetSolverMethod(method)
-	if pricing != "" {
-		p, _ := lp.ParsePricing(pricing)
-		experiments.SetPricing(p)
-	} else {
-		experiments.ResetPricing()
-	}
-	if basis != "" {
-		b, _ := lp.ParseBasis(basis)
-		experiments.SetBasis(b)
-	} else {
-		experiments.ResetBasis()
+func runReplay(req *service.SweepRequest) int {
+	cfg, err := service.SweepConfig(experiments.Config{}, req)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	base, steps := experiments.ReplayWorkload()
 	disks := base.Disks
-	rep, err := experiments.ReplayMeasure(base, steps)
+	rep, err := experiments.ReplayMeasure(cfg, base, steps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -287,24 +277,14 @@ func parseTimings(path string) (map[string]float64, error) {
 
 // runText prints aligned text tables (or CSV) straight from the experiment
 // driver.
-func runText(req *service.SweepRequest, csv bool) int {
-	method, _ := lp.ParseMethod(req.Solver)
-	experiments.SetSolverMethod(method)
-	if req.Pricing != "" {
-		p, _ := lp.ParsePricing(req.Pricing)
-		experiments.SetPricing(p)
-	} else {
-		experiments.ResetPricing()
+func runText(base experiments.Config, req *service.SweepRequest, csv bool) int {
+	cfg, err := service.SweepConfig(base, req)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-	if req.Basis != "" {
-		b, _ := lp.ParseBasis(req.Basis)
-		experiments.SetBasis(b)
-	} else {
-		experiments.ResetBasis()
-	}
-	experiments.SetWorkers(req.Workers)
 	selected, _ := service.ResolveExperiments(req.IDs)
-	results, err := experiments.RunAll(selected)
+	results, err := experiments.RunAll(cfg, selected)
 	for _, r := range results {
 		if r.Table == nil {
 			continue
@@ -326,7 +306,7 @@ func runText(req *service.SweepRequest, csv bool) int {
 // sweep in-process, and verifies the two outputs are byte-identical.  The
 // server's bytes go to stdout either way, so the command doubles as a remote
 // sweep client.
-func runAgainstServer(baseURL string, req *service.SweepRequest) int {
+func runAgainstServer(baseURL string, base experiments.Config, req *service.SweepRequest) int {
 	reqBody, err := json.Marshal(req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -348,7 +328,7 @@ func runAgainstServer(baseURL string, req *service.SweepRequest) int {
 		return 1
 	}
 
-	local, err := service.RunSweep(req)
+	local, err := service.RunSweepWith(base, req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -58,7 +58,7 @@ func run() int {
 	queue := flag.Int("queue", 0, "per-shard queue depth before requests shed with 503 (0 = default)")
 	cacheEntries := flag.Int("cache", 1024, "schedule result cache capacity in entries (0 disables)")
 	timeout := flag.Duration("timeout", 0, "server-side deadline per schedule computation, 504 beyond it (0 = none)")
-	workers := flag.Int("workers", 0, "experiment pool size for sweeps (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "experiment pool size for sweeps whose request sets no workers (0 = one per CPU)")
 	solver := flag.String("solver", "revised", "LP simplex implementation: revised or flat")
 	pricing := flag.String("pricing", "steepest-edge", "revised-simplex pricing rule for schedule requests: steepest-edge or dantzig")
 	basis := flag.String("basis", "lu", "revised-simplex basis representation for schedule requests: lu or eta")

@@ -29,8 +29,8 @@ type Experiment struct {
 	ID string
 	// Title is a one-line description.
 	Title string
-	// Run executes the experiment.
-	Run func() (*report.Table, error)
+	// Run executes the experiment under cfg.
+	Run func(cfg Config) (*report.Table, error)
 }
 
 // All returns every experiment in the suite, in presentation order.

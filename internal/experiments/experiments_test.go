@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestRegistry(t *testing.T) {
 // TestE1Numbers checks the worked-example numbers of the paper: Aggressive
 // reaches elapsed time 13 and the optimum 11.
 func TestE1Numbers(t *testing.T) {
-	tab, err := E1IntroExample()
+	tab, err := E1IntroExample(Config{})
 	if err != nil {
 		t.Fatalf("E1: %v", err)
 	}
@@ -54,7 +55,7 @@ func TestE1Numbers(t *testing.T) {
 // TestE2Numbers checks that the two-disk worked example's optimal stall is 3
 // and that the LP algorithm matches it.
 func TestE2Numbers(t *testing.T) {
-	tab, err := E2IntroParallelExample()
+	tab, err := E2IntroParallelExample(Config{})
 	if err != nil {
 		t.Fatalf("E2: %v", err)
 	}
@@ -76,7 +77,7 @@ func TestE2Numbers(t *testing.T) {
 // TestE3RespectsBounds checks that every measured Aggressive ratio stays
 // below the Theorem 1 bound reported in the same row.
 func TestE3RespectsBounds(t *testing.T) {
-	tab, err := E3AggressiveRatio()
+	tab, err := E3AggressiveRatio(Config{})
 	if err != nil {
 		t.Fatalf("E3: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestE3RespectsBounds(t *testing.T) {
 // (k, F) the measured ratio is non-decreasing in the number of phases and
 // stays between 1 and the Theorem 1 bound.
 func TestE4RatioGrowsWithPhases(t *testing.T) {
-	tab, err := E4AggressiveLowerBound()
+	tab, err := E4AggressiveLowerBound(Config{})
 	if err != nil {
 		t.Fatalf("E4: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestE4RatioGrowsWithPhases(t *testing.T) {
 // group the analytic bound has an interior minimum near d0 with value below
 // 1.8, and measured ratios never exceed the analytic bound.
 func TestE5ShapeAndBounds(t *testing.T) {
-	tab, err := E5DelaySweep()
+	tab, err := E5DelaySweep(Config{})
 	if err != nil {
 		t.Fatalf("E5: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestE5ShapeAndBounds(t *testing.T) {
 // ratio never exceeds the worse of Aggressive and Conservative, and the
 // demand baseline is the worst column.
 func TestE6CombinationNeverWorst(t *testing.T) {
-	tab, err := E6Combination()
+	tab, err := E6Combination(Config{})
 	if err != nil {
 		t.Fatalf("E6: %v", err)
 	}
@@ -210,7 +211,7 @@ func TestE6CombinationNeverWorst(t *testing.T) {
 // each added layer and the full engine must expand strictly fewer states than
 // the blind Dijkstra reference.
 func TestE7Theorem4(t *testing.T) {
-	tab, err := E7ParallelLPOptimal()
+	tab, err := E7ParallelLPOptimal(Config{})
 	if err != nil {
 		t.Fatalf("E7: %v", err)
 	}
@@ -243,7 +244,7 @@ func TestE7Theorem4(t *testing.T) {
 // TestE8Shape checks that the LP algorithm's normalised stall never exceeds
 // the other algorithms' and that demand paging is the worst strategy.
 func TestE8Shape(t *testing.T) {
-	tab, err := E8ParallelHeuristics()
+	tab, err := E8ParallelHeuristics(Config{})
 	if err != nil {
 		t.Fatalf("E8: %v", err)
 	}
@@ -264,7 +265,7 @@ func TestE8Shape(t *testing.T) {
 // TestA1Shape checks the ablation invariants: extra cache never hurts and the
 // synchronized LP bound never exceeds OPT(k).
 func TestA1Shape(t *testing.T) {
-	tab, err := A1SynchronizationAblation()
+	tab, err := A1SynchronizationAblation(Config{})
 	if err != nil {
 		t.Fatalf("A1: %v", err)
 	}
@@ -283,7 +284,7 @@ func TestA1Shape(t *testing.T) {
 
 // TestA2Shape checks the prefetching/eviction ablation ordering.
 func TestA2Shape(t *testing.T) {
-	tab, err := A2EvictionAblation()
+	tab, err := A2EvictionAblation(Config{})
 	if err != nil {
 		t.Fatalf("A2: %v", err)
 	}
@@ -302,7 +303,7 @@ func TestA2Shape(t *testing.T) {
 
 // TestTableRendering exercises the table renderers on a real experiment.
 func TestTableRendering(t *testing.T) {
-	tab, err := E1IntroExample()
+	tab, err := E1IntroExample(Config{})
 	if err != nil {
 		t.Fatalf("E1: %v", err)
 	}
@@ -320,14 +321,11 @@ func TestTableRendering(t *testing.T) {
 // and the concurrent driver and requires byte-identical tables, the
 // guarantee the worker pool makes for every experiment.
 func TestConcurrentDriverDeterministic(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
-	seq, err := E5DelaySweep()
+	seq, err := E5DelaySweep(Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("sequential E5: %v", err)
 	}
-	SetWorkers(4)
-	par, err := E5DelaySweep()
+	par, err := E5DelaySweep(Config{Workers: 4})
 	if err != nil {
 		t.Fatalf("concurrent E5: %v", err)
 	}
@@ -339,8 +337,6 @@ func TestConcurrentDriverDeterministic(t *testing.T) {
 // TestRunAllPreservesOrder checks that RunAll returns results in input
 // order with the right tables attached, regardless of worker scheduling.
 func TestRunAllPreservesOrder(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(4)
 	e1, err := ByID("E1")
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +345,7 @@ func TestRunAllPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunAll([]Experiment{e2, e1})
+	results, err := RunAll(Config{Workers: 4}, []Experiment{e2, e1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,15 +362,16 @@ func TestRunAllPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestSetWorkersClamps exercises the worker-count accessors.
-func TestSetWorkersClamps(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(-3)
-	if Workers() <= 0 {
-		t.Fatalf("Workers() = %d after reset, want > 0", Workers())
+// TestConfigWorkersClamps exercises the driver's worker-count resolution: a
+// non-positive Config.Workers means one worker per CPU.
+func TestConfigWorkersClamps(t *testing.T) {
+	if w := (Config{Workers: -3}).workers(); w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers() = %d for Workers -3, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
-	SetWorkers(2)
-	if Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2", Workers())
+	if w := (Config{}).workers(); w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers() = %d for the zero Config, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
+	}
+	if w := (Config{Workers: 2}).workers(); w != 2 {
+		t.Fatalf("workers() = %d, want 2", w)
 	}
 }

@@ -33,19 +33,19 @@ func runParallel(in *core.Instance, a parallel.Algorithm) (*sim.Result, error) {
 // search confirms to be optimal).  Expected shape: parallel Aggressive and
 // the LP algorithm achieve stall 3; demand paging pays the full fetch time
 // per fault.
-func E2IntroParallelExample() (*report.Table, error) {
+func E2IntroParallelExample(cfg Config) (*report.Table, error) {
 	in := IntroParallelInstance()
 	t := report.NewTable("E2: introduction example, two disks (k=4, F=4, n=7)",
 		"algorithm", "stall", "elapsed", "extra cache")
 	t.Note = "Paper: the described schedule has stall time 3."
-	for _, a := range parallel.AlgorithmsWith(lpOptions()) {
+	for _, a := range parallel.AlgorithmsWith(cfg.lpOptions()) {
 		res, err := runParallel(in, a)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(a.Name, res.Stall, res.Elapsed, res.ExtraCache)
 	}
-	optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+	optRes, err := opt.Optimal(in, cfg.optOptions(opt.Options{}))
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func E2IntroParallelExample() (*report.Table, error) {
 // alone ("astar"), with the landmark table ("astar+lm"), with landmarks and
 // dominance merging ("astar+lm+dom" — the default engine), and the blind
 // Dijkstra reference.  A -1 records a layer that exhausted its state budget.
-func E7ParallelLPOptimal() (*report.Table, error) {
+func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E7: Theorem 4 - LP schedule vs optimal stall",
 		"D", "n", "instances", "mean stall ratio", "max stall ratio", "max extra cache", "budget 2(D-1)", "mean LP bound / OPT", "astar expanded", "astar+lm expanded", "astar+lm+dom expanded", "dijkstra expanded")
 	t.Note = "Expected: stall ratio <= 1.000, extra cache within budget, expansions shrink with every bound layer."
@@ -101,39 +101,39 @@ func E7ParallelLPOptimal() (*report.Table, error) {
 		return res.StatesExpanded, nil
 	}
 	points := make([]point, len(diskSet)*len(sizes)*seeds)
-	err := forEach(len(points), func(i int) error {
+	err := cfg.forEach(len(points), func(i int) error {
 		disks := diskSet[i/(len(sizes)*seeds)]
 		size := sizes[i/seeds%len(sizes)]
 		seed := int64(i % seeds)
 		seq := workload.Uniform(size.n, size.blocks, 900+seed)
 		in := workload.Instance(seq, size.k, size.f, disks, workload.AssignStripe, 0)
-		optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+		optRes, err := opt.Optimal(in, cfg.optOptions(opt.Options{}))
 		if err != nil {
 			return err
 		}
-		astarExp, err := layerExpansions(in, optOptions(opt.Options{NoLandmarks: true, NoDominance: true}), optRes.Stall, "matching-bound")
+		astarExp, err := layerExpansions(in, cfg.optOptions(opt.Options{NoLandmarks: true, NoDominance: true}), optRes.Stall, "matching-bound")
 		if err != nil {
 			return err
 		}
-		lmExp, err := layerExpansions(in, optOptions(opt.Options{NoDominance: true}), optRes.Stall, "landmark")
+		lmExp, err := layerExpansions(in, cfg.optOptions(opt.Options{NoDominance: true}), optRes.Stall, "landmark")
 		if err != nil {
 			return err
 		}
-		dijkExp, err := layerExpansions(in, optOptions(opt.Options{Bound: opt.BoundNone, NoHeuristic: true}), optRes.Stall, "dijkstra")
+		dijkExp, err := layerExpansions(in, cfg.optOptions(opt.Options{Bound: opt.BoundNone, NoHeuristic: true}), optRes.Stall, "dijkstra")
 		if err != nil {
 			return err
 		}
 		var res *lpmodel.PlanResult
-		if BatchEnabled() {
+		if !cfg.NoBatch {
 			// The batched path shares solver arenas and symbolic
 			// factorizations across the rows this worker processes; a cold
 			// batched solve is bit-identical to the plain one, so the row
 			// values (and the recorded trajectories) do not depend on -batch.
-			mb := acquireBatch()
-			res, err = lpmodel.PlanBatch(mb, in, lpOptions())
-			releaseBatch(mb)
+			mb := cfg.acquireBatch()
+			res, err = lpmodel.PlanBatch(mb, in, cfg.lpOptions())
+			cfg.releaseBatch(mb)
 		} else {
-			res, err = parallel.LPOptimalWith(in, lpOptions())
+			res, err = parallel.LPOptimalWith(in, cfg.lpOptions())
 		}
 		if err != nil {
 			return err
@@ -191,17 +191,17 @@ func E7ParallelLPOptimal() (*report.Table, error) {
 // LP algorithm stays at ratio about 1 while Aggressive, Conservative and
 // especially demand paging drift upwards with D, the behaviour that motivates
 // Theorem 4 (prior guarantees degraded like D).
-func E8ParallelHeuristics() (*report.Table, error) {
+func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E8: parallel heuristics vs number of disks (stall / LP lower bound)",
 		"D", "lp-optimal", "aggressive", "conservative", "demand")
 	t.Note = "Expected: lp-optimal stays near 1; the others grow with D."
 	diskSet := []int{1, 2, 3, 4}
-	algos := parallel.AlgorithmsWith(lpOptions())
+	algos := parallel.AlgorithmsWith(cfg.lpOptions())
 	// The interleaved workload is deterministic for a given D (the old
 	// per-seed loop recomputed identical instances), so one point per D
 	// suffices.
 	points := make([][]float64, len(diskSet))
-	err := forEach(len(points), func(i int) error {
+	err := cfg.forEach(len(points), func(i int) error {
 		disks := diskSet[i]
 		seq := workload.Interleaved(16, disks, 5)
 		in := workload.Instance(seq, 4, 3, disks, workload.AssignStripe, 0)
@@ -209,24 +209,24 @@ func E8ParallelHeuristics() (*report.Table, error) {
 		var m *lpmodel.Model
 		var frac *lpmodel.Fractional
 		var err error
-		if BatchEnabled() {
+		if !cfg.NoBatch {
 			// Batched row group: the lower-bound solve below and the planning
 			// re-solve in the lp-optimal branch run through one ModelBatch, so
 			// the second solve reuses the built model (zero rebuild), the
 			// symbolic factorization and the pattern's warm basis.
-			mb = acquireBatch()
-			defer releaseBatch(mb)
+			mb = cfg.acquireBatch()
+			defer cfg.releaseBatch(mb)
 			m, err = mb.Model(in)
 			if err != nil {
 				return err
 			}
-			frac, err = m.SolveBatch(mb.LP(), lpOptions())
+			frac, err = m.SolveBatch(mb.LP(), cfg.lpOptions())
 		} else {
 			m, err = lpmodel.Build(in)
 			if err != nil {
 				return err
 			}
-			frac, err = m.Solve(lpOptions())
+			frac, err = m.Solve(cfg.lpOptions())
 		}
 		if err != nil {
 			return err
@@ -250,12 +250,12 @@ func E8ParallelHeuristics() (*report.Table, error) {
 				var err error
 				if mb != nil {
 					var frac2 *lpmodel.Fractional
-					frac2, err = m.SolveBatch(mb.LP(), lpOptions())
+					frac2, err = m.SolveBatch(mb.LP(), cfg.lpOptions())
 					if err == nil {
 						res, err = lpmodel.Extract(m, frac2)
 					}
 				} else {
-					res, err = lpmodel.PlanFrom(in, lpOptions(), m.Basis())
+					res, err = lpmodel.PlanFrom(in, cfg.lpOptions(), m.Basis())
 				}
 				if err != nil {
 					return fmt.Errorf("%s: %w", a.Name, err)
@@ -290,7 +290,7 @@ func E8ParallelHeuristics() (*report.Table, error) {
 // D-1 extra locations, and how the synchronized LP lower bound compares with
 // both.  Expected shape: OPT(k + D - 1) <= OPT(k), and the synchronized LP
 // bound is at most OPT(k) (Lemma 3), typically equal to it.
-func A1SynchronizationAblation() (*report.Table, error) {
+func A1SynchronizationAblation(cfg Config) (*report.Table, error) {
 	t := report.NewTable("A1: ablation - extra cache locations and synchronization",
 		"D", "instance", "OPT(k)", "OPT(k+D-1)", "LP bound (synchronized, k+D-1)")
 	t.Note = "Expected: LP bound <= OPT(k); extra locations never hurt."
@@ -301,20 +301,20 @@ func A1SynchronizationAblation() (*report.Table, error) {
 		lb          float64
 	}
 	rows := make([]row, len(diskSet)*seeds)
-	err := forEach(len(rows), func(i int) error {
+	err := cfg.forEach(len(rows), func(i int) error {
 		disks := diskSet[i/seeds]
 		seed := int64(i % seeds)
 		seq := workload.Uniform(10, 6, 300+seed)
 		in := workload.Instance(seq, 3, 2, disks, workload.AssignStripe, 0)
-		base, err := opt.OptimalStall(in, optOptions(opt.Options{}))
+		base, err := opt.OptimalStall(in, cfg.optOptions(opt.Options{}))
 		if err != nil {
 			return err
 		}
-		extra, err := opt.OptimalStall(in, optOptions(opt.Options{ExtraCache: disks - 1}))
+		extra, err := opt.OptimalStall(in, cfg.optOptions(opt.Options{ExtraCache: disks - 1}))
 		if err != nil {
 			return err
 		}
-		lb, err := lpmodel.LowerBound(in, lpOptions())
+		lb, err := lpmodel.LowerBound(in, cfg.lpOptions())
 		if err != nil {
 			return err
 		}

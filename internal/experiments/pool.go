@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,33 +10,13 @@ import (
 	"pfcache/internal/report"
 )
 
-// workerCount is the configured concurrency of the experiment driver; 0
-// means one worker per CPU.
-var workerCount atomic.Int64
-
-// SetWorkers sets the number of concurrent workers used by RunAll and by
-// the row-level loops inside the experiments.  n <= 0 restores the default
-// (one worker per CPU); n == 1 forces fully sequential execution.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCount.Store(int64(n))
-}
-
-// Workers returns the effective worker count.
-func Workers() int {
-	if n := int(workerCount.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // extraWorkers counts the extra goroutines currently running across every
-// forEach call, so the Workers() bound is global: nested fan-out (RunAll
-// over experiments, each experiment fanning out its rows) shares one budget
-// of Workers()-1 extras plus the calling goroutine, instead of multiplying
-// worker counts per nesting level.
+// forEach call in the process, so the worker bound is a CPU limit rather
+// than a per-run allowance: nested fan-out (RunAll over experiments, each
+// experiment fanning out its rows) shares one budget of Config.Workers-1
+// extras plus the calling goroutine instead of multiplying worker counts per
+// nesting level, and runs proceeding side by side draw on the same budget
+// instead of oversubscribing the CPUs.
 var extraWorkers atomic.Int64
 
 // acquireExtra reserves one slot of the global extra-worker budget, or
@@ -62,7 +41,7 @@ func acquireExtra(budget int64) bool {
 // regardless of scheduling.  Every experiment point writes its result into
 // an index-addressed slot, which keeps result tables byte-identical to the
 // sequential driver's output.
-func forEach(n int, f func(i int) error) error {
+func (c Config) forEach(n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -77,7 +56,7 @@ func forEach(n int, f func(i int) error) error {
 			errs[i] = f(i)
 		}
 	}
-	budget := int64(Workers() - 1)
+	budget := int64(c.workers() - 1)
 	var wg sync.WaitGroup
 	for g := 0; g < n-1 && acquireExtra(budget); g++ {
 		wg.Add(1)
@@ -102,16 +81,18 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// RunAll executes the given experiments concurrently (bounded by Workers())
-// and returns their results in the same order, so output is deterministic
-// regardless of which experiment finishes first.  On failure the error is
-// tagged with the failing experiment's ID and the completed results are
-// still returned (failed entries have a nil Table).
-func RunAll(exps []Experiment) ([]Result, error) {
+// RunAll executes the given experiments under cfg, concurrently (bounded by
+// cfg.Workers), and returns their results in the same order, so output is
+// deterministic regardless of which experiment finishes first.  The run gets
+// its own ModelBatch pool (see batch.go).  On failure the error is tagged
+// with the failing experiment's ID and the completed results are still
+// returned (failed entries have a nil Table).
+func RunAll(cfg Config, exps []Experiment) ([]Result, error) {
+	cfg.batches = &batchPool{}
 	out := make([]Result, len(exps))
-	err := forEach(len(exps), func(i int) error {
+	err := cfg.forEach(len(exps), func(i int) error {
 		start := time.Now()
-		tab, err := exps[i].Run()
+		tab, err := exps[i].Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", exps[i].ID, err)
 		}

@@ -194,7 +194,7 @@ func ReplayWorkload() (*core.Instance, []core.BlockID) {
 // vertex — and the warm chain spends far fewer pivots than the cold chain;
 // the wall-clock side of that gap is what BenchmarkReplayIncrementalStep vs
 // BenchmarkReplayColdStep records in the timings block.
-func R1TraceReplay() (*report.Table, error) {
+func R1TraceReplay(cfg Config) (*report.Table, error) {
 	t := report.NewTable("R1: trace replay - incremental re-solves vs per-step cold rebuilds",
 		"D", "base n", "steps", "final n", "final stall", "identical", "warm pivots", "cold pivots")
 	t.Note = "Expected: identical=yes at every step (tie-broken objective, unique optimum); warm pivots far below cold."
@@ -205,9 +205,9 @@ func R1TraceReplay() (*report.Table, error) {
 		warmPivots, coldPivots int
 	}
 	points := make([]point, len(scs))
-	err := forEach(len(points), func(i int) error {
+	err := cfg.forEach(len(points), func(i int) error {
 		base, steps := scs[i].build()
-		opts := lpOptions()
+		opts := cfg.lpOptions()
 		warm, err := ReplayIncremental(base, steps, opts)
 		if err != nil {
 			return fmt.Errorf("R1 scenario %d incremental: %w", i, err)
@@ -260,8 +260,8 @@ type ReplayBench struct {
 // and the cold rebuild chain, re-solve only (the schedule extraction both
 // paths share is done outside the timed region, and feeds the byte-identity
 // check).  Cost-equivalence is enforced; measured times are machine-local.
-func ReplayMeasure(base *core.Instance, steps []core.BlockID) (*ReplayBench, error) {
-	opts := lpOptions()
+func ReplayMeasure(cfg Config, base *core.Instance, steps []core.BlockID) (*ReplayBench, error) {
+	opts := cfg.lpOptions()
 
 	// Timed warm chain: extend + incremental re-solve per step.
 	m, err := lpmodel.Build(base.Clone())

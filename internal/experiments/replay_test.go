@@ -17,7 +17,7 @@ func TestReplayChainsAgree(t *testing.T) {
 			continue
 		}
 		base, steps := sc.build()
-		opts := lpOptions()
+		opts := Config{}.lpOptions()
 		warm, err := ReplayIncremental(base, steps, opts)
 		if err != nil {
 			t.Fatalf("scenario %d incremental: %v", i, err)
@@ -49,7 +49,7 @@ func TestReplayMeasure(t *testing.T) {
 		t.Skip("timed replay is slow")
 	}
 	base, steps := ReplayWorkload()
-	b, err := ReplayMeasure(base, steps)
+	b, err := ReplayMeasure(Config{}, base, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestReplayMeasure(t *testing.T) {
 // BenchmarkReplayColdStep is the speedup BENCH_*.json's timings record.
 func BenchmarkReplayIncrementalStep(b *testing.B) {
 	base, steps := ReplayWorkload()
-	opts := lpOptions()
+	opts := Config{}.lpOptions()
 	solver := lp.NewSolver()
 	m, err := lpmodel.Build(base.Clone())
 	if err != nil {
@@ -109,7 +109,7 @@ func BenchmarkReplayIncrementalStep(b *testing.B) {
 // scratch.
 func BenchmarkReplayColdStep(b *testing.B) {
 	base, steps := ReplayWorkload()
-	opts := lpOptions()
+	opts := Config{}.lpOptions()
 	solver := lp.NewSolver()
 	m := &lpmodel.Model{}
 	in := base.Clone()

@@ -48,7 +48,7 @@ func runSingle(in *core.Instance, a single.Algorithm) (*sim.Result, error) {
 // table reports what each implemented algorithm and the exhaustive optimum
 // achieve.  Expected shape: Aggressive 13, optimal 11, Delay(1) and the LP
 // pipeline 11.
-func E1IntroExample() (*report.Table, error) {
+func E1IntroExample(cfg Config) (*report.Table, error) {
 	in := IntroSingleDiskInstance()
 	t := report.NewTable("E1: introduction example, single disk (k=4, F=4, n=10)",
 		"algorithm", "stall", "elapsed")
@@ -68,7 +68,7 @@ func E1IntroExample() (*report.Table, error) {
 		}
 		t.AddRow(a.Name, res.Stall, res.Elapsed)
 	}
-	optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+	optRes, err := opt.Optimal(in, cfg.optOptions(opt.Options{}))
 	if err != nil {
 		return nil, err
 	}
@@ -82,12 +82,12 @@ func E1IntroExample() (*report.Table, error) {
 // et al.  Expected shape: every measured ratio is at most the Theorem 1 bound
 // (which is itself at most the Cao bound and at most 2), and the bound
 // tightens as k grows relative to F.
-func E3AggressiveRatio() (*report.Table, error) {
+func E3AggressiveRatio(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E3: Aggressive elapsed-time ratio vs bounds (Theorem 1)",
 		"k", "F", "workload", "mean ratio", "max ratio", "Thm1 bound", "Cao bound")
 	t.Note = "Expected: max ratio <= Thm1 bound <= Cao bound <= 2.  The *-36 workloads are the larger instances unlocked by the A*/branch-and-bound search."
-	type cfg struct{ k, f int }
-	configs := []cfg{{3, 2}, {4, 2}, {4, 4}, {5, 3}, {5, 5}, {3, 5}}
+	type setting struct{ k, f int }
+	configs := []setting{{3, 2}, {4, 2}, {4, 4}, {5, 3}, {5, 5}, {3, 5}}
 	workloads := []struct {
 		name string
 		gen  func(seed int64) core.Sequence
@@ -100,13 +100,13 @@ func E3AggressiveRatio() (*report.Table, error) {
 	}
 	type point struct{ mean, max float64 }
 	points := make([]point, len(configs)*len(workloads))
-	err := forEach(len(points), func(i int) error {
+	err := cfg.forEach(len(points), func(i int) error {
 		c := configs[i/len(workloads)]
 		w := workloads[i%len(workloads)]
 		var ratios []float64
 		for seed := int64(0); seed < 3; seed++ {
 			in := core.SingleDisk(w.gen(seed), c.k, c.f)
-			optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+			optRes, err := opt.Optimal(in, cfg.optOptions(opt.Options{}))
 			if err != nil {
 				return err
 			}
@@ -139,16 +139,16 @@ func E3AggressiveRatio() (*report.Table, error) {
 // previous phase's blocks).  Expected shape: the measured ratio climbs with
 // the number of phases towards the Theorem 2 bound 1 + F/(k + (k-1)/(F-1))
 // and stays below the Theorem 1 upper bound.
-func E4AggressiveLowerBound() (*report.Table, error) {
+func E4AggressiveLowerBound(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E4: Theorem 2 lower-bound construction",
 		"k", "F", "phases", "aggressive elapsed", "optimal elapsed", "ratio", "Thm2 bound", "Thm1 bound")
 	t.Note = "Expected: ratio climbs with phases towards (k+l+F)/(k+l+2), which tends to the Thm2 bound for large k and F."
-	type cfg struct{ k, f int }
-	configs := []cfg{{7, 4}, {5, 3}, {9, 5}, {13, 5}}
+	type setting struct{ k, f int }
+	configs := []setting{{7, 4}, {5, 3}, {9, 5}, {13, 5}}
 	phaseSet := []int{2, 6, 16, 40}
 	type row struct{ agg, cons int }
 	rows := make([]row, len(configs)*len(phaseSet))
-	err := forEach(len(rows), func(i int) error {
+	err := cfg.forEach(len(rows), func(i int) error {
 		c := configs[i/len(phaseSet)]
 		phases := phaseSet[i%len(phaseSet)]
 		in, err := workload.AggressiveAdversary(c.k, c.f, phases)
@@ -188,7 +188,7 @@ func E4AggressiveLowerBound() (*report.Table, error) {
 // with value about sqrt(3) = 1.732, bridging Aggressive (d = 0, bound 2 when
 // F >= k) and Conservative-like behaviour for large d; measured ratios stay
 // below the bound for every d.
-func E5DelaySweep() (*report.Table, error) {
+func E5DelaySweep(cfg Config) (*report.Table, error) {
 	const k, f = 4, 6
 	t := report.NewTable(fmt.Sprintf("E5: Delay(d) sweep (k=%d, F=%d)", k, f),
 		"n", "d", "Thm3 bound", "mean ratio", "max ratio")
@@ -221,13 +221,13 @@ func E5DelaySweep() (*report.Table, error) {
 		}
 	}
 	instances := make([]inst, len(sets)*perSet)
-	err := forEach(len(instances), func(i int) error {
+	err := cfg.forEach(len(instances), func(i int) error {
 		set := sets[i/perSet]
 		j := i % perSet
 		g := set.gens[j/instSeeds]
 		seed := int64(j % instSeeds)
 		in := core.SingleDisk(g(seed), k, f)
-		o, err := opt.Optimal(in, optOptions(opt.Options{}))
+		o, err := opt.Optimal(in, cfg.optOptions(opt.Options{}))
 		if err != nil {
 			return err
 		}
@@ -240,7 +240,7 @@ func E5DelaySweep() (*report.Table, error) {
 	type point struct{ mean, max float64 }
 	sweep := 2*f + 1
 	points := make([]point, len(sets)*sweep)
-	err = forEach(len(points), func(i int) error {
+	err = cfg.forEach(len(points), func(i int) error {
 		si := i / sweep
 		d := i % sweep
 		var ratios []float64
@@ -273,16 +273,16 @@ func E5DelaySweep() (*report.Table, error) {
 // shape: Combination is never worse than both Aggressive and Conservative on
 // the same instance family (Corollary 2), and every prefetching algorithm
 // beats the demand baseline.
-func E6Combination() (*report.Table, error) {
+func E6Combination(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E6: head-to-head comparison (elapsed-time ratio to optimal)",
 		"workload", "k", "F", "aggressive", "conservative", "delay:auto", "combination", "demand-min")
 	t.Note = "Expected: combination <= max(aggressive, conservative); demand worst."
-	type cfg struct {
+	type setting struct {
 		name string
 		k, f int
 		gen  func(seed int64) core.Sequence
 	}
-	configs := []cfg{
+	configs := []setting{
 		{"uniform", 4, 3, func(seed int64) core.Sequence { return workload.Uniform(20, 8, seed) }},
 		{"zipf", 4, 5, func(seed int64) core.Sequence { return workload.Zipf(20, 8, 1.2, seed) }},
 		{"loop", 3, 4, func(seed int64) core.Sequence { return workload.Loop(6, 3) }},
@@ -293,11 +293,11 @@ func E6Combination() (*report.Table, error) {
 	algoNames := []string{"aggressive", "conservative", "delay:auto", "combination", "demand-min"}
 	const seeds = 3
 	points := make([][]float64, len(configs)*seeds)
-	err := forEach(len(points), func(i int) error {
+	err := cfg.forEach(len(points), func(i int) error {
 		c := configs[i/seeds]
 		seed := int64(i % seeds)
 		in := core.SingleDisk(c.gen(seed), c.k, c.f)
-		optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+		optRes, err := opt.Optimal(in, cfg.optOptions(opt.Options{}))
 		if err != nil {
 			return err
 		}
@@ -338,15 +338,15 @@ func E6Combination() (*report.Table, error) {
 // optimal replacement rule (demand paging with LRU/FIFO replacement), and
 // compares them with Aggressive on the same workloads.  Expected shape:
 // integrated prefetching+MIN < demand+MIN < demand+LRU/FIFO in elapsed time.
-func A2EvictionAblation() (*report.Table, error) {
+func A2EvictionAblation(cfg Config) (*report.Table, error) {
 	t := report.NewTable("A2: ablation - value of prefetching and of the eviction rule",
 		"workload", "aggressive", "demand-min", "demand-lru", "demand-fifo")
 	t.Note = "Mean elapsed time; expected ordering: aggressive < demand-min < demand-lru/fifo."
-	type cfg struct {
+	type setting struct {
 		name string
 		gen  func(seed int64) core.Sequence
 	}
-	configs := []cfg{
+	configs := []setting{
 		{"uniform", func(seed int64) core.Sequence { return workload.Uniform(300, 24, seed) }},
 		{"zipf", func(seed int64) core.Sequence { return workload.Zipf(300, 24, 1.1, seed) }},
 		{"loop", func(seed int64) core.Sequence { return workload.Loop(10, 30) }},
@@ -354,7 +354,7 @@ func A2EvictionAblation() (*report.Table, error) {
 	algoNames := []string{"aggressive", "demand-min", "demand-lru", "demand-fifo"}
 	const seeds = 3
 	points := make([][]float64, len(configs)*seeds)
-	err := forEach(len(points), func(i int) error {
+	err := cfg.forEach(len(points), func(i int) error {
 		c := configs[i/seeds]
 		seed := int64(i % seeds)
 		in := core.SingleDisk(c.gen(seed), 8, 4)

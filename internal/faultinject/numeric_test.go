@@ -26,7 +26,7 @@ func productionLP() *lp.Problem {
 // damage, visibly (Downgrades, counters) but without changing the answer.
 func TestNumericInjectorCadence(t *testing.T) {
 	p := productionLP()
-	before := lp.StatsSnapshot()
+	var sink lp.Stats
 
 	inj := NewNumericInjector(3)
 	inj.Install()
@@ -35,7 +35,7 @@ func TestNumericInjectorCadence(t *testing.T) {
 	solver := lp.NewSolver()
 	faulted := 0
 	for i := 1; i <= 9; i++ {
-		sol, err := solver.Solve(p, lp.Options{Cascade: true})
+		sol, err := solver.Solve(p, lp.Options{Cascade: true, Stats: &sink})
 		if err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
@@ -62,12 +62,15 @@ func TestNumericInjectorCadence(t *testing.T) {
 		t.Errorf("fault mix did not rotate: miscomputes=%d corruptions=%d singulars=%d",
 			inj.Miscomputes.Load(), inj.Corruptions.Load(), inj.Singulars.Load())
 	}
-	after := lp.StatsSnapshot()
-	if d := after.VerifyFailures - before.VerifyFailures; d < uint64(inj.Miscomputes.Load()) {
-		t.Errorf("verify failures rose by %d, want >= %d miscomputes", d, inj.Miscomputes.Load())
+	got := sink.Snapshot()
+	if got.VerifyFailures < uint64(inj.Miscomputes.Load()) {
+		t.Errorf("verify failures = %d, want >= %d miscomputes", got.VerifyFailures, inj.Miscomputes.Load())
 	}
-	if d := after.CascadeFallbacks - before.CascadeFallbacks; d < uint64(faulted) {
-		t.Errorf("cascade fallbacks rose by %d, want >= %d", d, faulted)
+	if got.CascadeFallbacks < uint64(faulted) {
+		t.Errorf("cascade fallbacks = %d, want >= %d", got.CascadeFallbacks, faulted)
+	}
+	if got.Solves != 9 || got.VerifiedSolves != 9 {
+		t.Errorf("sink counted %d solves (%d verified), want 9 and 9", got.Solves, got.VerifiedSolves)
 	}
 }
 

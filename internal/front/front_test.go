@@ -262,16 +262,17 @@ func TestFrontSweepFanout(t *testing.T) {
 	_, fs := newFront(t, []string{b1.URL, b2.URL}, nil)
 
 	ids := []string{"E1", "E2"}
-	// References computed locally, sequentially.  Only the Results tables
-	// are comparable: the lp/opt counter blocks are process-wide diffs and
-	// the front's two single-ID sweeps run concurrently in this process.
-	want := make(map[string][]service.TableWire)
+	// References computed locally, sequentially.  Each sweep counts its own
+	// work in its own sinks, so the lp/opt counter blocks must match too,
+	// although the front's two single-ID sweeps run concurrently in this
+	// process.
+	want := make(map[string]*service.SweepResponse)
 	for _, id := range ids {
 		ref, err := service.RunSweep(&service.SweepRequest{IDs: []string{id}, Stable: true, Workers: 1})
 		if err != nil {
 			t.Fatalf("reference sweep %s: %v", id, err)
 		}
-		want[id] = ref.Results
+		want[id] = ref
 	}
 
 	body := mustMarshal(t, &service.SweepRequest{IDs: ids, Stable: true, Workers: 1})
@@ -287,17 +288,15 @@ func TestFrontSweepFanout(t *testing.T) {
 		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 	}
 
-	got := map[string][]service.TableWire{}
+	got := map[string]*service.SweepResponse{}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	for sc.Scan() {
 		var line struct {
-			ID      string `json:"id"`
-			Backend string `json:"backend"`
-			Sweep   *struct {
-				Results []service.TableWire `json:"results"`
-			} `json:"sweep"`
-			Error string `json:"error"`
+			ID      string                 `json:"id"`
+			Backend string                 `json:"backend"`
+			Sweep   *service.SweepResponse `json:"sweep"`
+			Error   string                 `json:"error"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
@@ -308,7 +307,7 @@ func TestFrontSweepFanout(t *testing.T) {
 		if line.Backend == "" || line.Sweep == nil {
 			t.Fatalf("line for %s lacks backend or sweep: %s", line.ID, sc.Text())
 		}
-		got[line.ID] = line.Sweep.Results
+		got[line.ID] = line.Sweep
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -319,8 +318,8 @@ func TestFrontSweepFanout(t *testing.T) {
 		if g == nil {
 			t.Fatalf("no line for experiment %s", id)
 		}
-		if fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Errorf("experiment %s: fanned-out results differ from local sweep\ngot:  %v\nwant: %v", id, g, w)
+		if fmt.Sprint(*g) != fmt.Sprint(*w) {
+			t.Errorf("experiment %s: fanned-out sweep differs from local sweep\ngot:  %+v\nwant: %+v", id, *g, *w)
 		}
 	}
 }

@@ -52,6 +52,22 @@ func numericChaosRequests(t *testing.T) (reqs [][]byte, refs [][]byte) {
 	return reqs, refs
 }
 
+// fleetLP sums the verify_failures and cascade_fallbacks counters of the
+// fleet's live backends (each backend's /v1/stats counts its own solves).
+func fleetLP(fl *chaosFleet) (total service.LPCountersWire) {
+	for _, b := range fl.backends {
+		b.mu.Lock()
+		svc := b.svc
+		b.mu.Unlock()
+		if svc != nil {
+			c := svc.Stats().LP
+			total.VerifyFailures += c.VerifyFailures
+			total.CascadeFallbacks += c.CascadeFallbacks
+		}
+	}
+	return total
+}
+
 // fleetSolverResets sums solver_resets across the fleet's live backends.
 func fleetSolverResets(fl *chaosFleet) uint64 {
 	var total uint64
@@ -79,7 +95,7 @@ func TestChaosNumericFaultsInvisible(t *testing.T) {
 	fl := startChaosFleet(t, nil)
 	reqs, refs := numericChaosRequests(t)
 
-	before := lp.StatsSnapshot()
+	before := fleetLP(fl)
 	inj := faultinject.NewNumericInjector(2)
 	inj.Install()
 	defer inj.Uninstall()
@@ -94,7 +110,7 @@ func TestChaosNumericFaultsInvisible(t *testing.T) {
 	if inj.Miscomputes.Load() == 0 {
 		t.Error("fault rotation never corrupted a reported objective")
 	}
-	after := lp.StatsSnapshot()
+	after := fleetLP(fl)
 	if after.VerifyFailures == before.VerifyFailures {
 		t.Error("corrupted solves left no verify_failures — certificates never caught the damage")
 	}

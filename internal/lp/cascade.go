@@ -51,8 +51,9 @@ func (e *CascadeExhaustedError) Unwrap() error { return e.Last }
 // A rung's Optimal solution is returned only after it verifies; a terminal
 // Infeasible/Unbounded status is trusted only from the last (reference)
 // rung, since a corrupted basis can misreport either.  Solution.Downgrades
-// records how many rungs were abandoned; the package-wide VerifyFailures and
-// CascadeFallbacks counters aggregate across solves.
+// records how many rungs were abandoned; the VerifyFailures and
+// CascadeFallbacks counters of the caller's sink (Options.Stats) aggregate
+// across solves.
 func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmBasis, plan FaultPlan) (*Solution, error) {
 	alt := opts
 	alt.Pricing = PricingDantzig
@@ -71,7 +72,7 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 	for i := range rungs {
 		rg := &rungs[i]
 		if i > 0 {
-			stats.cascadeFalls.Add(1)
+			opts.Stats.Add(Counters{CascadeFallbacks: 1})
 		}
 		var fault *Fault
 		if plan != nil {
@@ -100,7 +101,7 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 		switch sol.Status {
 		case StatusOptimal:
 			if verr := Verify(p, sol); verr != nil {
-				stats.verifyFails.Add(1)
+				opts.Stats.Add(Counters{VerifyFailures: 1})
 				// The basis captured alongside a failed solve is as suspect
 				// as the solve: poison it so the next warm start cannot
 				// replay the damage.  The symbolic skeletons recorded during
@@ -111,9 +112,9 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 				lastErr = verr
 				continue
 			}
-			stats.verified.Add(1)
+			opts.Stats.Add(Counters{VerifiedSolves: 1})
 			sol.Downgrades = i
-			recordSolve(sol)
+			recordSolve(opts.Stats, sol)
 			return sol, nil
 		case StatusIterLimit:
 			lastErr = &PivotBudgetError{Iterations: sol.Iterations}
@@ -123,7 +124,7 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 			// so the status is only trusted from the final reference rung.
 			if i == len(rungs)-1 {
 				sol.Downgrades = i
-				recordSolve(sol)
+				recordSolve(opts.Stats, sol)
 				return sol, nil
 			}
 			lastErr = fmt.Errorf("lp: rung %d ended %v before the reference engine confirmed it", i, sol.Status)

@@ -139,7 +139,7 @@
 // update file does not accumulate the fill that product-form etas do on
 // long re-optimization runs; a spike diagonal too small to trust rejects
 // the update and refactorizes instead, absorbing the pivot exactly.
-// Solution and StatsSnapshot count DualPivots and FTUpdates alongside the
+// Solution and the Stats sinks count DualPivots and FTUpdates alongside the
 // primal counters, so pcbench's trajectory files record how much of a
 // sweep's work the incremental path saved.
 //
@@ -218,8 +218,8 @@
 // MethodFlat.  Infeasible/Unbounded are accepted only from the final rung,
 // since a damaged factorization can misreport either.  Solution.Downgrades
 // records how many rungs were abandoned (0 = first try verified), and the
-// process-wide VerifiedSolves/VerifyFailures/CascadeFallbacks counters make
-// silent corruption observable.  If every rung fails, the solve returns
+// VerifiedSolves/VerifyFailures/CascadeFallbacks counters of the caller's
+// Stats sink make silent corruption observable.  If every rung fails, the solve returns
 // *CascadeExhaustedError wrapping the last rung's error.  Without Cascade, a
 // solve that exceeds Options.MaxIterations reports StatusIterLimit, and
 // asking for more iterations than the budget allows yields
@@ -238,9 +238,19 @@
 // programs — run without allocating in steady state.  The package-level
 // Solve draws Solvers from an internal pool; Solution carries pivot,
 // pricing-pass, refactorization, eta-column, LU-fill, warm-start and
-// allocation counters, and StatsSnapshot aggregates them process-wide, so
-// performance regressions are observable in benchmarks, in pcbench's JSON
-// trajectory files, and on a live pcserve's /v1/stats.
+// allocation counters.
+//
+// # Counters
+//
+// A solve adds its counters to the Stats sink its Options.Stats names, and
+// a solve without a sink is not counted; there is no package-level tally.
+// The sink belongs to whoever reports the work: an experiment sweep passes
+// fresh sinks down through experiments.Config, so its JSON block (pcbench's
+// trajectory files, /v1/sweep bodies) counts exactly its own solves however
+// much else the process is solving, and each pcserve shard owns a sink that
+// /v1/stats sums with the sweeps'.  Sinks are atomic, so solves on several
+// goroutines may share one, and their sums do not depend on the order the
+// solves finish in.
 //
 // Numbers are float64 with explicit tolerances; the prefetching LPs are
 // small and well scaled, and the experiment harness cross-checks the LP

@@ -214,6 +214,10 @@ type Options struct {
 	// reference path — instead of being returned.  See cascade.go.  Ignored
 	// by MethodFlat.
 	Cascade bool
+	// Stats is the sink the solve's work is counted in (see Counters); nil
+	// leaves the solve uncounted.  Callers that report their own work — a
+	// server's shards, one experiment sweep — each pass their own sink.
+	Stats *Stats
 }
 
 // Solution is the result of a solve.
@@ -403,7 +407,7 @@ func (s *Solver) solve(p *Problem, opts Options, warm *WarmBasis) (*Solution, er
 		return nil, fmt.Errorf("lp: unknown solve method %d", int(opts.Method))
 	}
 	if err == nil {
-		recordSolve(sol)
+		recordSolve(opts.Stats, sol)
 	}
 	return sol, err
 }

@@ -2,10 +2,10 @@ package lp
 
 import "sync/atomic"
 
-// Counters is a snapshot of the package-wide solve counters.  The experiment
-// driver records these alongside benchmark tables so the per-revision
-// trajectory files (BENCH_*.json) capture how much simplex work a full run
-// performs, not just how long it took.
+// Counters is a snapshot of a Stats sink.  The experiment driver records
+// these alongside benchmark tables so the per-revision trajectory files
+// (BENCH_*.json) capture how much simplex work a full run performs, not just
+// how long it took.
 type Counters struct {
 	// Solves is the number of completed Solver.Solve calls.
 	Solves uint64
@@ -52,68 +52,80 @@ type Counters struct {
 	FTUpdates uint64
 }
 
-var stats struct {
+// Stats is a counter sink: every solve run with Options.Stats pointing at it
+// adds its work here.  The fields are atomic, so one sink may be shared by
+// solves on several goroutines (the experiment pool solves concurrently); the
+// sums are order-independent, so a sink's totals are reproducible under the
+// concurrent driver.  The zero value is an empty sink.
+type Stats struct {
 	solves, iters, phase1, passes, refactors, etas, luFills atomic.Uint64
 	warmStarts, symReuses, numRefactors                     atomic.Uint64
 	verified, verifyFails, cascadeFalls                     atomic.Uint64
 	dualPivots, ftUpdates                                   atomic.Uint64
 }
 
-// recordSolve folds one finished solve into the package counters; callers
-// run concurrently (the experiment pool solves on several goroutines).
-func recordSolve(sol *Solution) {
-	stats.solves.Add(1)
-	stats.iters.Add(uint64(sol.Iterations))
-	stats.phase1.Add(uint64(sol.Phase1Iterations))
-	stats.passes.Add(uint64(sol.PricingPasses))
-	stats.refactors.Add(uint64(sol.Refactorizations))
-	stats.etas.Add(uint64(sol.EtaColumns))
-	stats.luFills.Add(uint64(sol.LUFills))
-	stats.symReuses.Add(uint64(sol.SymbolicReuses))
-	stats.numRefactors.Add(uint64(sol.NumericRefactors))
-	stats.dualPivots.Add(uint64(sol.DualIterations))
-	stats.ftUpdates.Add(uint64(sol.FTUpdates))
-	if sol.WarmStarted {
-		stats.warmStarts.Add(1)
+// Add folds c into the sink.  Solves record through it, and a caller that
+// owns several sinks sums them into one with it.  A nil sink ignores the call.
+func (s *Stats) Add(c Counters) {
+	if s == nil {
+		return
 	}
+	s.solves.Add(c.Solves)
+	s.iters.Add(c.Iterations)
+	s.phase1.Add(c.Phase1Pivots)
+	s.passes.Add(c.PricingPasses)
+	s.refactors.Add(c.Refactorizations)
+	s.etas.Add(c.EtaColumns)
+	s.luFills.Add(c.LUFills)
+	s.warmStarts.Add(c.WarmStarts)
+	s.numRefactors.Add(c.NumericRefactors)
+	s.symReuses.Add(c.SymbolicReuses)
+	s.verified.Add(c.VerifiedSolves)
+	s.verifyFails.Add(c.VerifyFailures)
+	s.cascadeFalls.Add(c.CascadeFallbacks)
+	s.dualPivots.Add(c.DualPivots)
+	s.ftUpdates.Add(c.FTUpdates)
 }
 
-// StatsSnapshot returns the current package-wide solve counters.
-func StatsSnapshot() Counters {
+// Snapshot returns the sink's current totals.
+func (s *Stats) Snapshot() Counters {
 	return Counters{
-		Solves:           stats.solves.Load(),
-		Iterations:       stats.iters.Load(),
-		Phase1Pivots:     stats.phase1.Load(),
-		PricingPasses:    stats.passes.Load(),
-		Refactorizations: stats.refactors.Load(),
-		EtaColumns:       stats.etas.Load(),
-		LUFills:          stats.luFills.Load(),
-		WarmStarts:       stats.warmStarts.Load(),
-		NumericRefactors: stats.numRefactors.Load(),
-		SymbolicReuses:   stats.symReuses.Load(),
-		VerifiedSolves:   stats.verified.Load(),
-		VerifyFailures:   stats.verifyFails.Load(),
-		CascadeFallbacks: stats.cascadeFalls.Load(),
-		DualPivots:       stats.dualPivots.Load(),
-		FTUpdates:        stats.ftUpdates.Load(),
+		Solves:           s.solves.Load(),
+		Iterations:       s.iters.Load(),
+		Phase1Pivots:     s.phase1.Load(),
+		PricingPasses:    s.passes.Load(),
+		Refactorizations: s.refactors.Load(),
+		EtaColumns:       s.etas.Load(),
+		LUFills:          s.luFills.Load(),
+		WarmStarts:       s.warmStarts.Load(),
+		NumericRefactors: s.numRefactors.Load(),
+		SymbolicReuses:   s.symReuses.Load(),
+		VerifiedSolves:   s.verified.Load(),
+		VerifyFailures:   s.verifyFails.Load(),
+		CascadeFallbacks: s.cascadeFalls.Load(),
+		DualPivots:       s.dualPivots.Load(),
+		FTUpdates:        s.ftUpdates.Load(),
 	}
 }
 
-// StatsReset zeroes the package-wide solve counters.
-func StatsReset() {
-	stats.solves.Store(0)
-	stats.iters.Store(0)
-	stats.phase1.Store(0)
-	stats.passes.Store(0)
-	stats.refactors.Store(0)
-	stats.etas.Store(0)
-	stats.luFills.Store(0)
-	stats.warmStarts.Store(0)
-	stats.symReuses.Store(0)
-	stats.numRefactors.Store(0)
-	stats.verified.Store(0)
-	stats.verifyFails.Store(0)
-	stats.cascadeFalls.Store(0)
-	stats.dualPivots.Store(0)
-	stats.ftUpdates.Store(0)
+// recordSolve folds one finished solve into the caller's sink (a nil sink
+// leaves the solve uncounted).
+func recordSolve(st *Stats, sol *Solution) {
+	c := Counters{
+		Solves:           1,
+		Iterations:       uint64(sol.Iterations),
+		Phase1Pivots:     uint64(sol.Phase1Iterations),
+		PricingPasses:    uint64(sol.PricingPasses),
+		Refactorizations: uint64(sol.Refactorizations),
+		EtaColumns:       uint64(sol.EtaColumns),
+		LUFills:          uint64(sol.LUFills),
+		SymbolicReuses:   uint64(sol.SymbolicReuses),
+		NumericRefactors: uint64(sol.NumericRefactors),
+		DualPivots:       uint64(sol.DualIterations),
+		FTUpdates:        uint64(sol.FTUpdates),
+	}
+	if sol.WarmStarted {
+		c.WarmStarts = 1
+	}
+	st.Add(c)
 }

@@ -176,12 +176,12 @@ func TestParseBound(t *testing.T) {
 
 // TestCountersConsistency checks the counter relationships the new Result
 // reports: every expansion comes from the table, generated covers duplicates
-// and pruned states, and the process-wide counters accumulate.
+// and pruned states, and the caller's sink accumulates them.
 func TestCountersConsistency(t *testing.T) {
-	StatsReset()
+	var sink Stats
 	seq := workload.Uniform(16, 7, 12)
 	in := workload.Instance(seq, 3, 3, 2, workload.AssignStripe, 0)
-	res, err := Optimal(in, Options{})
+	res, err := Optimal(in, Options{Stats: &sink})
 	if err != nil {
 		t.Fatalf("Optimal: %v", err)
 	}
@@ -191,14 +191,27 @@ func TestCountersConsistency(t *testing.T) {
 	if res.StatesGenerated < res.DuplicateHits+res.PrunedByBound {
 		t.Errorf("generated %d < duplicates %d + pruned %d", res.StatesGenerated, res.DuplicateHits, res.PrunedByBound)
 	}
-	snap := StatsSnapshot()
-	if snap.Searches == 0 || snap.Expanded != uint64(res.StatesExpanded) ||
-		snap.Generated != uint64(res.StatesGenerated) || snap.PeakTable != uint64(res.PeakTableSize) {
-		t.Errorf("process counters %+v do not reflect the search result %+v", snap, res)
+	snap := sink.Snapshot()
+	if snap.Searches != 1 || snap.Expanded != uint64(res.StatesExpanded) ||
+		snap.Generated != uint64(res.StatesGenerated) || snap.PeakTable != uint64(res.PeakTableSize) ||
+		snap.Workers != 1 {
+		t.Errorf("sink counters %+v do not reflect the search result %+v", snap, res)
 	}
-	StatsReset()
-	if snap = StatsSnapshot(); snap.Searches != 0 || snap.Expanded != 0 {
-		t.Errorf("StatsReset left counters %+v", snap)
+	// A second search sums into the sink; the maxima stay maxima.
+	if _, err := Optimal(in, Options{Stats: &sink}); err != nil {
+		t.Fatalf("Optimal: %v", err)
+	}
+	twice := sink.Snapshot()
+	if twice.Searches != 2 || twice.Expanded != 2*snap.Expanded || twice.Generated != 2*snap.Generated ||
+		twice.PeakTable != snap.PeakTable || twice.Workers != 1 {
+		t.Errorf("after a repeated search the sink holds %+v, want sums doubled and maxima kept from %+v", twice, snap)
+	}
+	// A search without a sink is not counted anywhere.
+	if _, err := Optimal(in, Options{}); err != nil {
+		t.Fatalf("Optimal: %v", err)
+	}
+	if got := sink.Snapshot(); got != twice {
+		t.Errorf("an uncounted search changed the sink: %+v, want %+v", got, twice)
 	}
 }
 

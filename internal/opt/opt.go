@@ -87,6 +87,9 @@ type Options struct {
 	// results are identical either way (the optimum is unique in value), but
 	// effort counters are nondeterministic across parallel runs.
 	Workers int
+	// Stats is the sink the search's work is counted in (see Counters); nil
+	// leaves the search uncounted.
+	Stats *Stats
 }
 
 // Result is the outcome of an exact search.
@@ -233,7 +236,8 @@ type searcher struct {
 	seedStall int
 	seedSched *core.Schedule
 
-	// Memory layer (see table.go) and queue (see bucket.go).
+	// Memory layer (see table.go; run draws the arena and table from
+	// searchMemPool) and queue (see bucket.go).
 	nodes   nodeArena
 	table   nodeTable
 	fetches []fetchAction // shared arena of transition fetch records
@@ -295,8 +299,6 @@ func newSearcher(in *core.Instance, opts Options, blocks []core.BlockID) *search
 		cap:       in.K + opts.ExtraCache,
 		n:         in.N(),
 		incumbent: -1,
-		nodes:     newNodeArena(),
-		table:     newNodeTable(),
 	}
 	for i, b := range blocks {
 		s.idxOf[b] = i
@@ -388,6 +390,14 @@ func (s *searcher) run() (*Result, error) {
 	if s.opts.Workers > 1 {
 		return s.runParallel()
 	}
+	// The arena and table go back to the pool only after the deferred stats
+	// record below has read the table's size.
+	mem := searchMemPool.Get().(*searchMem)
+	s.nodes, s.table = mem.nodes, mem.table
+	defer func() {
+		mem.nodes, mem.table = s.nodes, s.table
+		mem.release()
+	}()
 	defer s.recordStats()
 	if s.opts.Bound == BoundGreedy {
 		s.seedIncumbent()

@@ -595,7 +595,7 @@ func (p *pSearch) reconstruct() *core.Schedule {
 }
 
 // finish sums the per-worker counters into a Result shell (stall, schedule
-// and seed fields are filled by runParallel) and the process-wide stats.
+// and seed fields are filled by runParallel) and the caller's sink.
 func (p *pSearch) finish(workers int) *Result {
 	s := p.s
 	res := &Result{
@@ -620,15 +620,17 @@ func (p *pSearch) finish(workers int) *Result {
 		workerExpanded += uint64(w.expanded)
 	}
 	res.PeakTableSize = int(p.tableSize.Load())
-	statSearches.Add(1)
-	statExpanded.Add(uint64(res.StatesExpanded))
-	statGenerated.Add(uint64(res.StatesGenerated))
-	statPruned.Add(uint64(res.PrunedByBound))
-	statDup.Add(uint64(res.DuplicateHits))
-	statDom.Add(uint64(res.PrunedByDominance))
-	statLandmark.Add(uint64(res.LandmarkHits))
-	statWorkerExpand.Add(workerExpanded)
-	casMax(&statWorkers, uint64(workers))
-	casMax(&statPeak, uint64(res.PeakTableSize))
+	s.opts.Stats.Add(Counters{
+		Searches:          1,
+		Expanded:          uint64(res.StatesExpanded),
+		Generated:         uint64(res.StatesGenerated),
+		PrunedByBound:     uint64(res.PrunedByBound),
+		DuplicateHits:     uint64(res.DuplicateHits),
+		PrunedByDominance: uint64(res.PrunedByDominance),
+		LandmarkHits:      uint64(res.LandmarkHits),
+		PeakTable:         uint64(res.PeakTableSize),
+		Workers:           uint64(workers),
+		WorkerExpanded:    workerExpanded,
+	})
 	return res
 }

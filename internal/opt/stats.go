@@ -2,14 +2,15 @@ package opt
 
 import "sync/atomic"
 
-// Process-wide search counters, mirroring internal/lp's StatsSnapshot: every
-// Optimal call accumulates its work here, so a whole experiment run can
-// report how much exhaustive-search effort it spent (pcbench embeds the
-// snapshot in its -json output for BENCH_*.json trajectory tracking).  The
-// sums are order-independent, so they are byte-reproducible under the
-// concurrent experiment driver.
+// Search counters, mirroring internal/lp's Stats sink: every Optimal call run
+// with Options.Stats set accumulates its work in that sink, so a whole
+// experiment run can report how much exhaustive-search effort it spent
+// (pcbench embeds the snapshot in its -json output for BENCH_*.json
+// trajectory tracking).  The sums are order-independent, so they are
+// byte-reproducible under the concurrent experiment driver.
 
-// Counters aggregates search work across every Optimal call in the process.
+// Counters aggregates search work across every Optimal call counted in one
+// sink.
 type Counters struct {
 	// Searches counts completed Optimal calls (including failed ones).
 	Searches uint64
@@ -39,47 +40,47 @@ type Counters struct {
 	WorkerExpanded uint64
 }
 
-var (
-	statSearches     atomic.Uint64
-	statExpanded     atomic.Uint64
-	statGenerated    atomic.Uint64
-	statPruned       atomic.Uint64
-	statDup          atomic.Uint64
-	statDom          atomic.Uint64
-	statLandmark     atomic.Uint64
-	statPeak         atomic.Uint64
-	statWorkers      atomic.Uint64
-	statWorkerExpand atomic.Uint64
-)
-
-// StatsSnapshot returns the current process-wide counters.
-func StatsSnapshot() Counters {
-	return Counters{
-		Searches:          statSearches.Load(),
-		Expanded:          statExpanded.Load(),
-		Generated:         statGenerated.Load(),
-		PrunedByBound:     statPruned.Load(),
-		DuplicateHits:     statDup.Load(),
-		PrunedByDominance: statDom.Load(),
-		LandmarkHits:      statLandmark.Load(),
-		PeakTable:         statPeak.Load(),
-		Workers:           statWorkers.Load(),
-		WorkerExpanded:    statWorkerExpand.Load(),
-	}
+// Stats is a counter sink for exact searches: atomic, so concurrent searches
+// may share one.  PeakTable and Workers are running maxima, every other field
+// a sum.  The zero value is an empty sink.
+type Stats struct {
+	searches, expanded, generated, pruned, dup, dom, landmark atomic.Uint64
+	peak, workers, workerExpanded                             atomic.Uint64
 }
 
-// StatsReset zeroes the process-wide counters.
-func StatsReset() {
-	statSearches.Store(0)
-	statExpanded.Store(0)
-	statGenerated.Store(0)
-	statPruned.Store(0)
-	statDup.Store(0)
-	statDom.Store(0)
-	statLandmark.Store(0)
-	statPeak.Store(0)
-	statWorkers.Store(0)
-	statWorkerExpand.Store(0)
+// Add folds c into the sink: the sums add, PeakTable and Workers raise the
+// running maxima.  Searches record through it, and a caller that owns several
+// sinks combines them into one with it.  A nil sink ignores the call.
+func (s *Stats) Add(c Counters) {
+	if s == nil {
+		return
+	}
+	s.searches.Add(c.Searches)
+	s.expanded.Add(c.Expanded)
+	s.generated.Add(c.Generated)
+	s.pruned.Add(c.PrunedByBound)
+	s.dup.Add(c.DuplicateHits)
+	s.dom.Add(c.PrunedByDominance)
+	s.landmark.Add(c.LandmarkHits)
+	s.workerExpanded.Add(c.WorkerExpanded)
+	casMax(&s.peak, c.PeakTable)
+	casMax(&s.workers, c.Workers)
+}
+
+// Snapshot returns the sink's current totals.
+func (s *Stats) Snapshot() Counters {
+	return Counters{
+		Searches:          s.searches.Load(),
+		Expanded:          s.expanded.Load(),
+		Generated:         s.generated.Load(),
+		PrunedByBound:     s.pruned.Load(),
+		DuplicateHits:     s.dup.Load(),
+		PrunedByDominance: s.dom.Load(),
+		LandmarkHits:      s.landmark.Load(),
+		PeakTable:         s.peak.Load(),
+		Workers:           s.workers.Load(),
+		WorkerExpanded:    s.workerExpanded.Load(),
+	}
 }
 
 // casMax raises c to v if v is larger (a running maximum).
@@ -92,16 +93,18 @@ func casMax(c *atomic.Uint64, v uint64) {
 	}
 }
 
-// recordStats folds one sequential search's counters into the process-wide
-// totals (the parallel driver records through recordParallelStats).
+// recordStats folds one sequential search's counters into the caller's sink
+// (the parallel driver records through pSearch.finish).
 func (s *searcher) recordStats() {
-	statSearches.Add(1)
-	statExpanded.Add(uint64(s.expanded))
-	statGenerated.Add(uint64(s.generated))
-	statPruned.Add(uint64(s.pruned))
-	statDup.Add(uint64(s.dupHits))
-	statDom.Add(uint64(s.prunedDom))
-	statLandmark.Add(uint64(s.hs.landmarkHits))
-	casMax(&statWorkers, 1)
-	casMax(&statPeak, uint64(s.table.count))
+	s.opts.Stats.Add(Counters{
+		Searches:          1,
+		Expanded:          uint64(s.expanded),
+		Generated:         uint64(s.generated),
+		PrunedByBound:     uint64(s.pruned),
+		DuplicateHits:     uint64(s.dupHits),
+		PrunedByDominance: uint64(s.prunedDom),
+		LandmarkHits:      uint64(s.hs.landmarkHits),
+		PeakTable:         uint64(s.table.count),
+		Workers:           1,
+	})
 }

@@ -1,5 +1,7 @@
 package opt
 
+import "sync"
+
 // The memory layer of the search: node records live in a flat arena slice and
 // are addressed by int32 indices, and an open-addressing hash table maps
 // packed state keys to arena indices.  Compared with the former
@@ -99,4 +101,39 @@ func (t *nodeTable) grow() {
 			t.insert(&old[i].key, old[i].node)
 		}
 	}
+}
+
+// searchMem is the memory layer of one sequential search: its node arena and
+// node table.  A sweep runs hundreds of searches, and fresh arenas and tables
+// were nearly half of what it allocated, so searches draw them from
+// searchMemPool and hand them back when they finish.
+type searchMem struct {
+	nodes nodeArena
+	table nodeTable
+}
+
+var searchMemPool = sync.Pool{New: func() any {
+	return &searchMem{nodes: newNodeArena(), table: newNodeTable()}
+}}
+
+// The largest arena and table a finished search hands back to the pool.  A
+// bigger one is left to the collector, so one huge search does not pin its
+// memory for every small search after it; every pooled table is cleared on
+// release, which the slot bound also keeps cheap.
+const (
+	maxPooledSlots = 1 << 16
+	maxPooledRecs  = maxPooledSlots
+)
+
+// release empties m and returns it to the pool, unless it grew past the
+// bounds above.
+func (m *searchMem) release() {
+	if len(m.table.slots) > maxPooledSlots || cap(m.nodes.recs) > maxPooledRecs {
+		return
+	}
+	m.nodes.recs = m.nodes.recs[:1]
+	m.nodes.recs[0] = nodeRec{}
+	clear(m.table.slots)
+	m.table.count = 0
+	searchMemPool.Put(m)
 }

@@ -140,7 +140,8 @@ func TestShardPoolAffinity(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			h := uint64(i % 3)
-			p.run(context.Background(), h, func(_ context.Context, b *lpmodel.ModelBatch) (bool, error) {
+			p.run(context.Background(), h, func(_ context.Context, sh *shard) (bool, error) {
+				b := sh.batch
 				mu.Lock()
 				defer mu.Unlock()
 				if prev, ok := seen[h]; ok && prev != b {

@@ -21,12 +21,16 @@ import (
 // requests on one shard reuse the built model, the tableau arenas, the
 // pattern's symbolic factorization and its warm basis.
 //
+// lpOpts configures the lp-optimal strategy's solves and optOpts the opt
+// strategy's exact search; their Stats fields name the sinks the work is
+// counted in.
+//
 // ctx bounds the computation: it is checked before each expensive stage
 // (exact search, LP build/solve/extract, simulation), so a canceled request
 // stops consuming its shard at the next stage boundary.  The solver cores
 // themselves are not interruptible mid-pivot; the stage checks bound the
 // overshoot to one engine call.
-func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, includeSchedule bool, mb *lpmodel.ModelBatch, opts lp.Options) (*ScheduleResponse, error) {
+func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, includeSchedule bool, mb *lpmodel.ModelBatch, lpOpts lp.Options, optOpts opt.Options) (*ScheduleResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -35,7 +39,7 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 	var sched *core.Schedule
 	switch strategy {
 	case "opt":
-		res, err := opt.Optimal(in, opt.Options{})
+		res, err := opt.Optimal(in, optOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +67,7 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 		// solve's response is byte-identical with or without the cascade —
 		// and with or without the batch (the lp.Batch cold-solve contract),
 		// which only changes what is reused, never what is computed.
-		opts.Cascade = true
+		lpOpts.Cascade = true
 		if mb != nil {
 			m, err = mb.Model(in)
 			if err != nil {
@@ -72,7 +76,7 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			frac, err = m.SolveBatch(mb.LP(), opts)
+			frac, err = m.SolveBatch(mb.LP(), lpOpts)
 		} else {
 			m, err = lpmodel.Build(in)
 			if err != nil {
@@ -81,7 +85,7 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			frac, err = m.SolveWith(nil, opts)
+			frac, err = m.SolveWith(nil, lpOpts)
 		}
 		if err != nil {
 			return nil, err

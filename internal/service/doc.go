@@ -49,9 +49,13 @@
 // and an in-flight table that coalesces duplicate concurrent requests into a
 // single computation.
 //
-// Sweeps take an exclusive lock while schedule requests hold a shared one:
-// the process-wide lp/opt counters embedded in sweep output stay exactly
-// reproducible because no other solver work runs during a sweep.
+// Sweeps run beside schedule and session traffic, and beside each other,
+// with no lock between them.  A sweep runs on its own experiments.Config —
+// engines, worker count, batch pool and fresh lp/opt counter sinks — so the
+// counter blocks in its output count exactly its own work and stay
+// byte-reproducible however busy the server is.  Schedules and sessions
+// count their work in their shard's sinks; /v1/stats reports the sum of the
+// shards' sinks and of every finished sweep's.
 //
 // The service is hardened for fleet use behind a front tier (internal/front,
 // command pcfront):

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"pfcache/internal/lpmodel"
 )
 
 // TestShardPoolSheds proves the bounded queue: with one shard whose worker
@@ -18,7 +16,7 @@ func TestShardPoolSheds(t *testing.T) {
 
 	block := make(chan struct{})
 	executing := make(chan struct{})
-	go p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) {
+	go p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) {
 		close(executing)
 		<-block
 		return false, nil
@@ -29,13 +27,13 @@ func TestShardPoolSheds(t *testing.T) {
 	// occupied (the worker is still blocked, so it cannot drain it).
 	queued := make(chan error, 1)
 	go func() {
-		queued <- p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) { return false, nil })
+		queued <- p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) { return false, nil })
 	}()
 	for len(p.shards[0].tasks) != 1 {
 		time.Sleep(time.Millisecond)
 	}
 
-	err := p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) { return false, nil })
+	err := p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) { return false, nil })
 	if !errors.Is(err, ErrShardBusy) {
 		t.Fatalf("full queue returned %v, want ErrShardBusy", err)
 	}
@@ -56,7 +54,7 @@ func TestShardPoolRecoversPanic(t *testing.T) {
 	p := newShardPool(1, 4)
 	defer p.close()
 
-	err := p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) {
+	err := p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) {
 		panic("poisoned instance")
 	})
 	var pe *PanicError
@@ -68,7 +66,7 @@ func TestShardPoolRecoversPanic(t *testing.T) {
 	}
 
 	ran := false
-	if err := p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) {
+	if err := p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) {
 		ran = true
 		return false, nil
 	}); err != nil || !ran {
@@ -85,7 +83,7 @@ func TestShardPoolSkipsDeadTasks(t *testing.T) {
 
 	block := make(chan struct{})
 	executing := make(chan struct{})
-	go p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) {
+	go p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) {
 		close(executing)
 		<-block
 		return false, nil
@@ -96,7 +94,7 @@ func TestShardPoolSkipsDeadTasks(t *testing.T) {
 	ran := make(chan struct{}, 1)
 	resc := make(chan error, 1)
 	go func() {
-		resc <- p.run(ctx, 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) {
+		resc <- p.run(ctx, 0, func(context.Context, *shard) (bool, error) {
 			ran <- struct{}{}
 			return false, nil
 		})
@@ -114,7 +112,7 @@ func TestShardPoolSkipsDeadTasks(t *testing.T) {
 	close(block)
 	// Drain: run one more task through the shard; by the time it executes,
 	// the dead task must have been skipped, not run.
-	if err := p.run(context.Background(), 0, func(context.Context, *lpmodel.ModelBatch) (bool, error) { return false, nil }); err != nil {
+	if err := p.run(context.Background(), 0, func(context.Context, *shard) (bool, error) { return false, nil }); err != nil {
 		t.Fatal(err)
 	}
 	select {

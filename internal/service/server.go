@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"pfcache/internal/experiments"
 	"pfcache/internal/lp"
-	"pfcache/internal/lpmodel"
 	"pfcache/internal/opt"
 )
 
@@ -31,18 +29,18 @@ type Options struct {
 	// exceeding it fails with 504 (0 = no server-imposed deadline — client
 	// disconnects still cancel).
 	ScheduleTimeout time.Duration
-	// Solver is the simplex implementation for schedule requests and the
-	// default restored after sweeps (zero value = lp.MethodRevised).
+	// Solver is the simplex implementation for schedule and session
+	// requests (zero value = lp.MethodRevised).  Sweeps name their own.
 	Solver lp.Method
 	// Pricing is the revised simplex's entering-column rule for schedule
-	// requests (zero value = lp.PricingSteepestEdge).  Sweeps pin their own
-	// rule — see experiments.SolverPricing.
+	// and session requests (zero value = lp.PricingSteepestEdge).  Sweeps
+	// pin their own rule — see experiments.Config.
 	Pricing lp.Pricing
-	// Basis is the revised simplex's basis representation for schedule
-	// requests (zero value = lp.BasisLU).
+	// Basis is the revised simplex's basis representation for schedule and
+	// session requests (zero value = lp.BasisLU).
 	Basis lp.BasisMethod
-	// Workers is the experiment pool size restored after sweeps (0 = one
-	// worker per CPU).
+	// Workers is the experiment pool size of sweeps whose request leaves
+	// workers at 0 (0 = one worker per CPU).
 	Workers int
 	// SessionEntries bounds the number of live planning sessions; beyond it
 	// the least-recently-used session is dropped (0 = 256).
@@ -53,6 +51,12 @@ type Options struct {
 }
 
 // Server is the sharded sweep service.  It implements http.Handler.
+//
+// Schedule, session and sweep requests run side by side without a lock
+// between them: each sweep runs on its own experiments.Config with fresh
+// counter sinks, so its body counts its own solver work exactly, while
+// schedules and sessions count theirs in their shard's sinks.  /v1/stats
+// sums the shard sinks and the work of finished sweeps.
 type Server struct {
 	opts     Options
 	pool     *shardPool
@@ -61,11 +65,9 @@ type Server struct {
 	sessions *sessionStore
 	mux      *http.ServeMux
 
-	// sweepMu serialises sweeps against schedule requests: sweeps embed the
-	// process-wide lp/opt counters in their output, so they must run with no
-	// other solver work in the process to stay byte-reproducible.  Schedule
-	// requests hold it shared, sweeps exclusively.
-	sweepMu sync.RWMutex
+	// sweepLP and sweepOpt hold the counters of every finished sweep.
+	sweepLP  lp.Stats
+	sweepOpt opt.Stats
 
 	ready    atomic.Bool // shards started; flips /readyz to 200
 	draining atomic.Bool // drain begun; flips /readyz back to 503
@@ -133,10 +135,20 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // new requests may be served afterwards.
 func (s *Server) Close() { s.pool.close() }
 
-// Stats returns a snapshot of the service counters, embedding the
-// process-wide LP-solver and exact-search counters so a live server's solver
-// work is visible without running a sweep.
+// Stats returns a snapshot of the service counters, embedding the LP-solver
+// and exact-search counters of this server's work — every shard's schedule
+// and session solves plus every finished sweep — so a live server's solver
+// work is visible without running a sweep.  The counters sum, except opt's
+// peak_table and workers, which are the largest values seen.
 func (s *Server) Stats() StatsResponse {
+	var lps lp.Stats
+	var opts opt.Stats
+	for _, sh := range s.pool.shards {
+		lps.Add(sh.lp.Snapshot())
+		opts.Add(sh.opt.Snapshot())
+	}
+	lps.Add(s.sweepLP.Snapshot())
+	opts.Add(s.sweepOpt.Snapshot())
 	return StatsResponse{
 		Shards:             s.pool.size(),
 		CacheEntries:       s.cache.len(),
@@ -159,8 +171,8 @@ func (s *Server) Stats() StatsResponse {
 		SessionEvictions:   s.sessions.evictions.Load(),
 		SessionExpirations: s.sessions.expirations.Load(),
 		SessionRebuilds:    s.sessRebuilds.Load(),
-		LP:                 lpCountersWire(lp.StatsSnapshot()),
-		Opt:                optCountersWire(opt.StatsSnapshot()),
+		LP:                 lpCountersWire(lps.Snapshot()),
+		Opt:                optCountersWire(opts.Snapshot()),
 	}
 }
 
@@ -211,7 +223,7 @@ func ScheduleBody(req *ScheduleRequest, opts lp.Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ComputeSchedule(context.Background(), in, req.Strategy, req.IncludeSchedule, nil, opts)
+	resp, err := ComputeSchedule(context.Background(), in, req.Strategy, req.IncludeSchedule, nil, opts, opt.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -261,9 +273,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.sweepMu.RLock()
-	defer s.sweepMu.RUnlock()
-
 	// Encode the instance once; the bytes feed the cache key and, hashed,
 	// the shard selection.
 	canonical := in.AppendCanonical(make([]byte, 0, 64+4*in.N()))
@@ -281,16 +290,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return b, nil
 		}
 		var resp *ScheduleResponse
-		err := s.pool.run(fctx, fnvSum(canonical), func(tctx context.Context, batch *lpmodel.ModelBatch) (bool, error) {
+		err := s.pool.run(fctx, fnvSum(canonical), func(tctx context.Context, sh *shard) (bool, error) {
 			// Each shard's batch keeps per-pattern warm bases; WarmStart
 			// lets the next same-shaped lp-optimal instance on this shard
 			// skip phase one (and a repeated instance — a cache miss after
 			// eviction — skip the model rebuild and the solve's pivots
 			// entirely).
 			var cerr error
-			resp, cerr = ComputeSchedule(tctx, in, req.Strategy, req.IncludeSchedule, batch,
+			resp, cerr = ComputeSchedule(tctx, in, req.Strategy, req.IncludeSchedule, sh.batch,
 				lp.Options{Method: s.opts.Solver, Pricing: s.opts.Pricing,
-					Basis: s.opts.Basis, WarmStart: true})
+					Basis: s.opts.Basis, WarmStart: true, Stats: &sh.lp},
+				opt.Options{Stats: &sh.opt})
 			if cerr != nil {
 				// A numerical failure taints the batch even though the request
 				// failed: whatever state drove the cascade to exhaustion must
@@ -384,8 +394,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	// Validate before taking the exclusive lock so malformed sweeps never
-	// stall schedule traffic.
+	// Malformed sweeps are the client's fault (400), not a failed run (422).
 	if _, err := ResolveExperiments(req.IDs); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -395,16 +404,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.sweepMu.Lock()
-	resp, err := RunSweep(&req)
-	// Restore the server's configuration: RunSweep points the process-wide
-	// experiment knobs at the request's values.
-	experiments.SetSolverMethod(s.opts.Solver)
-	experiments.ResetPricing()
-	experiments.ResetBasis()
-	experiments.SetWorkers(s.opts.Workers)
-	s.sweepMu.Unlock()
-
+	cfg := s.sweepConfig()
+	resp, err := RunSweepWith(cfg, &req)
+	s.sweepLP.Add(cfg.LPStats.Snapshot())
+	s.sweepOpt.Add(cfg.OptStats.Snapshot())
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -412,6 +415,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	EncodeSweep(w, resp)
+}
+
+// sweepConfig is the base configuration of a sweep on this server: the
+// server's experiment pool size, and fresh sinks whose totals the sweep
+// reports before they are added to the server's.
+func (s *Server) sweepConfig() experiments.Config {
+	return experiments.Config{Workers: s.opts.Workers, LPStats: new(lp.Stats), OptStats: new(opt.Stats)}
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {

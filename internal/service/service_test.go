@@ -129,7 +129,7 @@ func TestServerScheduleEndToEnd(t *testing.T) {
 	if stats.CacheMisses == 0 || stats.CacheEntries == 0 {
 		t.Errorf("implausible cache stats: %+v", stats)
 	}
-	// The process-wide solver counters ride along on /v1/stats: the request
+	// The server's solver counters ride along on /v1/stats: the request
 	// set includes lp-optimal and exact-search strategies, so both blocks
 	// must show work.
 	if stats.LP.Solves == 0 || stats.LP.Iterations == 0 {

@@ -236,10 +236,11 @@ func newSessionID() (string, error) {
 }
 
 // sessionLPOptions is the solver configuration of every session solve: the
-// server's engines under the verification cascade, like any served solve.
-func (s *Server) sessionLPOptions() lp.Options {
+// server's engines under the verification cascade, like any served solve,
+// counted in the sinks of the shard the session lives on.
+func (s *Server) sessionLPOptions(sh *shard) lp.Options {
 	return lp.Options{Method: s.opts.Solver, Pricing: s.opts.Pricing,
-		Basis: s.opts.Basis, Cascade: true}
+		Basis: s.opts.Basis, Cascade: true, Stats: &sh.lp}
 }
 
 // sessionCtx applies the server-side schedule deadline to a session request.
@@ -296,8 +297,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeScheduleError(w, ctx, err)
 		return
 	}
-	s.sweepMu.RLock()
-	defer s.sweepMu.RUnlock()
 
 	sess := &session{id: id, hash: fnvSum([]byte(id)), base: in.Clone()}
 	if req.Instance == "" {
@@ -306,8 +305,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		sess.regrow = &rg
 	}
 	var out *SessionResponse
-	err = s.pool.run(ctx, sess.hash, func(tctx context.Context, _ *lpmodel.ModelBatch) (bool, error) {
-		frac, cerr := sess.rebuildFrom(tctx, nil, s.sessionLPOptions())
+	err = s.pool.run(ctx, sess.hash, func(tctx context.Context, sh *shard) (bool, error) {
+		frac, cerr := sess.rebuildFrom(tctx, nil, s.sessionLPOptions(sh))
 		if cerr != nil {
 			return false, cerr
 		}
@@ -357,11 +356,9 @@ func (s *Server) handleSessionExtend(w http.ResponseWriter, r *http.Request) {
 		s.writeScheduleError(w, ctx, err)
 		return
 	}
-	s.sweepMu.RLock()
-	defer s.sweepMu.RUnlock()
 
 	var out *SessionResponse
-	err := s.pool.run(ctx, sess.hash, func(tctx context.Context, _ *lpmodel.ModelBatch) (bool, error) {
+	err := s.pool.run(ctx, sess.hash, func(tctx context.Context, sh *shard) (bool, error) {
 		rebuilt := false
 		var frac *lpmodel.Fractional
 		var serr error
@@ -378,14 +375,14 @@ func (s *Server) handleSessionExtend(w http.ResponseWriter, r *http.Request) {
 			// the cold solve.
 			rebuilt = true
 			s.sessRebuilds.Add(1)
-			if frac, serr = sess.rebuildFrom(tctx, blocks, s.sessionLPOptions()); serr != nil {
+			if frac, serr = sess.rebuildFrom(tctx, blocks, s.sessionLPOptions(sh)); serr != nil {
 				s.sessions.remove(sess.id)
 				return false, serr
 			}
 			sess.ext = append(sess.ext, blocks...)
 		} else {
 			sess.ext = append(sess.ext, blocks...)
-			frac, serr = sess.model.SolveIncremental(sess.solver, s.sessionLPOptions())
+			frac, serr = sess.model.SolveIncremental(sess.solver, s.sessionLPOptions(sh))
 			switch {
 			case serr == nil && frac.Downgrades == 0:
 				// The common case: a clean (usually warm) incremental solve.
@@ -400,7 +397,7 @@ func (s *Server) handleSessionExtend(w http.ResponseWriter, r *http.Request) {
 				// from scratch.
 				rebuilt = true
 				s.sessRebuilds.Add(1)
-				if frac, serr = sess.rebuildFrom(tctx, nil, s.sessionLPOptions()); serr != nil {
+				if frac, serr = sess.rebuildFrom(tctx, nil, s.sessionLPOptions(sh)); serr != nil {
 					// Even the cold replay failed: the session is unusable.
 					s.sessions.remove(sess.id)
 					return false, serr

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pfcache/internal/lp"
 	"pfcache/internal/lpmodel"
+	"pfcache/internal/opt"
 )
 
 // ErrShardBusy is returned by shardPool.run when the selected shard's queue
@@ -36,7 +38,7 @@ func (e *PanicError) Error() string {
 // must be discarded.
 type shardTask struct {
 	ctx  context.Context
-	fn   func(ctx context.Context, batch *lpmodel.ModelBatch) (taint bool, err error)
+	fn   func(ctx context.Context, sh *shard) (taint bool, err error)
 	err  error
 	done chan struct{}
 }
@@ -47,10 +49,13 @@ type shardTask struct {
 // of its computations.  Requests for the same instance always hash to the
 // same shard, so a hot instance lands on the shard whose batch has already
 // built its model and analysed its basis pattern, instead of re-allocating
-// tableaus across the process.
+// tableaus across the process.  The shard's schedule and session work is
+// counted in its own sinks, which /v1/stats sums across shards.
 type shard struct {
 	tasks chan *shardTask
-	batch *lpmodel.ModelBatch
+	batch *lpmodel.ModelBatch // touched only on the shard's goroutine
+	lp    lp.Stats
+	opt   opt.Stats
 }
 
 // shardPool is a fixed set of shards plus the goroutine lifecycle around
@@ -121,7 +126,7 @@ func (p *shardPool) runTask(s *shard, t *shardTask) {
 		t.err = err
 		return
 	}
-	taint, err := t.fn(t.ctx, s.batch)
+	taint, err := t.fn(t.ctx, s)
 	t.err = err
 	if taint {
 		p.discardBatch(s)
@@ -139,12 +144,12 @@ func (p *shardPool) discardBatch(s *shard) {
 func (p *shardPool) size() int { return len(p.shards) }
 
 // run executes fn on the shard selected by hash and waits for it to
-// complete or for ctx to end.  fn receives the shard's batch on the
-// shard's goroutine.  When the shard's queue is full the task is rejected
-// immediately with ErrShardBusy (load shedding); when ctx ends first, run
-// returns ctx's error while the queued task drains as a cheap no-op (the
-// worker re-checks ctx before touching the batch).
-func (p *shardPool) run(ctx context.Context, hash uint64, fn func(context.Context, *lpmodel.ModelBatch) (bool, error)) error {
+// complete or for ctx to end.  fn runs on the shard's goroutine and may use
+// the shard's batch and sinks.  When the shard's queue is full the task is
+// rejected immediately with ErrShardBusy (load shedding); when ctx ends
+// first, run returns ctx's error while the queued task drains as a cheap
+// no-op (the worker re-checks ctx before touching the batch).
+func (p *shardPool) run(ctx context.Context, hash uint64, fn func(context.Context, *shard) (bool, error)) error {
 	s := p.shards[hash%uint64(len(p.shards))]
 	t := &shardTask{ctx: ctx, fn: fn, done: make(chan struct{})}
 	select {

@@ -28,66 +28,46 @@ func ResolveExperiments(ids []string) ([]experiments.Experiment, error) {
 }
 
 // RunSweep executes the requested experiments and packages their tables with
-// the process-wide LP and exact-search counters, exactly as `pcbench -json`
-// reports them: pcbench builds its output through this function, so the CLI
-// and the /v1/sweep endpoint cannot drift apart.
-//
-// The run mutates process-wide state (the experiment pool size, the selected
-// simplex engines) and attributes lp/opt counter growth to itself; the
-// caller is responsible for exclusion against other solver work (the server
-// holds its sweep lock, the CLI is single-purpose).  Partial results are
-// returned alongside the error when individual experiments fail.
+// the sweep's LP and exact-search counters, exactly as `pcbench -json`
+// reports them: pcbench builds its output through this code, so the CLI and
+// the /v1/sweep endpoint cannot drift apart.  It runs the suite's default
+// configuration; see RunSweepWith.
 func RunSweep(req *SweepRequest) (*SweepResponse, error) {
+	return RunSweepWith(experiments.Config{}, req)
+}
+
+// RunSweepWith is RunSweep on top of base, with the request's choices
+// applied by SweepConfig.  The sweep counts its solver work in base's sinks,
+// or in fresh ones when they are nil, and reports the sinks' totals, so a
+// sweep given fresh sinks reports exactly its own work however much other
+// solver work runs beside it.  Nothing it touches is shared with other
+// sweeps or with schedule traffic — each run owns its configuration, sinks
+// and batch pool — so callers need no exclusion.  Partial results are
+// returned alongside the error when individual experiments fail.
+func RunSweepWith(base experiments.Config, req *SweepRequest) (*SweepResponse, error) {
 	exps, err := ResolveExperiments(req.IDs)
 	if err != nil {
 		return nil, err
 	}
-	method, err := lp.ParseMethod(solverName(req.Solver))
+	cfg, err := SweepConfig(base, req)
 	if err != nil {
 		return nil, err
 	}
-	experiments.SetSolverMethod(method)
-	if req.Pricing != "" {
-		pricing, err := lp.ParsePricing(req.Pricing)
-		if err != nil {
-			return nil, err
-		}
-		experiments.SetPricing(pricing)
-	} else {
-		experiments.ResetPricing()
+	if cfg.LPStats == nil {
+		cfg.LPStats = new(lp.Stats)
 	}
-	if req.Basis != "" {
-		basis, err := lp.ParseBasis(req.Basis)
-		if err != nil {
-			return nil, err
-		}
-		experiments.SetBasis(basis)
-	} else {
-		experiments.ResetBasis()
+	if cfg.OptStats == nil {
+		cfg.OptStats = new(opt.Stats)
 	}
-	experiments.SetWorkers(req.Workers)
-	// Start each sweep from an empty batch pool: no built model, warm basis
-	// or recorded symbolic factorization carries over from earlier work, so
-	// the batch counters below are attributable to this sweep and a recorded
-	// single-worker sweep reproduces them exactly.
-	experiments.ResetBatches()
-
-	// The embedded counters are the sweep's own work: a before/after
-	// snapshot difference rather than a reset-then-read, so a live server's
-	// process-wide counters (exposed on /v1/stats) stay monotonic across
-	// sweeps.  The caller's exclusion guarantee is what makes the
-	// difference attributable to this sweep alone.
-	lpBefore := lp.StatsSnapshot()
-	optBefore := opt.StatsSnapshot()
-	results, runErr := experiments.RunAll(exps)
+	results, runErr := experiments.RunAll(cfg, exps)
 
 	resp := &SweepResponse{
-		Solver:  method.String(),
-		Pricing: experiments.SolverPricing().String(),
-		Basis:   experiments.SolverBasis().String(),
+		Solver:  cfg.Method.String(),
+		Pricing: cfg.SolverPricing().String(),
+		Basis:   cfg.SolverBasis().String(),
 		Results: make([]TableWire, 0, len(results)),
-		LP:      lpCountersWire(lpCountersDiff(lp.StatsSnapshot(), lpBefore)),
-		Opt:     optCountersWire(optCountersDiff(opt.StatsSnapshot(), optBefore)),
+		LP:      lpCountersWire(cfg.LPStats.Snapshot()),
+		Opt:     optCountersWire(cfg.OptStats.Snapshot()),
 	}
 	for _, r := range results {
 		// One failed experiment must not hide the others' tables; failed
@@ -110,45 +90,32 @@ func RunSweep(req *SweepRequest) (*SweepResponse, error) {
 	return resp, runErr
 }
 
-// lpCountersDiff returns the counter growth between two snapshots (the
-// counters are monotonic, so the difference is well defined).
-func lpCountersDiff(after, before lp.Counters) lp.Counters {
-	return lp.Counters{
-		Solves:           after.Solves - before.Solves,
-		Iterations:       after.Iterations - before.Iterations,
-		Phase1Pivots:     after.Phase1Pivots - before.Phase1Pivots,
-		PricingPasses:    after.PricingPasses - before.PricingPasses,
-		Refactorizations: after.Refactorizations - before.Refactorizations,
-		EtaColumns:       after.EtaColumns - before.EtaColumns,
-		LUFills:          after.LUFills - before.LUFills,
-		WarmStarts:       after.WarmStarts - before.WarmStarts,
-		VerifiedSolves:   after.VerifiedSolves - before.VerifiedSolves,
-		VerifyFailures:   after.VerifyFailures - before.VerifyFailures,
-		CascadeFallbacks: after.CascadeFallbacks - before.CascadeFallbacks,
-		SymbolicReuses:   after.SymbolicReuses - before.SymbolicReuses,
-		NumericRefactors: after.NumericRefactors - before.NumericRefactors,
-		DualPivots:       after.DualPivots - before.DualPivots,
-		FTUpdates:        after.FTUpdates - before.FTUpdates,
+// SweepConfig applies a sweep request's solver, pricing and basis choices to
+// base, and its worker count when nonzero.
+func SweepConfig(base experiments.Config, req *SweepRequest) (experiments.Config, error) {
+	cfg := base
+	var err error
+	if cfg.Method, err = lp.ParseMethod(solverName(req.Solver)); err != nil {
+		return cfg, err
 	}
-}
-
-// optCountersDiff returns the counter growth between two snapshots.
-// PeakTable and Workers are running maxima, not sums, so their differences
-// would be meaningless: the after-values are reported as is (for a fresh
-// process — the CLI, the trajectory files — they equal the sweep's own peaks).
-func optCountersDiff(after, before opt.Counters) opt.Counters {
-	return opt.Counters{
-		Searches:          after.Searches - before.Searches,
-		Expanded:          after.Expanded - before.Expanded,
-		Generated:         after.Generated - before.Generated,
-		PrunedByBound:     after.PrunedByBound - before.PrunedByBound,
-		DuplicateHits:     after.DuplicateHits - before.DuplicateHits,
-		PrunedByDominance: after.PrunedByDominance - before.PrunedByDominance,
-		LandmarkHits:      after.LandmarkHits - before.LandmarkHits,
-		PeakTable:         after.PeakTable,
-		Workers:           after.Workers,
-		WorkerExpanded:    after.WorkerExpanded - before.WorkerExpanded,
+	if req.Pricing != "" {
+		pricing, err := lp.ParsePricing(req.Pricing)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Pricing = &pricing
 	}
+	if req.Basis != "" {
+		basis, err := lp.ParseBasis(req.Basis)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Basis = &basis
+	}
+	if req.Workers != 0 {
+		cfg.Workers = req.Workers
+	}
+	return cfg, nil
 }
 
 // solverName defaults an empty solver field to the production method.

@@ -298,11 +298,11 @@ type SweepRequest struct {
 	Solver string `json:"solver,omitempty"`
 	// Pricing overrides the revised simplex's entering-column rule
 	// ("steepest-edge" or "dantzig"); empty keeps the suite's pinned
-	// reproduction rule (dantzig — see experiments.SolverPricing).
+	// reproduction rule (dantzig — see experiments.Config).
 	Pricing string `json:"pricing,omitempty"`
 	// Basis overrides the revised simplex's basis representation ("lu" or
 	// "eta"); empty keeps the suite's pinned reproduction representation
-	// (eta — see experiments.SolverBasis).
+	// (eta — see experiments.Config).
 	Basis string `json:"basis,omitempty"`
 }
 
@@ -322,9 +322,9 @@ type SweepResponse struct {
 }
 
 // StatsResponse reports service-level counters (GET /v1/stats), including
-// the process-wide LP-solver and exact-search counters — the same blocks
-// `pcbench -json` embeds, so a live server's solver work is observable
-// without running a sweep.
+// the LP-solver and exact-search counters of the server's work — the same
+// blocks `pcbench -json` embeds, so a live server's solver work is
+// observable without running a sweep.
 type StatsResponse struct {
 	Shards       int    `json:"shards"`
 	CacheEntries int    `json:"cache_entries"`
