@@ -189,19 +189,18 @@ func BenchmarkOptSearchDijkstraE7Size(b *testing.B) {
 
 // BenchmarkOptSearchLandmarkE7Size isolates the landmark layer's cost on the
 // E7-sized search: matching bound plus the precomputed landmark table, with
-// dominance merging off.  Compare with AStarE7Size (the full engine) for what
-// dominance saves and with DijkstraE7Size for what the bounds save.
+// dominance merging off.  Compare with MatchingE7Size for what the landmark
+// table buys, with AStarE7Size (the full engine) for what dominance saves and
+// with DijkstraE7Size for what the bounds save.
 func BenchmarkOptSearchLandmarkE7Size(b *testing.B) {
 	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoDominance: true})
 }
 
-// BenchmarkOptSearchParallelE7Size runs the full engine through the sharded
-// parallel driver.  On the single-CPU CI runners this mostly measures the
-// driver's overhead (shard locks, per-worker arenas and queues) over the
-// sequential path; scripts/allocguard.sh bounds its allocs/op so the
-// driver's fixed per-search footprint cannot regress to per-node allocation.
-func BenchmarkOptSearchParallelE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{Workers: 4})
+// BenchmarkOptSearchMatchingE7Size is the E7-sized search on the per-state
+// matching bound alone, landmarks and dominance off: the baseline
+// LandmarkE7Size must beat for the landmark table to earn its place.
+func BenchmarkOptSearchMatchingE7Size(b *testing.B) {
+	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoLandmarks: true, NoDominance: true})
 }
 
 func BenchmarkLPRelaxation(b *testing.B) {

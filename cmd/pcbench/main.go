@@ -12,8 +12,6 @@
 //	pcbench -json           # emit JSON (for BENCH_*.json trajectory tracking)
 //	pcbench -json -stable   # omit wall times, for byte-reproducible JSON
 //	pcbench -workers 1      # force sequential execution
-//	pcbench -opt-workers 4  # run the exact searches on 4 goroutines (stall
-//	                        # values are invariant; effort counters move)
 //	pcbench -solver flat    # solve the LPs with the flat-tableau simplex
 //	pcbench -pricing steepest-edge  # override the pinned entering-column rule
 //	pcbench -basis lu       # override the pinned basis representation
@@ -69,11 +67,9 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit results as JSON (includes per-experiment wall time plus LP solver and exact-search counters)")
 	stable := flag.Bool("stable", false, "omit wall times from -json output so repeated runs are byte-identical")
 	workers := flag.Int("workers", 0, "worker pool size (0 = one per CPU, 1 = sequential)")
-	optWorkers := flag.Int("opt-workers", 1, "exact-search worker count (1 = sequential; >1 is for wall-clock comparisons — stall values are invariant but effort counters move, so combine with care under -stable)")
 	solver := flag.String("solver", "revised", "LP simplex implementation: revised or flat")
 	pricing := flag.String("pricing", "", "revised-simplex pricing rule: steepest-edge or dantzig (default: the suite's pinned dantzig)")
 	basis := flag.String("basis", "", "revised-simplex basis representation: lu or eta (default: the suite's pinned eta)")
-	batch := flag.Bool("batch", true, "route the LP-heavy experiment rows through batched solves (shared symbolic factorization, arena reuse); results are byte-identical either way")
 	replay := flag.Bool("replay", false, "run the trace-replay benchmark instead of the experiment sweep: incremental warm re-solves vs per-step cold rebuilds on a growing trace")
 	timings := flag.String("timings", "", "file holding `go test -bench` output whose ns/op figures are embedded in the -json timings block")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
@@ -123,7 +119,6 @@ func run() int {
 			return 2
 		}
 	}
-	base := experiments.Config{OptWorkers: *optWorkers, NoBatch: !*batch}
 	var ids []string
 	if *runFlag != "" {
 		ids = strings.Split(*runFlag, ",")
@@ -151,7 +146,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "-serve-url cannot be combined with -timings (the server's sweep carries no local benchmark figures)")
 			return 2
 		}
-		return runAgainstServer(*serveURL, base, req)
+		return runAgainstServer(*serveURL, req)
 	}
 
 	if *cpuProfile != "" {
@@ -175,7 +170,7 @@ func run() int {
 		// output are the same bytes.  Print whatever completed even when
 		// some experiment failed, so one broken experiment does not hide
 		// the others' results.
-		resp, err := service.RunSweepWith(base, req)
+		resp, err := service.RunSweep(req)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
@@ -188,7 +183,7 @@ func run() int {
 			}
 		}
 	} else {
-		code = runText(base, req, *csv)
+		code = runText(req, *csv)
 	}
 
 	if *memProfile != "" {
@@ -277,8 +272,8 @@ func parseTimings(path string) (map[string]float64, error) {
 
 // runText prints aligned text tables (or CSV) straight from the experiment
 // driver.
-func runText(base experiments.Config, req *service.SweepRequest, csv bool) int {
-	cfg, err := service.SweepConfig(base, req)
+func runText(req *service.SweepRequest, csv bool) int {
+	cfg, err := service.SweepConfig(experiments.Config{}, req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -306,7 +301,7 @@ func runText(base experiments.Config, req *service.SweepRequest, csv bool) int {
 // sweep in-process, and verifies the two outputs are byte-identical.  The
 // server's bytes go to stdout either way, so the command doubles as a remote
 // sweep client.
-func runAgainstServer(baseURL string, base experiments.Config, req *service.SweepRequest) int {
+func runAgainstServer(baseURL string, req *service.SweepRequest) int {
 	reqBody, err := json.Marshal(req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -328,7 +323,7 @@ func runAgainstServer(baseURL string, base experiments.Config, req *service.Swee
 		return 1
 	}
 
-	local, err := service.RunSweepWith(base, req)
+	local, err := service.RunSweep(req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -5,15 +5,15 @@
 //
 //	pcgen -n 12 -blocks 6 -k 3 -f 2 -disks 2 | pcopt -method exhaustive
 //	pcgen -n 24 -blocks 10 -k 4 -f 4 -disks 2 | pcopt -bound none -full
-//	pcgen -n 40 -blocks 16 -k 4 -f 6 -disks 3 | pcopt -workers 4
+//	pcgen -n 40 -blocks 16 -k 4 -f 6 -disks 3 | pcopt
 //	pcgen -n 40 -blocks 10 -k 4 -f 3 -disks 2 | pcopt -method lp
 //
 // The exhaustive method runs the A*/branch-and-bound search of internal/opt
 // (exact but exponential in the worst case); -bound, -full, -max-states,
-// -dijkstra, -no-landmarks, -no-dominance and -workers expose the engine's
-// knobs, and the search counters are printed after the result.  The lp method
-// runs the Theorem 4 pipeline of the paper and reports both the fractional
-// lower bound and the extracted schedule's stall time.
+// -dijkstra, -no-landmarks and -no-dominance expose the engine's knobs, and
+// the search counters are printed after the result.  The lp method runs the
+// Theorem 4 pipeline of the paper and reports both the fractional lower
+// bound and the extracted schedule's stall time.
 package main
 
 import (
@@ -30,14 +30,12 @@ import (
 func main() {
 	method := flag.String("method", "exhaustive", "method: exhaustive or lp")
 	extra := flag.Int("extra-cache", 0, "extra cache locations beyond k (exhaustive method)")
-	extraOld := flag.Int("extra", 0, "deprecated alias for -extra-cache")
 	full := flag.Bool("full", false, "full branching over every missing block and eviction victim (validates the pruned mode on small instances)")
 	maxStates := flag.Int("max-states", 0, fmt.Sprintf("state budget of the search (0 = default %d)", opt.DefaultMaxStates))
 	bound := flag.String("bound", "greedy", "branch-and-bound incumbent seeding: greedy or none")
 	dijkstra := flag.Bool("dijkstra", false, "disable the A* heuristic (uniform-cost order; with -bound none this is the blind reference search)")
 	noLandmarks := flag.Bool("no-landmarks", false, "disable the precomputed landmark lower bounds (A* keeps the per-state matching bound)")
 	noDominance := flag.Bool("no-dominance", false, "disable canonicalized dominance merging (duplicates are detected by raw key only)")
-	optWorkers := flag.Int("workers", 1, "parallel search workers (1 = sequential; >1 shards the open list across goroutines)")
 	showSchedule := flag.Bool("schedule", false, "print the optimal schedule")
 	flag.Parse()
 
@@ -53,9 +51,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if *extra == 0 {
-			*extra = *extraOld
-		}
 		res, err := opt.Optimal(in, opt.Options{
 			ExtraCache:  *extra,
 			Full:        *full,
@@ -64,7 +59,6 @@ func main() {
 			NoHeuristic: *dijkstra,
 			NoLandmarks: *noLandmarks,
 			NoDominance: *noDominance,
-			Workers:     *optWorkers,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -80,9 +74,6 @@ func main() {
 		fmt.Printf("pruned by dominance: %d\n", res.PrunedByDominance)
 		fmt.Printf("landmark hits: %d\n", res.LandmarkHits)
 		fmt.Printf("peak table size: %d\n", res.PeakTableSize)
-		if len(res.WorkerExpanded) > 0 {
-			fmt.Printf("workers: %d, per-worker expansions: %v\n", res.Workers, res.WorkerExpanded)
-		}
 		if res.SeedStall >= 0 {
 			status := "beaten by the search"
 			if res.SeedOptimal {

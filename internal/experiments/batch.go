@@ -13,8 +13,7 @@ import (
 // per-pattern warm bases amortise across the rows a worker processes.  Cold
 // solves through a batch are bit-identical to non-batched solves (the
 // lp.Batch contract), so the tables — and the committed BENCH_*.json
-// trajectories — do not depend on Config.NoBatch, the pool state or the
-// worker count.
+// trajectories — do not depend on the pool state or the worker count.
 //
 // Every RunAll call starts its own empty pool, so runs are hermetic: no
 // built model, warm basis or recorded symbolic factorization carries over

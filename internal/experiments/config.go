@@ -8,10 +8,10 @@ import (
 )
 
 // Config is the configuration of one run of the suite: the engines its LPs
-// are solved with, how its exact searches and LP rows run, how many workers
-// the driver uses, and the sinks its solver work is counted in.  RunAll and
-// every Experiment.Run take it as a value, so runs with different
-// configurations can proceed side by side in one process.
+// are solved with, how many workers the driver uses, and the sinks its
+// solver work is counted in.  RunAll and every Experiment.Run take it as a
+// value, so runs with different configurations can proceed side by side in
+// one process.
 //
 // The zero value is the reproduction setup the committed BENCH_*.json
 // trajectory files were recorded with.  Those files record schedule values
@@ -32,15 +32,6 @@ type Config struct {
 	// Basis overrides the pinned basis representation, the eta file (nil
 	// keeps it).
 	Basis *lp.BasisMethod
-	// OptWorkers is the exact searches' worker count; <= 1 runs them
-	// sequentially, the default that keeps the recorded expansion counters
-	// reproducible.  Raising it is for wall-clock comparisons: stall values
-	// are worker-count invariant, only the effort counters move.
-	OptWorkers int
-	// NoBatch routes the LP-heavy rows through plain solves instead of
-	// pooled lpmodel.ModelBatch values (see batch.go); the tables are
-	// byte-identical either way.
-	NoBatch bool
 	// Workers is the driver's concurrency: RunAll and the row loops inside
 	// the experiments run on at most this many goroutines (<= 0: one per
 	// CPU; 1: fully sequential).
@@ -77,10 +68,9 @@ func (c Config) lpOptions() lp.Options {
 	return lp.Options{Method: c.Method, Pricing: c.SolverPricing(), Basis: c.SolverBasis(), Stats: c.LPStats}
 }
 
-// optOptions applies the run's exact-search settings to an experiment's
-// option block.
+// optOptions applies the run's exact-search sink to an experiment's option
+// block.
 func (c Config) optOptions(o opt.Options) opt.Options {
-	o.Workers = max(c.OptWorkers, 1)
 	o.Stats = c.OptStats
 	return o
 }

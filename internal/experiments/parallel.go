@@ -123,18 +123,12 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		var res *lpmodel.PlanResult
-		if !cfg.NoBatch {
-			// The batched path shares solver arenas and symbolic
-			// factorizations across the rows this worker processes; a cold
-			// batched solve is bit-identical to the plain one, so the row
-			// values (and the recorded trajectories) do not depend on -batch.
-			mb := cfg.acquireBatch()
-			res, err = lpmodel.PlanBatch(mb, in, cfg.lpOptions())
-			cfg.releaseBatch(mb)
-		} else {
-			res, err = parallel.LPOptimalWith(in, cfg.lpOptions())
-		}
+		// The batch shares solver arenas and symbolic factorizations across
+		// the rows this worker processes; a cold batched solve is
+		// bit-identical to a plain lpmodel.Plan.
+		mb := cfg.acquireBatch()
+		res, err := lpmodel.PlanBatch(mb, in, cfg.lpOptions())
+		cfg.releaseBatch(mb)
 		if err != nil {
 			return err
 		}
@@ -205,29 +199,17 @@ func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 		disks := diskSet[i]
 		seq := workload.Interleaved(16, disks, 5)
 		in := workload.Instance(seq, 4, 3, disks, workload.AssignStripe, 0)
-		var mb *lpmodel.ModelBatch
-		var m *lpmodel.Model
-		var frac *lpmodel.Fractional
-		var err error
-		if !cfg.NoBatch {
-			// Batched row group: the lower-bound solve below and the planning
-			// re-solve in the lp-optimal branch run through one ModelBatch, so
-			// the second solve reuses the built model (zero rebuild), the
-			// symbolic factorization and the pattern's warm basis.
-			mb = cfg.acquireBatch()
-			defer cfg.releaseBatch(mb)
-			m, err = mb.Model(in)
-			if err != nil {
-				return err
-			}
-			frac, err = m.SolveBatch(mb.LP(), cfg.lpOptions())
-		} else {
-			m, err = lpmodel.Build(in)
-			if err != nil {
-				return err
-			}
-			frac, err = m.Solve(cfg.lpOptions())
+		// The lower-bound solve below and the planning re-solve in the
+		// lp-optimal branch run through one ModelBatch, so the second solve
+		// reuses the built model (zero rebuild), the symbolic factorization
+		// and the pattern's warm basis.
+		mb := cfg.acquireBatch()
+		defer cfg.releaseBatch(mb)
+		m, err := mb.Model(in)
+		if err != nil {
+			return err
 		}
+		frac, err := m.SolveBatch(mb.LP(), cfg.lpOptions())
 		if err != nil {
 			return err
 		}
@@ -240,23 +222,16 @@ func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 		for ai, a := range algos {
 			if a.Name == "lp-optimal" {
 				// The lower-bound solve above already solved this exact LP;
-				// re-solving it warm terminates without a pivot at the same
-				// vertex, so the row value is identical to a cold Plan while
-				// the point pays for one phase-1 crash instead of two.  The
-				// batched form also skips the model rebuild: the same built
-				// Problem re-solved through the batch reuses the pattern's
-				// warm basis and symbolic factorization automatically.
-				var res *lpmodel.PlanResult
-				var err error
-				if mb != nil {
-					var frac2 *lpmodel.Fractional
-					frac2, err = m.SolveBatch(mb.LP(), cfg.lpOptions())
-					if err == nil {
-						res, err = lpmodel.Extract(m, frac2)
-					}
-				} else {
-					res, err = lpmodel.PlanFrom(in, cfg.lpOptions(), m.Basis())
+				// re-solving the same built Problem through the batch reuses
+				// the pattern's warm basis, so it terminates without a pivot
+				// at the same vertex: the row value is identical to a cold
+				// Plan while the point pays for one phase-1 crash instead of
+				// two and no model rebuild.
+				frac2, err := m.SolveBatch(mb.LP(), cfg.lpOptions())
+				if err != nil {
+					return fmt.Errorf("%s: %w", a.Name, err)
 				}
+				res, err := lpmodel.Extract(m, frac2)
 				if err != nil {
 					return fmt.Errorf("%s: %w", a.Name, err)
 				}

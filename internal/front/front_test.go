@@ -254,6 +254,42 @@ func TestFrontValidatesAtTheEdge(t *testing.T) {
 	}
 }
 
+// TestOversizedSizesRejected sends tiny bodies whose sizes would make the
+// service allocate far more memory than any machine has, one per generator
+// kind plus k, disks and an instance-text k.  Each must get a 400 from a
+// pcserve backend directly and from the front, and both must keep serving.
+// The loop and phased products overflow int64 to 0 if formed naively.
+func TestOversizedSizesRejected(t *testing.T) {
+	backend := newBackend(t)
+	_, fs := newFront(t, []string{backend.URL}, nil)
+	cases := []struct{ name, body string }{
+		{"uniform n", `{"strategy":"aggressive","workload":{"kind":"uniform","n":8589934592,"blocks":5},"k":2,"f":2}`},
+		{"zipf blocks", `{"strategy":"aggressive","workload":{"kind":"zipf","n":10,"blocks":8589934592},"k":2,"f":2}`},
+		{"scan n", `{"strategy":"aggressive","workload":{"kind":"scan","n":8589934592,"blocks":4},"k":2,"f":2}`},
+		{"loop blocks x repeats", `{"strategy":"aggressive","workload":{"kind":"loop","blocks":4294967296,"repeats":4294967296},"k":2,"f":2}`},
+		{"phased phases x per_phase", `{"strategy":"aggressive","workload":{"kind":"phased","phases":4294967296,"per_phase":4294967296,"blocks":4},"k":2,"f":2}`},
+		{"interleaved streams", `{"strategy":"aggressive","workload":{"kind":"interleaved","n":10,"streams":8589934592,"stream_len":2},"k":2,"f":2}`},
+		{"mixed n", `{"strategy":"aggressive","workload":{"kind":"mixed","n":8589934592,"blocks":4,"scan_blocks":4,"burst":2},"k":2,"f":2}`},
+		{"disks", `{"strategy":"aggressive","seq":[1,2,3,1,2,3],"k":2,"f":2,"disks":8589934592}`},
+		{"k", `{"strategy":"lp-optimal","seq":[1,2,3,1,2,3],"k":8589934592,"f":2}`},
+		{"instance k", `{"strategy":"lp-optimal","instance":"pfcache-instance v1\nk 8589934592\nf 2\nseq 1 2 3 1 2 3\n"}`},
+	}
+	for _, tc := range cases {
+		for _, url := range []string{backend.URL, fs.URL} {
+			resp, body := postJSON(t, url+"/v1/schedule", []byte(tc.body))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the limit") {
+				t.Errorf("%s via %s: status %d, want 400 naming the limit; body: %.200s", tc.name, url, resp.StatusCode, body)
+			}
+		}
+	}
+	ok := []byte(`{"strategy":"aggressive","seq":[1,2,3,1,2,3],"k":2,"f":2,"disks":2}`)
+	for _, url := range []string{backend.URL, fs.URL} {
+		if resp, body := postJSON(t, url+"/v1/schedule", ok); resp.StatusCode != http.StatusOK {
+			t.Errorf("a valid request via %s after the rejections: status %d; body: %.200s", url, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestFrontSweepFanout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep fan-out is slow")

@@ -145,7 +145,6 @@ var crashEngines = []struct {
 }{
 	{"steepest-lu", Options{Pricing: PricingSteepestEdge, Basis: BasisLU}},
 	{"dantzig-lu", Options{Pricing: PricingDantzig, Basis: BasisLU}},
-	{"steepest-lu-ft", Options{Pricing: PricingSteepestEdge, Basis: BasisLU, Update: UpdateFT}},
 	{"steepest-lu-refactor2", Options{Pricing: PricingSteepestEdge, Basis: BasisLU, RefactorEvery: 2}},
 	{"dantzig-lu-refactor2", Options{Pricing: PricingDantzig, Basis: BasisLU, RefactorEvery: 2}},
 }

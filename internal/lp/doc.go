@@ -105,7 +105,7 @@
 // same instance) and the service shards rely on, and what makes warm-started
 // sweeps solve in half the pivots of cold ones.
 //
-// # Dual re-optimization and Forrest–Tomlin updates
+// # Dual re-optimization
 //
 // Warm starts as described above require the donor basis to be primal
 // feasible on the target problem, which a grown problem never satisfies.
@@ -129,19 +129,9 @@
 // always safe to request; under Options.Cascade the result additionally
 // passes the independent certificate like any other solve.
 //
-// The dual phase's pivots are cheapest under Options.Update == UpdateFT
-// (ft.go), the true Forrest–Tomlin update: instead of freezing the LU
-// factors and appending product-form etas (UpdateEta, the default), each
-// pivot rewrites the U factor itself — the entering spike replaces the
-// leaving column, the row spike left by the cyclic position shift is
-// eliminated with multiples of the rows below it and recorded as one row
-// eta applied between L and U.  U stays triangular across pivots, so the
-// update file does not accumulate the fill that product-form etas do on
-// long re-optimization runs; a spike diagonal too small to trust rejects
-// the update and refactorizes instead, absorbing the pivot exactly.
-// Solution and the Stats sinks count DualPivots and FTUpdates alongside the
-// primal counters, so pcbench's trajectory files record how much of a
-// sweep's work the incremental path saved.
+// Solution and the Stats sinks count DualPivots alongside the primal
+// counters, so pcbench's trajectory files record how much of a sweep's
+// work the incremental path saved.
 //
 // The PR-1 flat-tableau implementation survives behind MethodFlat — one
 // contiguous row-major []float64 with the artificial columns as a trailing

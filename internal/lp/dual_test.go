@@ -1,12 +1,10 @@
 package lp_test
 
 // Tests for the incremental-solve machinery: the dual simplex warm path
-// (Options.Dual / Solver.SolveDualFrom) and the true Forrest–Tomlin update
-// (Options.Update == UpdateFT).  The dual tests build extended problems the
-// way a trace extension does — appended variables, appended rows, old rows
-// gaining only new columns (Problem.ExtendConstraint) — and pin the warm
-// re-solve to a cold solve of the same problem; the FT tests pin the updated
-// factors against the frozen-factor default across the engine grid.
+// (Options.Dual / Solver.SolveDualFrom).  The tests build extended problems
+// the way a trace extension does — appended variables, appended rows, old
+// rows gaining only new columns (Problem.ExtendConstraint) — and pin the warm
+// re-solve to a cold solve of the same problem across the engine grid.
 
 import (
 	"math"
@@ -58,10 +56,8 @@ func extendProblem(p *lp.Problem, x []float64, newVars, violated, satisfied int,
 // dualEngineGrid is the engine grid the dual warm path must hold on.
 var dualEngineGrid = []lp.Options{
 	{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisLU},
-	{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisLU, Update: lp.UpdateFT},
 	{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisEta},
 	{Pricing: lp.PricingDantzig, Basis: lp.BasisLU},
-	{Pricing: lp.PricingDantzig, Basis: lp.BasisLU, Update: lp.UpdateFT},
 	{Pricing: lp.PricingDantzig, Basis: lp.BasisEta},
 }
 
@@ -233,49 +229,6 @@ func TestDualCascadeVerifies(t *testing.T) {
 	}
 }
 
-// TestFTMatchesDefaultRandom solves the random lattice with the
-// Forrest–Tomlin update against the flat reference, mirroring
-// TestSolversMatchRandom, with a small refactorization interval variant so
-// updated factors both accumulate long spike chains and survive frequent
-// re-initialisation.
-func TestFTMatchesDefaultRandom(t *testing.T) {
-	for _, every := range []int{0, 2} {
-		rng := rand.New(rand.NewSource(321))
-		rev, flat := lp.NewSolver(), lp.NewSolver()
-		for trial := 0; trial < 200; trial++ {
-			p, _ := randomProblem(rng)
-			solveAllThree(t, rev, flat, p, lp.Options{Update: lp.UpdateFT, RefactorEvery: every})
-		}
-	}
-}
-
-// TestFTLongUpdateChain forces the E7-sized solve to absorb long
-// Forrest–Tomlin chains (no periodic refactorization to hide behind) and
-// pins status and objective to the default engine plus the certificate.
-func TestFTLongUpdateChain(t *testing.T) {
-	p := buildE7SizedProblem(t)
-	ref, err := lp.NewSolver().Solve(p, lp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, err := lp.NewSolver().Solve(p, lp.Options{Update: lp.UpdateFT, RefactorEvery: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.Status != ref.Status {
-		t.Fatalf("status ft=%v ref=%v", ft.Status, ref.Status)
-	}
-	if math.Abs(ft.Objective-ref.Objective) > 1e-6 {
-		t.Fatalf("objective ft=%g ref=%g", ft.Objective, ref.Objective)
-	}
-	if ft.FTUpdates < 50 {
-		t.Fatalf("expected a long Forrest–Tomlin chain, got %d updates", ft.FTUpdates)
-	}
-	if err := lp.Verify(p, ft); err != nil {
-		t.Fatalf("certificate: %v", err)
-	}
-}
-
 // BenchmarkDualResolveE7Extension measures the incremental re-solve after an
 // E7-sized extension: capture once (untimed), then per op extend-shaped
 // problems are re-solved dual-warm.  Compare with
@@ -299,10 +252,4 @@ func BenchmarkDualResolveE7Extension(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkRevisedSolveFTE7Size is the Forrest–Tomlin engine on the E7-sized
-// problem, the updated-factor counterpart of BenchmarkRevisedSolveE7Size.
-func BenchmarkRevisedSolveFTE7Size(b *testing.B) {
-	benchSolve(b, lp.Options{Update: lp.UpdateFT})
 }

@@ -84,20 +84,6 @@ type luFactor struct {
 	// predicates and fill verdicts, in execution order.  Recording never
 	// changes the factorization itself.
 	rec *luSymbolic
-
-	// Forrest–Tomlin update state (Options.Update == UpdateFT, see ft.go).
-	// Slots beyond the factorize-time rows are spike columns appended by
-	// ftUpdate; replaced slots are lazily dead and skipped in solves.
-	ftActive bool
-	ftOrder  []int32 // triangular position -> slot (always rows long)
-	ftPos    []int32 // slot -> triangular position (dead slots stale)
-	rowSlot  []int32 // physical row -> the live slot it pivots
-	slotDead []bool  // per slot: replaced by a later spike
-	ftMult   []float64
-	ftMark   []int32
-	ftGen    int32
-	ftTouch  []int32    // slots with live multipliers, in position order
-	rEta     rowEtaFile // row etas of the spike eliminations
 }
 
 // luPivotRel is the threshold-partial-pivoting relative tolerance: a pivot
@@ -129,7 +115,6 @@ func (lu *luFactor) reset() {
 	lu.lStart = lu.lStart[:0]
 	lu.uStart = lu.uStart[:0]
 	lu.fills = 0
-	lu.ftActive = false
 }
 
 // nonzeros returns the entry count of both factors, the quantity ftran/btran

@@ -69,7 +69,6 @@ type revisedSolver struct {
 	lu            luFactor // factored basis (BasisLU only)
 	pricing       Pricing
 	basisMode     BasisMethod
-	update        UpdateMethod
 	dualMode      bool      // Options.Dual: widen warm starts to prefix bases
 	dualRC        []float64 // maintained phase-2 reduced costs of the dual phase
 	dualRow       []float64 // pivot row of B^-1 A, cached for the rc update
@@ -83,7 +82,6 @@ type revisedSolver struct {
 	iterations       int
 	phase1Iters      int
 	dualIters        int
-	ftUpdates        int
 	fullPasses       int
 	refactors        int
 	etaColumns       int
@@ -134,14 +132,12 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	r.tol = tol
 	r.pricing = opts.Pricing
 	r.basisMode = opts.Basis
-	r.update = opts.Update
 	r.dualMode = opts.Dual
 	r.capture = opts.CaptureBasis
 	r.keepWarm = opts.WarmStart
 	r.iterations = 0
 	r.phase1Iters = 0
 	r.dualIters = 0
-	r.ftUpdates = 0
 	r.fullPasses = 0
 	r.refactors = 0
 	r.etaColumns = 0
@@ -384,12 +380,6 @@ func (r *revisedSolver) scatterCol(j int, out []float64) {
 // BasisEta path.
 func (r *revisedSolver) ftranB(v []float64) {
 	if r.basisMode == BasisLU {
-		if r.lu.ftActive {
-			// Forrest–Tomlin path: the factors absorb every pivot, so there
-			// is no product-form update file to compose with.
-			r.lu.ftranFT(v)
-			return
-		}
 		r.lu.ftran(v)
 	}
 	r.eta.ftran(v)
@@ -398,10 +388,6 @@ func (r *revisedSolver) ftranB(v []float64) {
 // btranB applies the transposed basis inverse to v in place: the update etas
 // newest-first, then the transposed LU factors.
 func (r *revisedSolver) btranB(v []float64) {
-	if r.basisMode == BasisLU && r.lu.ftActive {
-		r.lu.btranFT(v)
-		return
-	}
 	r.eta.btran(v)
 	if r.basisMode == BasisLU {
 		r.lu.btran(v)
@@ -692,9 +678,6 @@ func (r *revisedSolver) pivot(leave, enter int) error {
 	if f := r.fault; f != nil && f.PerturbPivot != 0 {
 		r.alpha[leave] *= 1 + f.PerturbPivot
 	}
-	if r.basisMode == BasisLU && r.update == UpdateFT {
-		return r.pivotFT(leave, enter)
-	}
 	theta := r.xB[leave] / r.alpha[leave]
 	// One fused sweep over the FTRAN'd column updates the basic values and
 	// writes the update eta's off-pivot entries (what etaFile.push would do
@@ -727,46 +710,6 @@ func (r *revisedSolver) pivot(leave, enter int) error {
 
 	r.sincePivot++
 	r.sinceRefactor++
-	if r.sinceRefactor >= r.refactorEvery {
-		return r.refactorize()
-	}
-	if r.sincePivot >= driftCheckEvery && r.residual() > driftTol {
-		return r.refactorize()
-	}
-	return nil
-}
-
-// pivotFT is the Forrest–Tomlin variant of pivot: the basic values update is
-// the same O(alpha-nonzeros) sweep, but instead of appending a product-form
-// eta the U factor itself absorbs the column replacement (luFactor.ftUpdate).
-// An update the factors reject — a vanishing spike diagonal — refactorizes
-// instead, which absorbs the already-recorded basis change exactly.
-func (r *revisedSolver) pivotFT(leave, enter int) error {
-	if !r.lu.ftActive {
-		// First pivot from the identity crash basis: there is nothing to
-		// update yet, so factorize it first.  The basis is unchanged, so the
-		// FTRAN'd column in r.alpha remains valid.
-		if err := r.refactorize(); err != nil {
-			return err
-		}
-	}
-	theta := r.xB[leave] / r.alpha[leave]
-	for i := 0; i < r.rows; i++ {
-		a := r.alpha[i]
-		if a == 0 || i == leave {
-			continue
-		}
-		r.xB[i] -= theta * a
-	}
-	r.xB[leave] = theta
-	r.inBasis[r.basis[leave]] = false
-	r.setBasic(leave, enter)
-	r.sincePivot++
-	r.sinceRefactor++
-	if !r.lu.ftUpdate(r, leave, enter, &r.allocs) {
-		return r.refactorize()
-	}
-	r.ftUpdates++
 	if r.sinceRefactor >= r.refactorEvery {
 		return r.refactorize()
 	}
@@ -864,11 +807,6 @@ func (r *revisedSolver) refactorize() error {
 		r.eta.reset()
 		copy(r.xB, r.m.b)
 		r.lu.ftran(r.xB)
-		if r.update == UpdateFT {
-			r.lu.ftInit(&r.allocs)
-		} else {
-			r.lu.ftActive = false
-		}
 		r.sinceRefactor = 0
 		r.sincePivot = 0
 		return nil
@@ -990,7 +928,6 @@ func (r *revisedSolver) solution(status Status, p *Problem) *Solution {
 		Iterations:       r.iterations,
 		Phase1Iterations: r.phase1Iters,
 		DualIterations:   r.dualIters,
-		FTUpdates:        r.ftUpdates,
 		PricingPasses:    r.fullPasses,
 		TableauAllocs:    r.allocs,
 		Refactorizations: r.refactors,

@@ -118,51 +118,6 @@ func ParseBasis(name string) (BasisMethod, error) {
 	}
 }
 
-// UpdateMethod selects how the BasisLU representation absorbs a pivot
-// between refactorizations.
-type UpdateMethod int
-
-// Basis update methods.
-const (
-	// UpdateEta (the default) appends the FTRAN'd entering column as a
-	// product-form eta in U-space — the untriangularised Forrest–Tomlin
-	// variant: the LU factors stay frozen and the eta file grows by one
-	// column per pivot until the next refactorization.
-	UpdateEta UpdateMethod = iota
-	// UpdateFT is the true Forrest–Tomlin row-spike update: each pivot
-	// replaces one column of U by the (partially FTRAN'd) entering column,
-	// eliminates the resulting row spike into a row-eta file, and cyclically
-	// permutes U back to triangular form.  The U factor itself evolves, so
-	// FTRAN/BTRAN keep solving against genuinely triangular data instead of
-	// an ever-growing product file.  Ignored by BasisEta and MethodFlat.
-	UpdateFT
-)
-
-// String names the update method.
-func (u UpdateMethod) String() string {
-	switch u {
-	case UpdateEta:
-		return "eta"
-	case UpdateFT:
-		return "ft"
-	default:
-		return fmt.Sprintf("update(%d)", int(u))
-	}
-}
-
-// ParseUpdate resolves an update-method name ("eta" or "ft") as used by
-// command line flags.
-func ParseUpdate(name string) (UpdateMethod, error) {
-	switch name {
-	case "eta":
-		return UpdateEta, nil
-	case "ft":
-		return UpdateFT, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown basis update method %q (want eta or ft)", name)
-	}
-}
-
 // Options tunes the solver.
 type Options struct {
 	// MaxIterations caps the total number of simplex pivots (0 means an
@@ -202,10 +157,6 @@ type Options struct {
 	// falls back to the cold primal start, so (like WarmStart) Dual is always
 	// safe to request.  Ignored by MethodFlat.
 	Dual bool
-	// Update selects how the BasisLU representation absorbs pivots between
-	// refactorizations; the zero value is UpdateEta.  Ignored by BasisEta and
-	// MethodFlat.
-	Update UpdateMethod
 	// Cascade opts the revised method into the self-healing solve ladder:
 	// every Optimal result is checked against the independent certificate
 	// (Verify), and a verification failure, singular refactorization or
@@ -270,9 +221,6 @@ type Solution struct {
 	// DualIterations is the number of dual simplex pivots performed
 	// (Options.Dual only; included in Iterations).
 	DualIterations int
-	// FTUpdates is the number of Forrest–Tomlin row-spike updates absorbed
-	// into the U factor (Options.Update == UpdateFT only).
-	FTUpdates int
 	// Basis is the optimal basis snapshot requested by Options.CaptureBasis
 	// (nil otherwise or when the solve did not end optimal).
 	Basis *WarmBasis

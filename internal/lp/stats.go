@@ -47,9 +47,6 @@ type Counters struct {
 	// DualPivots is the total number of dual simplex pivots performed by
 	// warm re-solves (Options.Dual).
 	DualPivots uint64
-	// FTUpdates is the total number of Forrest–Tomlin row-spike updates
-	// absorbed into U factors (Options.Update == UpdateFT).
-	FTUpdates uint64
 }
 
 // Stats is a counter sink: every solve run with Options.Stats pointing at it
@@ -60,8 +57,7 @@ type Counters struct {
 type Stats struct {
 	solves, iters, phase1, passes, refactors, etas, luFills atomic.Uint64
 	warmStarts, symReuses, numRefactors                     atomic.Uint64
-	verified, verifyFails, cascadeFalls                     atomic.Uint64
-	dualPivots, ftUpdates                                   atomic.Uint64
+	verified, verifyFails, cascadeFalls, dualPivots         atomic.Uint64
 }
 
 // Add folds c into the sink.  Solves record through it, and a caller that
@@ -84,7 +80,6 @@ func (s *Stats) Add(c Counters) {
 	s.verifyFails.Add(c.VerifyFailures)
 	s.cascadeFalls.Add(c.CascadeFallbacks)
 	s.dualPivots.Add(c.DualPivots)
-	s.ftUpdates.Add(c.FTUpdates)
 }
 
 // Snapshot returns the sink's current totals.
@@ -104,7 +99,6 @@ func (s *Stats) Snapshot() Counters {
 		VerifyFailures:   s.verifyFails.Load(),
 		CascadeFallbacks: s.cascadeFalls.Load(),
 		DualPivots:       s.dualPivots.Load(),
-		FTUpdates:        s.ftUpdates.Load(),
 	}
 }
 
@@ -122,7 +116,6 @@ func recordSolve(st *Stats, sol *Solution) {
 		SymbolicReuses:   uint64(sol.SymbolicReuses),
 		NumericRefactors: uint64(sol.NumericRefactors),
 		DualPivots:       uint64(sol.DualIterations),
-		FTUpdates:        uint64(sol.FTUpdates),
 	}
 	if sol.WarmStarted {
 		c.WarmStarts = 1

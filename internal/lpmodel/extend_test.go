@@ -15,13 +15,12 @@ import (
 )
 
 // extendEngines is the engine grid the incremental path is pinned against:
-// the default LU engine, the Forrest–Tomlin update, and the eta-file basis.
+// the default LU engine and the eta-file basis.
 var extendEngines = []struct {
 	name string
 	opts lp.Options
 }{
 	{"steepest-lu", lp.Options{}},
-	{"steepest-lu-ft", lp.Options{Update: lp.UpdateFT}},
 	{"dantzig-eta", lp.Options{Pricing: lp.PricingDantzig, Basis: lp.BasisEta}},
 }
 

@@ -1,6 +1,6 @@
 // Package opt computes exactly optimal prefetching/caching schedules for
 // small instances by informed search (A* with branch-and-bound pruning) over
-// system states, optionally sharded across goroutines.
+// system states.
 //
 // The paper compares its algorithms against an information-theoretic optimum
 // OPT: the minimum stall time (equivalently elapsed time) over all feasible
@@ -129,35 +129,6 @@
 // The free-slot direction is covered by the same repair: a state with a dead
 // block occupying a cache slot is bisimilar to the state with the slot free,
 // because the dead occupant can be evicted by the next fetch at no cost.
-//
-// # Parallel driver
-//
-// Options.Workers > 1 runs the same search sharded across goroutines
-// (parallel.go): each worker owns an arena and a bucket queue, idle workers
-// steal half a victim's frontier, the closed table is sharded under mutexes,
-// and the incumbent is a shared atomic updated by CAS-min.  The invariants:
-//
-//   - Safety: a node is published to its table shard before any worker can
-//     reach it, records are immutable once published, and the bound used for
-//     pruning only ever decreases (CAS-min), so no worker prunes with a
-//     stale-low incumbent.
-//   - Termination: a pending-work counter is incremented before a push and
-//     decremented after an expansion; it reaches zero exactly when every
-//     queue is empty and no expansion is in flight.
-//   - Optimality at the goal: workers do not stop at the first goal pop.  A
-//     goal found with cost c only CAS-mins the incumbent; the search ends
-//     when the pending counter drains, at which point every node with
-//     g + h < incumbent has been expanded (none remains queued), so no
-//     completion cheaper than the incumbent exists, and the recorded parent
-//     chain of the incumbent goal — whose records are immutable — replays a
-//     consistent optimal schedule.
-//
-// Stall and elapsed results are therefore worker-count invariant; expansion
-// counters are not (workers race on duplicate discovery), which is why the
-// experiment suite pins Workers = 1 for its byte-reproducible tables and the
-// parallel driver is surfaced through pcopt -workers / pcbench -opt-workers
-// for wall-clock work.  Workers = 1 routes through the sequential engine, so
-// it is bit-identical to the default path by construction.
 //
 // # Branching modes
 //

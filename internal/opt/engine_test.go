@@ -174,6 +174,49 @@ func TestParseBound(t *testing.T) {
 	}
 }
 
+// TestParallelSeedOptimal is TestSeedOptimalPath on a parallel-disk
+// instance: on a two-disk sequential scan with ample cache the parallel
+// greedy seed is already optimal, so the engine must prove it at the root
+// and return the seed schedule.
+func TestParallelSeedOptimal(t *testing.T) {
+	seq := workload.SequentialScan(12, 6)
+	in := workload.Instance(seq, 4, 2, 2, workload.AssignStripe, 0)
+	res, err := Optimal(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dijk, err := Optimal(in, dijkstraOptions(Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SeedOptimal || res.SeedStall != res.Stall || res.Stall != dijk.Stall {
+		t.Fatalf("seed %s stall %d (proved optimal: %v), search stall %d, reference %d",
+			res.SeedAlgorithm, res.SeedStall, res.SeedOptimal, res.Stall, dijk.Stall)
+	}
+	got, err := sim.Run(in, res.Schedule, sim.Options{})
+	if err != nil {
+		t.Fatalf("seed schedule infeasible: %v", err)
+	}
+	if got.Stall != res.Stall {
+		t.Fatalf("seed schedule replays with stall %d, want %d", got.Stall, res.Stall)
+	}
+}
+
+// TestParallelMaxStatesExhaustion runs a three-disk search into a tiny state
+// budget mid-run and requires a TooLargeError that names the budget.
+func TestParallelMaxStatesExhaustion(t *testing.T) {
+	seq := workload.Uniform(24, 10, 55)
+	in := workload.Instance(seq, 3, 4, 3, workload.AssignStripe, 0)
+	_, err := Optimal(in, Options{MaxStates: 16, Bound: BoundNone})
+	var tle *TooLargeError
+	if !errors.As(err, &tle) {
+		t.Fatalf("err = %v, want *TooLargeError", err)
+	}
+	if tle.States != 16 {
+		t.Fatalf("TooLargeError.States = %d, want 16", tle.States)
+	}
+}
+
 // TestCountersConsistency checks the counter relationships the new Result
 // reports: every expansion comes from the table, generated covers duplicates
 // and pruned states, and the caller's sink accumulates them.
@@ -193,8 +236,7 @@ func TestCountersConsistency(t *testing.T) {
 	}
 	snap := sink.Snapshot()
 	if snap.Searches != 1 || snap.Expanded != uint64(res.StatesExpanded) ||
-		snap.Generated != uint64(res.StatesGenerated) || snap.PeakTable != uint64(res.PeakTableSize) ||
-		snap.Workers != 1 {
+		snap.Generated != uint64(res.StatesGenerated) || snap.PeakTable != uint64(res.PeakTableSize) {
 		t.Errorf("sink counters %+v do not reflect the search result %+v", snap, res)
 	}
 	// A second search sums into the sink; the maxima stay maxima.
@@ -203,7 +245,7 @@ func TestCountersConsistency(t *testing.T) {
 	}
 	twice := sink.Snapshot()
 	if twice.Searches != 2 || twice.Expanded != 2*snap.Expanded || twice.Generated != 2*snap.Generated ||
-		twice.PeakTable != snap.PeakTable || twice.Workers != 1 {
+		twice.PeakTable != snap.PeakTable {
 		t.Errorf("after a repeated search the sink holds %+v, want sums doubled and maxima kept from %+v", twice, snap)
 	}
 	// A search without a sink is not counted anywhere.
@@ -305,7 +347,7 @@ func TestHeuristicAdmissibleAtRoot(t *testing.T) {
 		in := workload.Instance(seq, k, f, disks, workload.AssignStripe, 0)
 		s := newSearcher(in, Options{}, in.Blocks())
 		start := s.initialKey()
-		h0 := int(s.heuristic(&start, s.hs))
+		h0 := int(s.heuristic(&start))
 		res, err := Optimal(in, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -20,26 +20,6 @@ package opt
 // The old PR-3 bound (rem + m*F + (n - maxRef) per disk) is exactly the last
 // term (j = m) of the per-disk matching bound, so the new bound dominates it.
 
-// hscratch holds the per-evaluation scratch of the heuristic: the per-disk
-// ascending reference lists and the evaluation-local counters.  The sequential
-// searcher owns one; the parallel driver gives each worker its own, so
-// heuristic evaluation is safe to run concurrently against the read-only
-// searcher tables.
-type hscratch struct {
-	refs [maxDisks][]int32
-	// landmarkHits counts evaluations where the landmark bound strictly
-	// exceeded the per-state fetch-work bounds.
-	landmarkHits int
-}
-
-func newHScratch(n int) *hscratch {
-	var h hscratch
-	for d := range h.refs {
-		h.refs[d] = make([]int32, 0, n)
-	}
-	return &h
-}
-
 // initHeuristic precomputes the per-position tables the bound is evaluated
 // from: futureMask[p] is the set of block indices referenced at positions
 // >= p, diskMask[d] the blocks residing on disk d, and nextRef a dense
@@ -92,7 +72,7 @@ func (s *searcher) useDominance() bool {
 
 // heuristic computes h for a state.  With NoHeuristic set it returns 0, which
 // reduces the search to uniform-cost (Dijkstra) order.
-func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
+func (s *searcher) heuristic(key *stateKey) int32 {
 	if s.opts.NoHeuristic {
 		return 0
 	}
@@ -111,7 +91,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 	// missing future-referenced blocks: scanning the sequence forward visits
 	// each block's first future reference in ascending position order.
 	for d := 0; d < s.in.Disks; d++ {
-		hs.refs[d] = hs.refs[d][:0]
+		s.hrefs[d] = s.hrefs[d][:0]
 	}
 	if missing != 0 {
 		seen := ^missing // positions of non-missing blocks are skipped as "seen"
@@ -122,7 +102,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 			}
 			seen |= 1 << uint(bi)
 			d := s.diskOf[bi]
-			hs.refs[d] = append(hs.refs[d], int32(p))
+			s.hrefs[d] = append(s.hrefs[d], int32(p))
 		}
 	}
 
@@ -138,7 +118,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 		// Per-disk slot/reference matching: ascending slots rem + j*F against
 		// ascending refs.
 		t := 0
-		for j, ref := range hs.refs[d] {
+		for j, ref := range s.hrefs[d] {
 			if v := rem + (j+1)*f + (s.n - int(ref)); v > t {
 				t = v
 			}
@@ -159,7 +139,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 	// work (the merged matching would only borrow the idle disk's cheaper
 	// slots and weaken below the per-disk bound).
 	for d1 := 0; d1 < s.in.Disks; d1++ {
-		if len(hs.refs[d1]) == 0 {
+		if len(s.hrefs[d1]) == 0 {
 			continue
 		}
 		rem1 := 0
@@ -167,14 +147,14 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 			rem1 = flightRemaining(key.flights[d1])
 		}
 		for d2 := d1 + 1; d2 < s.in.Disks; d2++ {
-			if len(hs.refs[d2]) == 0 {
+			if len(s.hrefs[d2]) == 0 {
 				continue
 			}
 			rem2 := 0
 			if key.flights[d2] != 0 {
 				rem2 = flightRemaining(key.flights[d2])
 			}
-			if t := pairBound(hs.refs[d1], hs.refs[d2], rem1, rem2, f, s.n); t-r > best {
+			if t := pairBound(s.hrefs[d1], s.hrefs[d2], rem1, rem2, f, s.n); t-r > best {
 				best = t - r
 			}
 		}
@@ -182,7 +162,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 	if s.useLandmarks() {
 		if lm := int(s.landmark[served]); lm > best {
 			best = lm
-			hs.landmarkHits++
+			s.landmarkHits++
 		}
 	}
 	return int32(best)

@@ -39,7 +39,7 @@ package opt
 // disjoint phases whose stalls accumulate.
 //
 // The table costs O(n^2 * D) once per search (v is carried monotonically
-// across t for fixed p) and is shared read-only by every worker.
+// across t for fixed p) and is read-only during the search.
 
 // initLandmarks builds s.landmark; called from initHeuristic when landmarks
 // are enabled.

@@ -82,11 +82,6 @@ type Options struct {
 	// NoDominance disables canonicalized dominance merging of states that
 	// differ only in never-again-referenced cache or in-flight content.
 	NoDominance bool
-	// Workers selects the parallel branch-and-bound driver (parallel.go) when
-	// > 1.  Workers <= 1 runs the sequential A* engine; the stall/elapsed
-	// results are identical either way (the optimum is unique in value), but
-	// effort counters are nondeterministic across parallel runs.
-	Workers int
 	// Stats is the sink the search's work is counted in (see Counters); nil
 	// leaves the search uncounted.
 	Stats *Stats
@@ -124,12 +119,6 @@ type Result struct {
 	LandmarkHits int
 	// PeakTableSize is the number of distinct states materialised.
 	PeakTableSize int
-	// Workers is the number of search workers used (1 for the sequential
-	// engine).
-	Workers int
-	// WorkerExpanded is the per-worker expansion breakdown of a parallel run
-	// (nil for the sequential engine); its sum equals StatesExpanded.
-	WorkerExpanded []int
 	// SeedAlgorithm names the greedy schedule seeding the incumbent ("" when
 	// no incumbent was available).
 	SeedAlgorithm string
@@ -222,13 +211,18 @@ type searcher struct {
 	n      int
 
 	// Heuristic tables (see heuristic.go / landmark.go), read-only after
-	// construction so parallel workers can share them.
+	// construction.
 	futureMask []uint64
 	diskMask   [maxDisks]uint64
 	nextRef    []int32
 	landmark   []int32
-	hs         *hscratch
 	dominance  bool // canonicalized dominance merging active (useDominance)
+
+	// Heuristic scratch: per disk, the ascending first-reference positions
+	// of the missing blocks, and the count of evaluations where the landmark
+	// bound strictly exceeded the per-state fetch-work bounds.
+	hrefs        [maxDisks][]int32
+	landmarkHits int
 
 	// Branch-and-bound incumbent (see seed.go); incumbent < 0 means none.
 	incumbent int
@@ -253,10 +247,8 @@ type searcher struct {
 
 // succRec is one staged successor of an expansion: the resulting state, the
 // transition's stall cost and anchor position, and its fetch actions inside
-// the staging buffer.  Staging decouples successor generation (pure, reads
-// only the shared tables) from relaxation (mutates the node table and queue),
-// which is what lets the parallel driver reuse the exact same generation
-// code with per-worker buffers.
+// the staging buffer.  Staging decouples successor generation (reads only
+// the searcher's tables) from relaxation (mutates the node table and queue).
 type succRec struct {
 	key      stateKey
 	cost     int32
@@ -307,7 +299,9 @@ func newSearcher(in *core.Instance, opts Options, blocks []core.BlockID) *search
 	for p, b := range in.Seq {
 		s.seqIdx[p] = int32(s.idxOf[b])
 	}
-	s.hs = newHScratch(s.n)
+	for d := range s.hrefs {
+		s.hrefs[d] = make([]int32, 0, s.n)
+	}
 	s.dominance = s.useDominance()
 	s.initHeuristic()
 	return s
@@ -377,9 +371,8 @@ func (s *searcher) result(stall int, sched *core.Schedule, seedOptimal bool) *Re
 		PrunedByBound:     s.pruned,
 		DuplicateHits:     s.dupHits,
 		PrunedByDominance: s.prunedDom,
-		LandmarkHits:      s.hs.landmarkHits,
+		LandmarkHits:      s.landmarkHits,
 		PeakTableSize:     s.table.count,
-		Workers:           1,
 		SeedAlgorithm:     s.seedName,
 		SeedStall:         seedStall,
 		SeedOptimal:       seedOptimal,
@@ -387,9 +380,6 @@ func (s *searcher) result(stall int, sched *core.Schedule, seedOptimal bool) *Re
 }
 
 func (s *searcher) run() (*Result, error) {
-	if s.opts.Workers > 1 {
-		return s.runParallel()
-	}
 	// The arena and table go back to the pool only after the deferred stats
 	// record below has read the table's size.
 	mem := searchMemPool.Get().(*searchMem)
@@ -403,7 +393,7 @@ func (s *searcher) run() (*Result, error) {
 		s.seedIncumbent()
 	}
 	start := s.initialKey()
-	h0 := s.heuristic(&start, s.hs)
+	h0 := s.heuristic(&start)
 	s.generated++
 	if s.incumbent >= 0 && int(h0) >= s.incumbent {
 		// Even the root's lower bound reaches the incumbent: the seed is
@@ -449,20 +439,13 @@ func (s *searcher) run() (*Result, error) {
 // relaxes each: every combination of fetch initiations over idle disks,
 // followed by the serve-or-stall step.
 func (s *searcher) expand(idx int32, key *stateKey) {
-	s.generate(key, &s.succ)
+	s.succ.reset()
+	var acc [maxDisks]fetchAction
+	s.enumerate(key, 0, 0, key.cache, s.inFlightMask(key), &acc, &s.succ)
 	for i := range s.succ.recs {
 		sr := &s.succ.recs[i]
 		s.relax(idx, &sr.key, int(sr.cost), int(sr.anchor), s.succ.fetchesOf(sr))
 	}
-}
-
-// generate fills buf with the successors of a state.  It reads only the
-// searcher's immutable tables, so it is safe to call concurrently with
-// distinct buffers (the parallel driver does).
-func (s *searcher) generate(key *stateKey, buf *succBuf) {
-	buf.reset()
-	var acc [maxDisks]fetchAction
-	s.enumerate(key, 0, 0, key.cache, s.inFlightMask(key), &acc, buf)
 }
 
 // inFlightMask returns the mask of blocks currently being fetched.
@@ -668,7 +651,7 @@ func (s *searcher) relax(parent int32, next *stateKey, cost, anchor int, fetches
 		s.queue.push(int(newG)+int(rec.h), idx)
 		return
 	}
-	h := s.heuristic(next, s.hs)
+	h := s.heuristic(next)
 	if s.incumbent >= 0 && int(newG)+int(h) >= s.incumbent {
 		s.pruned++
 		return

@@ -33,23 +33,17 @@ type Counters struct {
 	LandmarkHits uint64
 	// PeakTable is the largest node-table size seen in any single search.
 	PeakTable uint64
-	// Workers is the largest Options.Workers any search ran with.
-	Workers uint64
-	// WorkerExpanded counts expansions performed by parallel driver workers
-	// (zero when every search ran sequentially); it is a subset of Expanded.
-	WorkerExpanded uint64
 }
 
 // Stats is a counter sink for exact searches: atomic, so concurrent searches
-// may share one.  PeakTable and Workers are running maxima, every other field
-// a sum.  The zero value is an empty sink.
+// may share one.  PeakTable is a running maximum, every other field a sum.
+// The zero value is an empty sink.
 type Stats struct {
-	searches, expanded, generated, pruned, dup, dom, landmark atomic.Uint64
-	peak, workers, workerExpanded                             atomic.Uint64
+	searches, expanded, generated, pruned, dup, dom, landmark, peak atomic.Uint64
 }
 
-// Add folds c into the sink: the sums add, PeakTable and Workers raise the
-// running maxima.  Searches record through it, and a caller that owns several
+// Add folds c into the sink: the sums add, PeakTable raises the running
+// maximum.  Searches record through it, and a caller that owns several
 // sinks combines them into one with it.  A nil sink ignores the call.
 func (s *Stats) Add(c Counters) {
 	if s == nil {
@@ -62,9 +56,7 @@ func (s *Stats) Add(c Counters) {
 	s.dup.Add(c.DuplicateHits)
 	s.dom.Add(c.PrunedByDominance)
 	s.landmark.Add(c.LandmarkHits)
-	s.workerExpanded.Add(c.WorkerExpanded)
 	casMax(&s.peak, c.PeakTable)
-	casMax(&s.workers, c.Workers)
 }
 
 // Snapshot returns the sink's current totals.
@@ -78,8 +70,6 @@ func (s *Stats) Snapshot() Counters {
 		PrunedByDominance: s.dom.Load(),
 		LandmarkHits:      s.landmark.Load(),
 		PeakTable:         s.peak.Load(),
-		Workers:           s.workers.Load(),
-		WorkerExpanded:    s.workerExpanded.Load(),
 	}
 }
 
@@ -93,8 +83,7 @@ func casMax(c *atomic.Uint64, v uint64) {
 	}
 }
 
-// recordStats folds one sequential search's counters into the caller's sink
-// (the parallel driver records through pSearch.finish).
+// recordStats folds one search's counters into the caller's sink.
 func (s *searcher) recordStats() {
 	s.opts.Stats.Add(Counters{
 		Searches:          1,
@@ -103,8 +92,7 @@ func (s *searcher) recordStats() {
 		PrunedByBound:     uint64(s.pruned),
 		DuplicateHits:     uint64(s.dupHits),
 		PrunedByDominance: uint64(s.prunedDom),
-		LandmarkHits:      uint64(s.hs.landmarkHits),
+		LandmarkHits:      uint64(s.landmarkHits),
 		PeakTable:         uint64(s.table.count),
-		Workers:           1,
 	})
 }

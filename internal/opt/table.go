@@ -8,21 +8,19 @@ import "sync"
 // map[stateKey]*nodeInfo this removes the per-node heap allocation and the
 // map's bucket overhead, which were the allocation hot spot of the search.
 
-// nodeRec is the bookkeeping attached to each reached state.  The sequential
-// engine links records with arena-index parents and mutates them in place;
-// the parallel driver treats records as immutable once published and links
-// them with cross-arena parentRef global refs instead.
+// nodeRec is the bookkeeping attached to each reached state.  Records link to
+// their predecessors by arena index and are updated in place when a cheaper
+// path reopens them.
 type nodeRec struct {
-	key       stateKey
-	g         int32 // best known stall cost to reach the state
-	h         int32 // admissible lower bound on the remaining stall (computed once)
-	parent    int32 // arena index of the predecessor on the best known path (0 for the root)
-	anchor    int32 // requests served when the transition's fetches were initiated
-	fetchOff  int32 // offset into the owning fetch arena
-	parentRef int64 // parallel driver: global ref of the predecessor (0 for the root)
-	fetchCnt  uint16
-	cost      uint16 // stall cost of the incoming transition (reconstruction replay)
-	closed    bool   // expanded at its final cost (cleared again if the node is reopened)
+	key      stateKey
+	g        int32 // best known stall cost to reach the state
+	h        int32 // admissible lower bound on the remaining stall (computed once)
+	parent   int32 // arena index of the predecessor on the best known path (0 for the root)
+	anchor   int32 // requests served when the transition's fetches were initiated
+	fetchOff int32 // offset into the searcher's fetch arena
+	fetchCnt uint16
+	cost     uint16 // stall cost of the incoming transition (reconstruction replay)
+	closed   bool   // expanded at its final cost (cleared again if the node is reopened)
 }
 
 // nodeArena is the flat node store.  Index 0 is a reserved dummy so that 0
@@ -103,7 +101,7 @@ func (t *nodeTable) grow() {
 	}
 }
 
-// searchMem is the memory layer of one sequential search: its node arena and
+// searchMem is the memory layer of one search: its node arena and
 // node table.  A sweep runs hundreds of searches, and fresh arenas and tables
 // were nearly half of what it allocated, so searches draw them from
 // searchMemPool and hand them back when they finish.

@@ -40,6 +40,51 @@ func generate(spec *WorkloadSpec) (seq core.Sequence, err error) {
 	return nil, fmt.Errorf("service: unknown workload kind %q", spec.Kind)
 }
 
+// The sizes a request controls are capped before anything is allocated from
+// them: a generator allocates its whole sequence up front and the strategies
+// allocate per cache location and per disk, so one large number in a tiny
+// body would otherwise exhaust memory, which no recover can catch.
+// maxRequests ties generated sequences to explicit ones: each element of a
+// JSON array takes at least two bytes ("0,"), so a body within
+// maxRequestBody carries at most maxRequestBody/2 requests.  maxCache and
+// maxDisks sit far above every instance the strategies are meant for; the
+// lp-optimal model alone holds k + D - 1 initial cache locations, and at
+// k = 2^23 it no longer fits in memory even for a six-request sequence.
+const (
+	maxRequests = maxRequestBody / 2
+	maxCache    = 1 << 12
+	maxDisks    = 1 << 6
+)
+
+// checkSizes rejects a request whose sizes exceed the caps above.  Each size
+// is a product a*b, compared without being formed so that it cannot
+// overflow.
+func (r *ScheduleRequest) checkSizes() error {
+	var w WorkloadSpec
+	if r.Workload != nil {
+		w = *r.Workload
+	}
+	for _, c := range [...]struct {
+		name  string
+		a, b  int
+		limit int
+	}{
+		{"seq length", len(r.Seq), 1, maxRequests},
+		{"n", w.N, 1, maxRequests},
+		{"blocks", w.Blocks, 1, maxRequests},
+		{"streams", w.Streams, 1, maxRequests},
+		{"blocks × repeats", w.Blocks, w.Repeats, maxRequests},
+		{"phases × per_phase", w.Phases, w.PerPhase, maxRequests},
+		{"k", r.K, 1, maxCache},
+		{"disks", r.Disks, 1, maxDisks},
+	} {
+		if c.a > 0 && c.b > c.limit/c.a {
+			return fmt.Errorf("service: %s exceeds the limit %d", c.name, c.limit)
+		}
+	}
+	return nil
+}
+
 // BuildInstance materialises the instance a schedule request describes and
 // validates it.
 func (r *ScheduleRequest) BuildInstance() (*core.Instance, error) {
@@ -58,7 +103,18 @@ func (r *ScheduleRequest) BuildInstance() (*core.Instance, error) {
 	}
 
 	if r.Instance != "" {
-		return workload.ParseString(r.Instance)
+		in, err := workload.ParseString(r.Instance)
+		if err != nil {
+			return nil, err
+		}
+		// The text carries its own k and disks.
+		if err := (&ScheduleRequest{K: in.K, Disks: in.Disks}).checkSizes(); err != nil {
+			return nil, err
+		}
+		return in, nil
+	}
+	if err := r.checkSizes(); err != nil {
+		return nil, err
 	}
 
 	var seq core.Sequence

@@ -229,7 +229,9 @@ type LPCountersWire struct {
 	SymbolicReuses   uint64 `json:"symbolic_reuses"`
 	NumericRefactors uint64 `json:"numeric_refactors"`
 	DualPivots       uint64 `json:"dual_pivots"`
-	FTUpdates        uint64 `json:"ft_updates"`
+	// FTUpdates is always 0: the solver no longer has a Forrest–Tomlin
+	// update.  The field stays until the trajectory format drops it.
+	FTUpdates uint64 `json:"ft_updates"`
 }
 
 // lpCountersWire converts an lp.Counters snapshot to its wire form.
@@ -249,13 +251,12 @@ func lpCountersWire(c lp.Counters) LPCountersWire {
 		SymbolicReuses:   c.SymbolicReuses,
 		NumericRefactors: c.NumericRefactors,
 		DualPivots:       c.DualPivots,
-		FTUpdates:        c.FTUpdates,
 	}
 }
 
 // optCountersWire converts an opt.Counters snapshot to its wire form.
 func optCountersWire(c opt.Counters) OptCountersWire {
-	return OptCountersWire{
+	w := OptCountersWire{
 		Searches:          c.Searches,
 		Expanded:          c.Expanded,
 		Generated:         c.Generated,
@@ -264,9 +265,11 @@ func optCountersWire(c opt.Counters) OptCountersWire {
 		PrunedByDominance: c.PrunedByDominance,
 		LandmarkHits:      c.LandmarkHits,
 		PeakTable:         c.PeakTable,
-		Workers:           c.Workers,
-		WorkerExpanded:    c.WorkerExpanded,
 	}
+	if c.Searches > 0 {
+		w.Workers = 1
+	}
+	return w
 }
 
 // OptCountersWire mirrors opt.Counters with the stable JSON names of the
@@ -280,8 +283,11 @@ type OptCountersWire struct {
 	PrunedByDominance uint64 `json:"pruned_by_dominance"`
 	LandmarkHits      uint64 `json:"landmark_hits"`
 	PeakTable         uint64 `json:"peak_table"`
-	Workers           uint64 `json:"workers"`
-	WorkerExpanded    uint64 `json:"worker_expanded"`
+	// Workers is 1 when the block counted any search, else 0, and
+	// WorkerExpanded is always 0: every search runs on one goroutine.  Both
+	// stay until the trajectory format drops them.
+	Workers        uint64 `json:"workers"`
+	WorkerExpanded uint64 `json:"worker_expanded"`
 }
 
 // SweepRequest runs named experiments.  An empty IDs list runs the whole

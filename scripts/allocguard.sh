@@ -31,16 +31,11 @@
 #    re-factorizing per step would scale with the whole program (tens of
 #    thousands), so the 512 bound has margin without masking one.
 #  * The exact-search engine (BenchmarkOptSearchAStar*, plus the Landmark
-#    variant) must keep its flat arena + open-addressing memory layer: its
-#    allocs/op on a fixed instance is a small constant (seed schedules, arena
-#    growth doublings, the landmark table), while a regression to per-node
-#    allocation would scale with the ~50k states of the E7-sized search and
-#    blow far past the limit.
-#  * The parallel driver (BenchmarkOptSearchParallelE7Size) adds a fixed
-#    per-search footprint on top: shard mutexes, per-worker arenas and bucket
-#    queues.  That footprint is a few hundred allocations regardless of how
-#    many states the search expands; the separate MAX_PAR_ALLOCS bound keeps
-#    it from regressing to per-node or per-steal allocation.
+#    and Matching layer variants) must keep its flat arena + open-addressing
+#    memory layer: its allocs/op on a fixed instance is a small constant
+#    (seed schedules, arena growth doublings, the landmark table), while a
+#    regression to per-node allocation would scale with the ~50k states of
+#    the E7-sized search and blow far past the limit.
 #
 # Runs the benchmarks once (-benchtime 1x; the LP ones warm the solver up
 # before the timer) and fails if allocs/op exceeds the per-group limits.
@@ -48,18 +43,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 MAX_ALLOCS="${MAX_ALLOCS:-8}"
 MAX_OPT_ALLOCS="${MAX_OPT_ALLOCS:-2000}"
-MAX_PAR_ALLOCS="${MAX_PAR_ALLOCS:-4000}"
 MAX_BATCH_ALLOCS="${MAX_BATCH_ALLOCS:-24}"
 MAX_BATCH_BUILD_ALLOCS="${MAX_BATCH_BUILD_ALLOCS:-64}"
 MAX_EXTEND_ALLOCS="${MAX_EXTEND_ALLOCS:-512}"
-out=$(go test -run '^$' -bench 'BenchmarkLPSolve(Revised|Flat)$|BenchmarkOptSearch(AStar|Landmark|Parallel)|BenchmarkModelBatchBuild$' -benchmem -benchtime 1x .)
+out=$(go test -run '^$' -bench 'BenchmarkLPSolve(Revised|Flat)$|BenchmarkOptSearch(AStar|Landmark|Matching)|BenchmarkModelBatchBuild$' -benchmem -benchtime 1x .)
 lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolve(SteepestEdge|DantzigEta|Verified)?E7Size$|BenchmarkRevisedSolveServeSize$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
 extout=$(go test -run '^$' -bench 'BenchmarkModelExtendResolve$' -benchmem -benchtime 16x ./internal/lpmodel)
 out=$(printf '%s\n%s\n%s' "$out" "$lpout" "$extout")
 echo "$out"
 echo "$out" | awk -v max="$MAX_ALLOCS" -v optmax="$MAX_OPT_ALLOCS" \
 	-v batchmax="$MAX_BATCH_ALLOCS" -v batchbuildmax="$MAX_BATCH_BUILD_ALLOCS" \
-	-v extendmax="$MAX_EXTEND_ALLOCS" -v parmax="$MAX_PAR_ALLOCS" '
+	-v extendmax="$MAX_EXTEND_ALLOCS" '
 	/^BenchmarkLPSolve|^BenchmarkRevisedSolve/ {
 		allocs = $(NF-1)
 		if (allocs + 0 > max + 0) {
@@ -88,21 +82,14 @@ echo "$out" | awk -v max="$MAX_ALLOCS" -v optmax="$MAX_OPT_ALLOCS" \
 			bad = 1
 		}
 	}
-	/^BenchmarkOptSearchAStar|^BenchmarkOptSearchLandmark/ {
+	/^BenchmarkOptSearchAStar|^BenchmarkOptSearchLandmark|^BenchmarkOptSearchMatching/ {
 		allocs = $(NF-1)
 		if (allocs + 0 > optmax + 0) {
 			printf "FAIL: %s allocates %s allocs/op (max %s)\n", $1, allocs, optmax
 			bad = 1
 		}
 	}
-	/^BenchmarkOptSearchParallel/ {
-		allocs = $(NF-1)
-		if (allocs + 0 > parmax + 0) {
-			printf "FAIL: %s allocates %s allocs/op (max %s)\n", $1, allocs, parmax
-			bad = 1
-		}
-	}
 	END {
-		if (!bad) printf "alloc guard OK (LP max %s, batch max %s/%s, extend max %s, opt max %s, parallel max %s allocs/op)\n", max, batchmax, batchbuildmax, extendmax, optmax, parmax
+		if (!bad) printf "alloc guard OK (LP max %s, batch max %s/%s, extend max %s, opt max %s allocs/op)\n", max, batchmax, batchbuildmax, extendmax, optmax
 		exit bad
 	}'
