@@ -245,14 +245,10 @@ func e7SizedModel(b *testing.B) *lpmodel.Model {
 	return m
 }
 
-// benchLPSolve measures repeated solves of the E7-sized model with a reused
-// Solver: the steady-state cost of one simplex solve in the sweeps.  A few
-// untimed warm-up solves populate the buffers — the first runs the cold
-// path, the rest the warm-started path a re-solved Model takes (the model
-// captures its optimal basis, so every subsequent solve replays it; the LU
-// workspace keeps growing for a couple of factorizations because each one
-// permutes the basis rows) — so even -benchtime 1x (the CI allocation
-// guard) reports the steady-state allocs/op.
+// benchLPSolve measures repeated cold solves of the E7-sized model with a
+// reused Solver: the steady-state cost of one simplex solve in the sweeps.
+// A few untimed warm-up solves size the buffers, so even -benchtime 1x (the
+// CI allocation guard) reports the steady-state allocs/op.
 func benchLPSolve(b *testing.B, opts lp.Options) {
 	m := e7SizedModel(b)
 	solver := lp.NewSolver()

@@ -3,7 +3,7 @@
 //
 // Schedule requests are routed by consistent-hashing the instance fingerprint
 // across the backends — the same instance always lands on the same backend,
-// keeping its response cache and warm-started solvers hot — while health
+// keeping its response cache and its shard's built models hot — while health
 // checks, bounded retries with exponential backoff, and per-backend circuit
 // breakers make individual backend failures invisible to clients.  Sweeps fan
 // out per-experiment across healthy backends and stream NDJSON result lines

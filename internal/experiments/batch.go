@@ -6,23 +6,20 @@ import (
 	"pfcache/internal/lpmodel"
 )
 
-// The LP-heavy experiment rows (E7's lp-optimal points, E8's lower-bound and
-// planning solves) route through pooled lpmodel.ModelBatch values: each
-// worker goroutine checks a batch out of its run's free stack for the
-// duration of a point, so solver arenas, symbolic factorizations and
-// per-pattern warm bases amortise across the rows a worker processes.  Cold
-// solves through a batch are bit-identical to non-batched solves (the
-// lp.Batch contract), so the tables — and the committed BENCH_*.json
-// trajectories — do not depend on the pool state or the worker count.
+// The LP-heavy experiment rows (E7's lp-optimal points, E8's lower-bound
+// solve) route through pooled lpmodel.ModelBatch values: each worker
+// goroutine checks a batch out of its run's free stack for the duration of
+// a point, so built models and solver arenas amortise across the rows a
+// worker processes.  Solves through a batch start cold and are
+// bit-identical to non-batched solves (the lp.Batch contract), so the
+// tables — and the committed BENCH_*.json trajectories — do not depend on
+// the pool state or the worker count.
 //
-// Every RunAll call starts its own empty pool, so runs are hermetic: no
-// built model, warm basis or recorded symbolic factorization carries over
-// from earlier work, and the batch counters of a run are its own.  The pool
-// is an explicit mutex-guarded stack rather than a sync.Pool on purpose:
-// sync.Pool may drop members at any GC, which would make the
-// symbolic_reuses/numeric_refactors counters nondeterministic run to run.
-// With the stack, a single-worker run reuses batches in a deterministic
-// order, so the counter blocks in recorded benchmarks reproduce exactly.
+// Every RunAll call starts its own empty pool, which lives on the run's
+// Config and dies with it: concurrent sweeps never share a batch, and a
+// finished run leaves no models or buffers behind.  A mutex-guarded stack is
+// all that takes; since no answer depends on which batch a point draws, the
+// pool needs no ordering guarantees.
 
 // batchPool is one run's stack of idle ModelBatch values.
 type batchPool struct {

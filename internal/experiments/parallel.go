@@ -123,9 +123,9 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		// The batch shares solver arenas and symbolic factorizations across
-		// the rows this worker processes; a cold batched solve is
-		// bit-identical to a plain lpmodel.Plan.
+		// The batch shares built models and solver arenas across the rows
+		// this worker processes; a batched solve is bit-identical to a plain
+		// lpmodel.Plan.
 		mb := cfg.acquireBatch()
 		res, err := lpmodel.PlanBatch(mb, in, cfg.lpOptions())
 		cfg.releaseBatch(mb)
@@ -199,10 +199,8 @@ func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 		disks := diskSet[i]
 		seq := workload.Interleaved(16, disks, 5)
 		in := workload.Instance(seq, 4, 3, disks, workload.AssignStripe, 0)
-		// The lower-bound solve below and the planning re-solve in the
-		// lp-optimal branch run through one ModelBatch, so the second solve
-		// reuses the built model (zero rebuild), the symbolic factorization
-		// and the pattern's warm basis.
+		// One solve serves both the lower bound and the lp-optimal row:
+		// the schedule is extracted from the same fractional optimum.
 		mb := cfg.acquireBatch()
 		defer cfg.releaseBatch(mb)
 		m, err := mb.Model(in)
@@ -221,17 +219,7 @@ func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 		vals := make([]float64, len(algos))
 		for ai, a := range algos {
 			if a.Name == "lp-optimal" {
-				// The lower-bound solve above already solved this exact LP;
-				// re-solving the same built Problem through the batch reuses
-				// the pattern's warm basis, so it terminates without a pivot
-				// at the same vertex: the row value is identical to a cold
-				// Plan while the point pays for one phase-1 crash instead of
-				// two and no model rebuild.
-				frac2, err := m.SolveBatch(mb.LP(), cfg.lpOptions())
-				if err != nil {
-					return fmt.Errorf("%s: %w", a.Name, err)
-				}
-				res, err := lpmodel.Extract(m, frac2)
+				res, err := lpmodel.Extract(m, frac)
 				if err != nil {
 					return fmt.Errorf("%s: %w", a.Name, err)
 				}

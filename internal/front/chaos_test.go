@@ -175,7 +175,7 @@ func chaosRequests(t *testing.T) (reqs [][]byte, refs [][]byte) {
 		zipfSchedule("opt", 13, 18),
 	}
 	for i, r := range set {
-		want, err := service.ScheduleBody(r, lp.Options{WarmStart: true})
+		want, err := service.ScheduleBody(r, lp.Options{})
 		if err != nil {
 			t.Fatalf("reference %d: %v", i, err)
 		}

@@ -4,7 +4,7 @@
 // Schedule requests are routed by consistent-hashing the instance's
 // canonical fingerprint across the backends, so the same instance always
 // lands on the same backend — keeping that backend's response cache and
-// warm-started shard solvers hot — while the surrounding machinery makes a
+// its shard's built models hot — while the surrounding machinery makes a
 // single stuck, dead or overloaded backend invisible to clients:
 //
 //   - every request runs under a deadline, split into bounded attempts;

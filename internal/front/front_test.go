@@ -102,7 +102,7 @@ func TestFrontForwardsScheduleByteIdentical(t *testing.T) {
 		zipfSchedule("lp-optimal", 24, 2),
 		zipfSchedule("opt", 14, 3),
 	} {
-		want, err := service.ScheduleBody(req, lp.Options{WarmStart: true})
+		want, err := service.ScheduleBody(req, lp.Options{})
 		if err != nil {
 			t.Fatalf("reference %d: %v", i, err)
 		}
@@ -182,7 +182,7 @@ func TestFrontRetriesOntoHealthyBackend(t *testing.T) {
 	// with a correct body, no matter how many land on the flaky one first.
 	for i := 0; i < 8; i++ {
 		req := zipfSchedule("aggressive", 20+i, int64(100+i))
-		want, err := service.ScheduleBody(req, lp.Options{WarmStart: true})
+		want, err := service.ScheduleBody(req, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,6 +273,8 @@ func TestOversizedSizesRejected(t *testing.T) {
 		{"disks", `{"strategy":"aggressive","seq":[1,2,3,1,2,3],"k":2,"f":2,"disks":8589934592}`},
 		{"k", `{"strategy":"lp-optimal","seq":[1,2,3,1,2,3],"k":8589934592,"f":2}`},
 		{"instance k", `{"strategy":"lp-optimal","instance":"pfcache-instance v1\nk 8589934592\nf 2\nseq 1 2 3 1 2 3\n"}`},
+		{"f", `{"strategy":"demand-lru","seq":[1,2,3,1,2,3],"k":2,"f":4611686018427387904}`},
+		{"instance f", `{"strategy":"demand-lru","instance":"pfcache-instance v1\nk 2\nf 4611686018427387904\nseq 1 2 3 1 2 3\n"}`},
 	}
 	for _, tc := range cases {
 		for _, url := range []string{backend.URL, fs.URL} {

@@ -42,7 +42,7 @@ func numericChaosRequests(t *testing.T) (reqs [][]byte, refs [][]byte) {
 	for i, r := range set {
 		// References must be computed before any injector installs: the lp
 		// fault hook is process-global and would corrupt these solves too.
-		want, err := service.ScheduleBody(r, lp.Options{WarmStart: true})
+		want, err := service.ScheduleBody(r, lp.Options{})
 		if err != nil {
 			t.Fatalf("reference %d: %v", i, err)
 		}
@@ -142,7 +142,7 @@ func TestChaosNumericExhaustionRetried(t *testing.T) {
 		o.MaxAttempts = 4
 	})
 	req := zipfSchedule("lp-optimal", 34, 99)
-	ref, err := service.ScheduleBody(req, lp.Options{WarmStart: true})
+	ref, err := service.ScheduleBody(req, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // the remaining *distinct* backends.  Placement depends only on the backend
 // names, so every pcfront instance (and a restarted one) routes a given
 // instance fingerprint to the same backend — which is what makes the
-// backend-local solve caches and warm-started solvers effective across a
+// backend-local response caches and built models effective across a
 // fleet of fronts.
 type ring struct {
 	hashes   []uint64

@@ -2,7 +2,7 @@ package lp
 
 // WarmBasis is an opaque snapshot of a simplex basis, captured from an
 // optimal solve (Options.CaptureBasis, Solution.Basis) and fed back into a
-// later solve of a same-shaped problem (Solver.SolveFrom, Options.WarmStart).
+// later solve of a same-shaped problem (Solver.SolveFrom, SolveDualFrom).
 //
 // A warm start replays the snapshot instead of the phase-1 crash basis: the
 // basis is refactorized for the new problem's coefficients and, when it is
@@ -41,22 +41,16 @@ func (b *WarmBasis) matches(r *revisedSolver) bool {
 	return true
 }
 
-// snapshotInto overwrites dst with the solver's current basis, reusing dst's
-// backing storage.  The sense slice is shared with the problem's immutable
-// CSC form, not copied.
-func (r *revisedSolver) snapshotInto(dst *WarmBasis) {
-	dst.rows = r.rows
-	dst.numVars = r.numVars
-	dst.cols = append(dst.cols[:0], r.basis...)
-	dst.senses = r.m.sense
-}
-
 // captureBasis allocates a fresh snapshot of the solver's current basis (for
-// Solution.Basis, which outlives the solver's reusable buffers).
+// Solution.Basis, which outlives the solver's reusable buffers).  The sense
+// slice is shared with the problem's immutable CSC form, not copied.
 func (r *revisedSolver) captureBasis() *WarmBasis {
-	b := &WarmBasis{}
-	r.snapshotInto(b)
-	return b
+	return &WarmBasis{
+		rows:    r.rows,
+		numVars: r.numVars,
+		cols:    append([]int(nil), r.basis...),
+		senses:  r.m.sense,
+	}
 }
 
 // installBasis replaces the crash basis installed by load with the

@@ -1,139 +1,40 @@
 package lp
 
-// Batch amortises a sweep of same-shaped solves.  It owns one reusable
-// Solver — whose buffers (tableau scratch, eta/LU storage, candidate lists)
-// are sized by the first instance and reused allocation-free for the rest —
-// plus a small set of per-pattern members, each holding a warm-basis slot
-// and a duals arena for the problems sharing one structural fingerprint.
-// Together with the solver's symbolic-factorization cache (lusym.go) this is
-// the batch path's whole speedup: the first member of a pattern pays for the
-// symbolic analysis, the scratch sizing and the allocations, and every later
-// same-pattern solve replays, reuses and warm-starts.
+// Batch amortises a sweep of solves.  It owns one reusable Solver — whose
+// buffers (tableau scratch, eta/LU storage, candidate lists) are sized by
+// the first instance and reused allocation-free for the rest — plus one
+// arena for the solutions' dual certificates.  That is the batch path's
+// whole saving: the buffers and the duals copy, never a warm start.
 //
 // Correctness contract: a batched solve is bit-identical to the same solve
-// on a fresh Solver unless the batch warm-starts it, and it warm-starts only
-// when (a) the caller opted in via Options.WarmStart, or (b) the problem is
-// the *same* Problem (same pointer, unmutated version) the member last
-// solved — the re-solve pattern the E8 row loop already runs through
-// SolveFrom.  Cold solves through a batch therefore produce the same bytes
-// as cold solves outside it, which is what keeps the committed BENCH_*.json
-// schedule tables byte-identical with batching on or off.
+// on a fresh Solver.  Every batched solve starts cold, whatever the batch
+// solved before, so a sweep's tables and a server's response bytes do not
+// depend on batching or on the order requests arrive in.
 //
 // A Batch is not safe for concurrent use; use one per goroutine (the service
 // gives each shard its own).
 type Batch struct {
-	s       *Solver
-	members map[uint64]*batchMember
-	order   []uint64 // member insertion order, for bounded FIFO eviction
-	sols    []*Solution
+	s     *Solver
+	duals []float64
 }
-
-// batchMember is the per-pattern state: the warm-basis slot optimal solves
-// snapshot into, the identity of the problem that produced it, and the arena
-// backing the solutions' dual certificates.
-type batchMember struct {
-	warm     WarmBasis
-	haveWarm bool
-	lastProb *Problem
-	lastVer  int
-	duals    []float64
-}
-
-// maxBatchMembers bounds the per-batch member set; the oldest pattern is
-// evicted (losing only its warm basis and arena, never correctness) when a
-// long-running consumer feeds a batch more patterns than a sweep's worth.
-const maxBatchMembers = 32
 
 // NewBatch returns an empty Batch owning a fresh Solver.
 func NewBatch() *Batch {
-	return &Batch{s: NewSolver(), members: make(map[uint64]*batchMember)}
+	return &Batch{s: NewSolver()}
 }
 
-// Solver exposes the batch's underlying Solver for non-batched solves that
-// should share its buffers.  The usual caveats apply: same goroutine only.
-func (b *Batch) Solver() *Solver { return b.s }
-
-// member returns (creating or evicting as needed) the slot for a pattern.
-func (b *Batch) member(fp uint64) *batchMember {
-	if m, ok := b.members[fp]; ok {
-		return m
-	}
-	if len(b.members) >= maxBatchMembers {
-		oldest := b.order[0]
-		b.order = b.order[1:]
-		delete(b.members, oldest)
-	}
-	m := &batchMember{}
-	b.members[fp] = m
-	b.order = append(b.order, fp)
-	return m
-}
-
-// Solve solves p through the batch.  See the type comment for the exact
-// warm-start policy; everything else (options, cascade, statuses, errors) is
-// Solver.Solve's contract.  The returned Solution's dual certificate shares
-// the member's arena: it stays valid until the next same-pattern solve
-// through this batch, so callers that Verify solutions should do so before
-// solving the next instance of the pattern.
+// Solve solves p through the batch, with Solver.Solve's contract (options,
+// cascade, statuses, errors).  The returned Solution's dual certificate
+// shares the batch's arena: it stays valid until the next solve through this
+// batch, so callers that Verify solutions should do so before solving the
+// next problem.
 func (b *Batch) Solve(p *Problem, opts Options) (*Solution, error) {
-	if opts.Method != MethodRevised {
-		return b.s.Solve(p, opts)
-	}
-	fp := p.PatternFingerprint()
-	m := b.member(fp)
-
-	var from *WarmBasis
-	if m.haveWarm && (opts.WarmStart || (m.lastProb == p && m.lastVer == p.version)) {
-		from = &m.warm
-	}
-	// The member slots supersede the Solver's single lastWarm slot: clearing
-	// WarmStart here keeps exactly one warm-start authority per solve (and
-	// keeps a foreign pattern's basis from leaking in through the solver).
-	opts.WarmStart = false
-
 	r := &b.s.rev
-	r.warmDst = &m.warm
-	r.warmSnapped = false
-	r.dualsReuse = m.duals
-	sol, err := b.s.solve(p, opts, from)
-	r.warmDst = nil
+	r.dualsReuse = b.duals
+	sol, err := b.s.solve(p, opts, nil)
 	r.dualsReuse = nil
-
-	m.lastProb, m.lastVer = p, p.version
-	if err != nil {
-		// A failed solve poisons only this member's warm state; the solver
-		// arenas are reset per solve, so the next member starts clean.
-		m.haveWarm = false
-		return nil, err
+	if err == nil && sol.duals != nil {
+		b.duals = sol.duals
 	}
-	if sol.duals != nil {
-		m.duals = sol.duals
-	}
-	m.haveWarm = sol.Status == StatusOptimal && r.warmSnapped && sol.Downgrades == 0
-	if sol.Downgrades > 0 {
-		// A downgraded solve ran on suspect numerics: the skeletons its
-		// refactorizations recorded must not vouch for future solves.
-		r.symCache.clear()
-	}
-	return sol, nil
-}
-
-// BatchSolve solves every problem through the batch, in order.  Solutions
-// come back index-aligned with probs; a member whose solve returns an error
-// gets a nil Solution while the rest of the batch still runs (a failed
-// member never corrupts the arenas of the next — the first such error is
-// returned after the sweep).  The returned slice reuses the batch's internal
-// backing and is only valid until the next BatchSolve call.
-func BatchSolve(b *Batch, probs []*Problem, opts Options) ([]*Solution, error) {
-	sols := b.sols[:0]
-	var firstErr error
-	for _, p := range probs {
-		sol, err := b.Solve(p, opts)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		sols = append(sols, sol)
-	}
-	b.sols = sols
-	return sols, firstErr
+	return sol, err
 }

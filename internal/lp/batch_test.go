@@ -34,169 +34,68 @@ func batchSweepProblems(tb testing.TB) []*lp.Problem {
 }
 
 // TestBatchSolveMatchesColdAcrossEngines pins the batch path's correctness
-// contract over the full engine grid (pricing x basis) crossed with the
-// warm/cold option: the first pass of a batch over distinct problems is
-// bit-identical — status, iteration count, objective and every solution
-// coordinate compared by their float64 bits — to solving each problem cold
-// on its own fresh Solver.  The infeasible member mid-batch must fail in
-// place without disturbing the members after it.
+// contract over the full engine grid (pricing x basis): two rounds over the
+// same problems through one batch are each bit-identical — status,
+// iteration count, objective and every solution coordinate compared by
+// their float64 bits — to solving each problem cold on its own fresh
+// Solver.  The second round re-solves every problem the batch has just
+// solved, and must still start cold.  Each optimal solution's certificate
+// shares the batch's duals arena, so it is verified before the next solve.
+// The infeasible member mid-batch must fail in place without disturbing the
+// members after it.
 func TestBatchSolveMatchesColdAcrossEngines(t *testing.T) {
 	probs := batchSweepProblems(t)
 	for _, combo := range engineCombos {
-		for _, warm := range []bool{false, true} {
-			opts := combo.opts
-			opts.WarmStart = warm
-			batch := lp.NewBatch()
-			sols, err := lp.BatchSolve(batch, probs, opts)
+		opts := combo.opts
+		refs := make([]*lp.Solution, len(probs))
+		for i, p := range probs {
+			ref, err := lp.NewSolver().Solve(p, opts)
 			if err != nil {
-				t.Fatalf("%s warm=%v: %v", combo.name, warm, err)
+				t.Fatalf("%s prob %d ref: %v", combo.name, i, err)
 			}
-			if len(sols) != len(probs) {
-				t.Fatalf("%s warm=%v: %d solutions for %d problems", combo.name, warm, len(sols), len(probs))
-			}
-			for i, p := range probs {
-				ref, err := lp.NewSolver().Solve(p, opts)
-				if err != nil {
-					t.Fatalf("%s warm=%v prob %d ref: %v", combo.name, warm, i, err)
-				}
-				got := sols[i]
-				if got == nil {
-					t.Fatalf("%s warm=%v prob %d: nil batched solution", combo.name, warm, i)
-				}
-				if got.Status != ref.Status || got.Iterations != ref.Iterations {
-					t.Fatalf("%s warm=%v prob %d: batched %v/%d pivots, cold %v/%d",
-						combo.name, warm, i, got.Status, got.Iterations, ref.Status, ref.Iterations)
-				}
-				if math.Float64bits(got.Objective) != math.Float64bits(ref.Objective) {
-					t.Fatalf("%s warm=%v prob %d: batched objective %x, cold %x",
-						combo.name, warm, i, math.Float64bits(got.Objective), math.Float64bits(ref.Objective))
-				}
-				if len(got.X) != len(ref.X) {
-					t.Fatalf("%s warm=%v prob %d: %d coords, cold %d", combo.name, warm, i, len(got.X), len(ref.X))
-				}
-				for j := range got.X {
-					if math.Float64bits(got.X[j]) != math.Float64bits(ref.X[j]) {
-						t.Fatalf("%s warm=%v prob %d x[%d]: batched %x, cold %x",
-							combo.name, warm, i, j, math.Float64bits(got.X[j]), math.Float64bits(ref.X[j]))
-					}
-				}
-			}
+			refs[i] = ref
 		}
-	}
-}
-
-// TestBatchSolveWarmRounds re-solves the same problems through the same
-// batch: every previously-optimal member must warm-start off its own pattern
-// slot (terminating at the same objective), every solution must carry a
-// passing certificate when verified before the next same-pattern solve, and
-// under the LU basis the steady-state rounds must reuse recorded symbolic
-// factorizations.  (The reuse is asserted on round three, not two: round
-// one's periodic refactorizations stop a few pivots short of the optimum, so
-// the optimal basis is first factorized — and recorded — by round two's warm
-// refactorization, and replayed from round three on.)
-func TestBatchSolveWarmRounds(t *testing.T) {
-	for _, combo := range engineCombos {
-		probs := batchSweepProblems(t)
 		batch := lp.NewBatch()
-		first, err := lp.BatchSolve(batch, probs, combo.opts)
-		if err != nil {
-			t.Fatalf("%s round 1: %v", combo.name, err)
-		}
-		firstObj := make([]float64, len(first))
-		firstStatus := make([]lp.Status, len(first))
-		for i, sol := range first {
-			firstObj[i], firstStatus[i] = sol.Objective, sol.Status
-		}
-		for round := 2; round <= 3; round++ {
-			reuses := 0
+		for round := 1; round <= 2; round++ {
 			for i, p := range probs {
-				sol, err := batch.Solve(p, combo.opts)
+				got, err := batch.Solve(p, opts)
 				if err != nil {
 					t.Fatalf("%s round %d prob %d: %v", combo.name, round, i, err)
 				}
-				if sol.Status != firstStatus[i] || math.Abs(sol.Objective-firstObj[i]) > 1e-9 {
-					t.Fatalf("%s round %d prob %d diverged: %v/%g vs %v/%g",
-						combo.name, round, i, sol.Status, sol.Objective, firstStatus[i], firstObj[i])
+				ref := refs[i]
+				if got.Status != ref.Status || got.Iterations != ref.Iterations || got.WarmStarted {
+					t.Fatalf("%s round %d prob %d: batched %v/%d pivots (warm %v), cold %v/%d",
+						combo.name, round, i, got.Status, got.Iterations, got.WarmStarted, ref.Status, ref.Iterations)
 				}
-				if firstStatus[i] == lp.StatusOptimal {
-					if !sol.WarmStarted {
-						t.Fatalf("%s round %d prob %d did not warm start", combo.name, round, i)
+				if math.Float64bits(got.Objective) != math.Float64bits(ref.Objective) {
+					t.Fatalf("%s round %d prob %d: batched objective %x, cold %x",
+						combo.name, round, i, math.Float64bits(got.Objective), math.Float64bits(ref.Objective))
+				}
+				if len(got.X) != len(ref.X) {
+					t.Fatalf("%s round %d prob %d: %d coords, cold %d", combo.name, round, i, len(got.X), len(ref.X))
+				}
+				for j := range got.X {
+					if math.Float64bits(got.X[j]) != math.Float64bits(ref.X[j]) {
+						t.Fatalf("%s round %d prob %d x[%d]: batched %x, cold %x",
+							combo.name, round, i, j, math.Float64bits(got.X[j]), math.Float64bits(ref.X[j]))
 					}
-					// The certificate shares the member's arena: verify it
-					// inside the validity window, before the next same-pattern
-					// solve.
-					if verr := lp.Verify(p, sol); verr != nil {
+				}
+				if got.Status == lp.StatusOptimal {
+					if verr := lp.Verify(p, got); verr != nil {
 						t.Fatalf("%s round %d prob %d failed verification: %v", combo.name, round, i, verr)
 					}
 				}
-				reuses += sol.SymbolicReuses
-			}
-			if combo.opts.Basis == lp.BasisLU && round == 3 && reuses == 0 {
-				t.Fatalf("%s: steady-state round replayed no recorded symbolic factorization", combo.name)
-			}
-			if combo.opts.Basis == lp.BasisEta && reuses != 0 {
-				t.Fatalf("%s: eta basis reported %d symbolic reuses", combo.name, reuses)
 			}
 		}
 	}
 }
 
-// TestPatternFingerprintBoundsStructure is the regression test for the cache
-// aliasing fix: the pattern fingerprint must incorporate the bounds structure
-// of the problem — constraint senses and right-hand-side signs, which decide
-// slack/artificial column layout and signs in the solver's standard form —
-// not just the CSC nonzero positions.  Two problems with identical coefficient
-// patterns but different fixed/free row structure must not share a symbolic
-// cache entry.
-func TestPatternFingerprintBoundsStructure(t *testing.T) {
-	build := func(sense lp.Sense, rhs float64, vals ...float64) *lp.Problem {
-		p := lp.NewProblem(2)
-		p.AddConstraint([]lp.Coef{{Var: 0, Value: vals[0]}, {Var: 1, Value: vals[1]}}, sense, rhs)
-		return p
-	}
-	base := build(lp.LE, 1, 1, 1)
-
-	if fp, again := base.PatternFingerprint(), base.PatternFingerprint(); fp != again {
-		t.Fatalf("fingerprint not stable: %x then %x", fp, again)
-	}
-	if other := build(lp.LE, 1, 3, -7); base.PatternFingerprint() != other.PatternFingerprint() {
-		t.Fatal("same pattern with different coefficient values must share a fingerprint")
-	}
-	if other := build(lp.LE, 5, 1, 1); base.PatternFingerprint() != other.PatternFingerprint() {
-		t.Fatal("same pattern with a different same-sign RHS must share a fingerprint")
-	}
-
-	// An equality row has no slack column at all (a "fixed" row where the LE
-	// row has a free one): aliasing these would replay a factorization whose
-	// recorded elimination assumes a column that does not exist.
-	if eq := build(lp.EQ, 1, 1, 1); base.PatternFingerprint() == eq.PatternFingerprint() {
-		t.Fatal("LE and EQ rows with identical coefficients must not share a fingerprint")
-	}
-	if ge := build(lp.GE, 1, 1, 1); base.PatternFingerprint() == ge.PatternFingerprint() {
-		t.Fatal("LE and GE rows with identical coefficients must not share a fingerprint")
-	}
-	// A negative RHS flips the row's sign normalisation (and so the slack
-	// column's sign) in the solver's standard form.
-	if neg := build(lp.LE, -1, 1, 1); base.PatternFingerprint() == neg.PatternFingerprint() {
-		t.Fatal("positive- and negative-RHS rows must not share a fingerprint")
-	}
-
-	// Mutating the structure invalidates the cached fingerprint.
-	before := base.PatternFingerprint()
-	base.AddConstraint([]lp.Coef{{Var: 1, Value: 2}}, lp.LE, 3)
-	if base.PatternFingerprint() == before {
-		t.Fatal("adding a constraint must change the fingerprint")
-	}
-}
-
-// BenchmarkBatchSolveE7Size is the batched successor of
-// BenchmarkRevisedSolveWarmSweepE7Size: the same E7-size sweep (each model's
-// LP solved twice per point, the lower-bound-then-plan pattern of the E8 row
-// loop), routed through one persistent Batch.  In steady state every solve
-// replays a recorded symbolic factorization and warm-starts from its
-// pattern's basis, and the arenas make the whole sweep allocation-free
-// beyond the two unavoidable allocations per solve (the Solution and its X
-// vector), which scripts/allocguard.sh bounds.
+// BenchmarkBatchSolveE7Size times the E7-size sweep (each model's LP solved
+// twice per point) routed through one persistent Batch.  Every solve is
+// cold; the batch contributes only its reused Solver buffers and duals
+// arena, which make the sweep allocation-free beyond the two unavoidable
+// allocations per solve (the Solution and its X vector), a bound
+// scripts/allocguard.sh enforces.
 func BenchmarkBatchSolveE7Size(b *testing.B) {
 	models := e7SweepInstances(b)
 	var probs []*lp.Problem
@@ -204,20 +103,21 @@ func BenchmarkBatchSolveE7Size(b *testing.B) {
 		probs = append(probs, m.Problem, m.Problem)
 	}
 	batch := lp.NewBatch()
-	// Warm-up sweeps, untimed: the first records symbolic factorizations and
-	// sizes the arenas, the rest let every capacity converge, so even
-	// -benchtime 1x (the CI allocation guard) reports the steady state — two
-	// allocations per solve, every refactorization a replay.
-	for warmup := 0; warmup < 4; warmup++ {
-		if _, err := lp.BatchSolve(batch, probs, lp.Options{}); err != nil {
-			b.Fatal(err)
+	sweep := func() {
+		for _, p := range probs {
+			if _, err := batch.Solve(p, lp.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	// Warm-up sweeps, untimed, let every buffer capacity converge, so even
+	// -benchtime 1x (the CI allocation guard) reports the steady state.
+	for warmup := 0; warmup < 4; warmup++ {
+		sweep()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.BatchSolve(batch, probs, lp.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		sweep()
 	}
 }

@@ -102,13 +102,6 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 		case StatusOptimal:
 			if verr := Verify(p, sol); verr != nil {
 				opts.Stats.Add(Counters{VerifyFailures: 1})
-				// The basis captured alongside a failed solve is as suspect
-				// as the solve: poison it so the next warm start cannot
-				// replay the damage.  The symbolic skeletons recorded during
-				// the failed solve are equally suspect — a downgrade clears
-				// the whole cache so no later refactorization replays them.
-				s.rev.haveWarm = false
-				s.rev.symCache.clear()
 				lastErr = verr
 				continue
 			}

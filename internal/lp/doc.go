@@ -92,18 +92,18 @@
 //
 // # Warm starts
 //
-// A solve can start from the optimal basis of an earlier solve instead of
-// the phase-1 crash basis: Solver.SolveFrom replays an explicit WarmBasis
-// snapshot (captured via Options.CaptureBasis into Solution.Basis), and
-// Options.WarmStart replays the Solver's own last optimal basis.  The
-// snapshot transfers only when the target problem has the same shape (rows,
-// variables, constraint senses), refactorizes without going singular, and
-// yields a primal feasible point; otherwise the solve silently cold-starts,
-// so warm starting is always safe to request.  On the identical problem a
-// warm start terminates without a single pivot at the donor's vertex — the
-// contract the E8 row loop (lower-bound solve then planning solve of the
-// same instance) and the service shards rely on, and what makes warm-started
-// sweeps solve in half the pivots of cold ones.
+// Every solve starts cold unless its caller hands it a basis: the answer of
+// Solve depends only on the problem and the options, never on what the
+// Solver solved before.  A caller that wants a warm start asks for it
+// explicitly: Solver.SolveFrom replays a WarmBasis snapshot (captured via
+// Options.CaptureBasis into Solution.Basis) instead of the phase-1 crash
+// basis.  The snapshot transfers only when the target problem has the same
+// shape (rows, variables, constraint senses), refactorizes without going
+// singular, and yields a primal feasible point; otherwise the solve silently
+// cold-starts, so warm starting is always safe to request.  On a degenerate
+// problem a warm start may end on another optimal vertex than a cold solve,
+// which is why the one-shot paths never warm-start.  Options.WarmStart is
+// ignored; it is kept only because the serving benchmark still sets it.
 //
 // # Dual re-optimization
 //
@@ -141,50 +141,16 @@
 //
 // # Batched solving
 //
-// A sweep solves many LPs that share one structure: the same constraint
-// pattern with different numbers, or literally the same Problem solved
-// twice (the E8 lower-bound-then-plan loop, a service shard's repeated
-// instance).  Batch (batch.go) amortises everything such solves can share,
-// at three layers:
-//
-// Symbolic factorization (lusym.go).  Factorizing a basis decomposes into a
-// symbolic phase — the Markowitz pivot order and the fill pattern, which
-// depend only on the nonzero structure — and the numeric elimination.  Every
-// BasisLU factorization records its skeleton (pivot order, per-step target
-// columns, update and fill keep/drop decisions) into a per-Solver cache
-// keyed by (problem pattern fingerprint, basis fingerprint); the next
-// factorization of the same pattern pair replays the recording against the
-// new values instead of re-running pivot selection.  The replay re-verifies
-// every value-dependent decision it replays (threshold pivot-row election,
-// update predicates, drop-tolerance calls) and falls back to a full
-// factorization on the first mismatch, so a passing replay is bit-identical
-// to what a fresh factorization would compute — reuse changes cost, never
-// bytes.  Solution.NumericRefactors counts refactorizations attempted
-// through the cache and Solution.SymbolicReuses the successful replays.
-//
-// Pattern identity (fingerprint.go).  Problem.PatternFingerprint hashes the
-// structural identity of a problem: variable and constraint counts, each
-// constraint's coefficient positions, and — because they decide the
-// slack/artificial column layout and signs in standard form — the bounds
-// structure: every constraint's effective sense and right-hand-side sign.
-// Two problems with identical coefficient positions but different fixed/free
-// row structure therefore never alias one cached symbolic analysis.
-//
-// Arenas and warm state (batch.go).  A Batch owns one Solver — tableau
-// scratch, eta/LU storage, candidate lists, all sized by the first solve and
-// reused allocation-free — plus per-pattern slots holding a warm basis and a
-// dual-certificate arena.  Batch.Solve warm-starts a member only when the
-// caller opted in (Options.WarmStart) or the problem is the same unmutated
-// Problem the member last solved; otherwise the solve is cold and
-// bit-identical to the same solve on a fresh Solver, which is what keeps
-// recorded benchmark tables independent of batching.  BatchSolve sweeps a
-// whole problem list, surviving failed members without corrupting the
-// arenas of the rest.  In steady state a batched solve performs exactly two
+// A sweep solves many LPs of similar size.  Batch (batch.go) owns one Solver
+// — tableau scratch, eta/LU storage, candidate lists, all sized by the first
+// solve and reused allocation-free — plus one arena for the solutions' dual
+// certificates, so in steady state a batched solve performs exactly two
 // allocations (the Solution and its X vector), a property
-// scripts/allocguard.sh pins.  Batching composes with the cascade: a
-// downgraded solve poisons the member's warm basis and the solver's whole
-// symbolic cache, since skeletons recorded under suspect numerics must not
-// vouch for later solves.
+// scripts/allocguard.sh pins.  A batched solve is cold and bit-identical to
+// the same solve on a fresh Solver, whatever the batch solved before; that
+// keeps recorded benchmark tables and served bytes independent of batching.
+// A solution's certificate lives in the arena until the next solve through
+// the batch, so it must be verified before then.
 //
 // # Verified solves and the engine cascade
 //

@@ -254,10 +254,9 @@ func TestWarmStartRejectsArtificialBasis(t *testing.T) {
 	}
 }
 
-// e7SweepInstances builds the warm-start sweep: E7-sized instances whose LPs
-// are each solved twice per point, the pattern the E8 row loop and the
-// service shards amortise with warm starts (a lower-bound solve followed by
-// the planning solve of the same instance).
+// e7SweepInstances builds the E7-sized instances the sweep tests and
+// benchmarks solve twice each: once cold, then again (cold through a batch,
+// or warm-started from an explicit basis).
 func e7SweepInstances(tb testing.TB) []*lpmodel.Model {
 	tb.Helper()
 	var models []*lpmodel.Model
@@ -336,9 +335,9 @@ func BenchmarkRevisedSolveDantzigEtaE7Size(b *testing.B) {
 }
 
 // BenchmarkRevisedSolveWarmSweepE7Size measures the warm-started E7-size
-// sweep: per instance, a capture solve plus a warm-started re-solve (the E8
-// row-loop pattern).  Compare with twice BenchmarkRevisedSolveE7Size for the
-// cold cost of the same pivot work.
+// sweep: per instance, a capture solve plus a re-solve warm-started from the
+// captured basis through SolveFrom.  Compare with twice
+// BenchmarkRevisedSolveE7Size for the cold cost of the same pivot work.
 func BenchmarkRevisedSolveWarmSweepE7Size(b *testing.B) {
 	models := e7SweepInstances(b)
 	solver := lp.NewSolver()

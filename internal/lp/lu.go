@@ -78,12 +78,6 @@ type luFactor struct {
 	bPrev []int32
 	bCnt  []int32
 	bCur  int32 // lowest bucket that may be nonempty
-
-	// rec, when non-nil, receives the elimination's symbolic skeleton as
-	// factorize runs (see lusym.go): pivot choices, target columns, update
-	// predicates and fill verdicts, in execution order.  Recording never
-	// changes the factorization itself.
-	rec *luSymbolic
 }
 
 // luPivotRel is the threshold-partial-pivoting relative tolerance: a pivot
@@ -250,10 +244,6 @@ func (lu *luFactor) factorize(r *revisedSolver, slots []int) error {
 	m := r.rows
 	lu.grow(m, &r.allocs)
 	lu.rows = m
-	rec := lu.rec
-	if rec != nil {
-		rec.reset(m)
-	}
 
 	for i := 0; i < m; i++ {
 		lu.colIdx[i] = lu.colIdx[i][:0]
@@ -366,10 +356,6 @@ func (lu *luFactor) factorize(r *revisedSolver, slots []int) error {
 		lu.uDiagInv = append(lu.uDiagInv, 1/pv)
 		lu.lStart = append(lu.lStart, int32(len(lu.lIdx)))
 		lu.uStart = append(lu.uStart, int32(len(lu.uIdx)))
-		if rec != nil {
-			rec.pivRow = append(rec.pivRow, pr)
-			rec.pivCol = append(rec.pivCol, int32(pc))
-		}
 
 		// Eliminate the pivot row from every other active column that has an
 		// entry in it.  The entry itself stays frozen in the column (it is a
@@ -393,12 +379,7 @@ func (lu *luFactor) factorize(r *revisedSolver, slots []int) error {
 				continue
 			}
 			lu.colCount[c2]-- // the pivot-row entry freezes
-			hadUpd := u != 0 && len(mRows) > 0
-			if rec != nil {
-				rec.tCol = append(rec.tCol, c2i)
-				rec.tHadUpd = append(rec.tHadUpd, hadUpd)
-			}
-			if hadUpd {
+			if u != 0 && len(mRows) > 0 {
 				lu.pGen++
 				for s, row := range idx2 {
 					if lu.mMark[row] == lu.mGen && lu.rowOrder[row] < 0 {
@@ -411,11 +392,7 @@ func (lu *luFactor) factorize(r *revisedSolver, slots []int) error {
 						continue
 					}
 					f := -lu.mVal[row] * u
-					keep := !(f < luDrop && f > -luDrop)
-					if rec != nil {
-						rec.fillKeep = append(rec.fillKeep, keep)
-					}
-					if !keep {
+					if f < luDrop && f > -luDrop {
 						continue
 					}
 					lu.pushCol(c2, row, f, &r.allocs)
@@ -429,9 +406,6 @@ func (lu *luFactor) factorize(r *revisedSolver, slots []int) error {
 				}
 			}
 			lu.bucketRelink(c2i) // count changed: move to its new bucket
-		}
-		if rec != nil {
-			rec.tStart = append(rec.tStart, int32(len(rec.tCol)))
 		}
 
 		lu.rowOrder[pr] = int32(k)

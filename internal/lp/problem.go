@@ -78,11 +78,6 @@ type Problem struct {
 	cscMu      sync.Mutex
 	cscCache   *cscMatrix
 	cscVersion int
-
-	// PatternFingerprint cache, guarded by cscMu alongside the CSC cache.
-	fp        uint64
-	fpVersion int
-	fpValid   bool
 }
 
 // NewProblem creates a problem with the given number of non-negative

@@ -70,6 +70,7 @@ type revisedSolver struct {
 	pricing       Pricing
 	basisMode     BasisMethod
 	dualMode      bool      // Options.Dual: widen warm starts to prefix bases
+	capture       bool      // Options.CaptureBasis
 	dualRC        []float64 // maintained phase-2 reduced costs of the dual phase
 	dualRow       []float64 // pivot row of B^-1 A, cached for the rc update
 	refactorEvery int
@@ -79,44 +80,25 @@ type revisedSolver struct {
 	phase     int
 	alphaNorm float64 // |alpha|^2, accumulated by ratioTest for enterWeight
 
-	iterations       int
-	phase1Iters      int
-	dualIters        int
-	fullPasses       int
-	refactors        int
-	etaColumns       int
-	luFills          int
-	seResets         int
-	allocs           int
-	symbolicReuses   int
-	numericRefactors int
-	warmStarted      bool
+	iterations  int
+	phase1Iters int
+	dualIters   int
+	fullPasses  int
+	refactors   int
+	etaColumns  int
+	luFills     int
+	seResets    int
+	allocs      int
+	warmStarted bool
 
 	// identityStart disables the BasisLU crash start, so in-package tests
 	// can compare it against the slack/artificial identity start.
 	identityStart bool
 
-	// Symbolic-factorization reuse (lusym.go): probFP is the current
-	// problem's structural fingerprint and symCache the per-solver store of
-	// recorded elimination skeletons, keyed by (probFP, basis columns).
-	probFP   uint64
-	symCache symCache
-
-	// capture and keepWarm are set from Options; lastWarm is the internal
-	// snapshot Options.WarmStart replays on the next same-shaped solve.
-	capture  bool
-	keepWarm bool
-	haveWarm bool
-	lastWarm WarmBasis
-
-	// Batch hooks (batch.go): when warmDst is non-nil an optimal solve
-	// snapshots its basis there (warmSnapped reports that it did), and when
-	// dualsReuse is non-nil the solution's dual copy reuses that backing
-	// array instead of allocating.  Both are cleared by the batch after each
-	// solve; plain Solver solves never see them set.
-	warmDst     *WarmBasis
-	warmSnapped bool
-	dualsReuse  []float64
+	// dualsReuse, when non-nil, is the backing array the solution's dual
+	// copy reuses instead of allocating (the Batch arena, batch.go).  The
+	// batch clears it after each solve; plain Solver solves never see it set.
+	dualsReuse []float64
 
 	// fault is the injected numerical failure of the current solve (nil in
 	// production; see fault.go).  Solver.solve arms and clears it.
@@ -134,7 +116,6 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	r.basisMode = opts.Basis
 	r.dualMode = opts.Dual
 	r.capture = opts.CaptureBasis
-	r.keepWarm = opts.WarmStart
 	r.iterations = 0
 	r.phase1Iters = 0
 	r.dualIters = 0
@@ -144,11 +125,8 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	r.luFills = 0
 	r.seResets = 0
 	r.allocs = 0
-	r.symbolicReuses = 0
-	r.numericRefactors = 0
 	r.warmStarted = false
 	r.phase = 0 // not stale from the last solve: faults gate on the phase
-	r.probFP = p.PatternFingerprint()
 	r.load(p)
 
 	r.refactorEvery = opts.RefactorEvery
@@ -770,32 +748,8 @@ func (r *revisedSolver) refactorize() error {
 	if r.basisMode == BasisLU {
 		cols := r.colBuf[:r.rows]
 		copy(cols, r.basis)
-		// Symbolic split (lusym.go): a recorded skeleton for this exact
-		// (problem pattern, basis) structure turns the Markowitz elimination
-		// into a verified numeric-only replay; a miss — or a replay whose
-		// value-dependent decisions no longer match — runs the full
-		// factorization and records the skeleton it traces.
-		basisFP := basisFingerprint(cols)
-		e := r.symCache.lookup(r.probFP, basisFP, r.rows)
-		if e != nil {
-			r.numericRefactors++
-			if r.lu.replay(r, cols, &e.rec) {
-				r.symbolicReuses++
-			} else {
-				e.valid = false
-			}
-		}
-		if e == nil || !e.valid {
-			if e == nil {
-				e = r.symCache.slot(r.probFP, basisFP)
-			}
-			r.lu.rec = &e.rec
-			err := r.lu.factorize(r, cols)
-			r.lu.rec = nil
-			if err != nil {
-				return err
-			}
-			e.valid = true
+		if err := r.lu.factorize(r, cols); err != nil {
+			return err
 		}
 		if f := r.fault; f != nil && f.CorruptFactor && r.phase == 2 {
 			f.apply(r.lu.uDiagInv)
@@ -933,8 +887,6 @@ func (r *revisedSolver) solution(status Status, p *Problem) *Solution {
 		Refactorizations: r.refactors,
 		EtaColumns:       r.etaColumns,
 		LUFills:          r.luFills,
-		SymbolicReuses:   r.symbolicReuses,
-		NumericRefactors: r.numericRefactors,
 		PricingRule:      r.pricing,
 		WarmStarted:      r.warmStarted,
 	}
@@ -953,9 +905,9 @@ func (r *revisedSolver) solution(status Status, p *Problem) *Solution {
 		// output of.
 		r.computeDuals()
 		if r.dualsReuse != nil {
-			// Batch path: the member's arena absorbs the copy, so the
+			// Batch path: the batch's arena absorbs the copy, so the
 			// steady-state solve performs no duals allocation.  This recycles
-			// the member's previous Solution's certificate; Verify tolerates
+			// the previous batched Solution's certificate; Verify tolerates
 			// it (a stale duals slice can only fail, never falsely pass).
 			sol.duals = append(r.dualsReuse[:0], r.y...)
 		} else {
@@ -963,14 +915,6 @@ func (r *revisedSolver) solution(status Status, p *Problem) *Solution {
 		}
 		if r.capture {
 			sol.Basis = r.captureBasis()
-		}
-		if r.keepWarm {
-			r.snapshotInto(&r.lastWarm)
-			r.haveWarm = true
-		}
-		if r.warmDst != nil {
-			r.snapshotInto(r.warmDst)
-			r.warmSnapped = true
 		}
 	}
 	return sol

@@ -140,10 +140,10 @@ type Options struct {
 	// Basis selects the basis-inverse representation of the revised method;
 	// the zero value is BasisLU.  Ignored by MethodFlat.
 	Basis BasisMethod
-	// WarmStart lets the revised method start from the optimal basis of the
-	// Solver's previous solve whenever that basis transfers to this problem
-	// (same shape, nonsingular, primal feasible), falling back to the
-	// ordinary phase-1 cold start otherwise.  Ignored by MethodFlat.
+	// WarmStart is ignored: every solve without an explicit basis starts
+	// cold, so its answer depends only on the problem.  The field stays
+	// because the serving benchmark sets it; a warm start is asked for by
+	// passing a basis to Solver.SolveFrom or SolveDualFrom.
 	WarmStart bool
 	// CaptureBasis asks an optimal revised solve to snapshot its final basis
 	// into Solution.Basis, for replay through Solver.SolveFrom.
@@ -154,8 +154,8 @@ type Options struct {
 	// moved — is transplanted anyway when the old rows form a prefix of the
 	// new ones, and a dual simplex phase re-optimizes from it before the
 	// ordinary primal clean-up runs.  Any basis the dual phase cannot certify
-	// falls back to the cold primal start, so (like WarmStart) Dual is always
-	// safe to request.  Ignored by MethodFlat.
+	// falls back to the cold primal start, so Dual is always safe to
+	// request.  Ignored by MethodFlat.
 	Dual bool
 	// Cascade opts the revised method into the self-healing solve ladder:
 	// every Optimal result is checked against the independent certificate
@@ -204,19 +204,10 @@ type Solution struct {
 	// LUFills is the total fill-in (entries beyond the basis columns' own
 	// nonzeros) created by the BasisLU factorizations of this solve.
 	LUFills int
-	// NumericRefactors counts the BasisLU refactorizations of this solve that
-	// found a recorded symbolic skeleton for their (problem pattern, basis)
-	// structure and attempted a numeric-only replay (see lusym.go).
-	NumericRefactors int
-	// SymbolicReuses counts the attempted replays whose value-dependent
-	// decisions all verified, so the Markowitz analysis was skipped entirely.
-	// NumericRefactors - SymbolicReuses replays fell back to a full
-	// factorization.
-	SymbolicReuses int
 	// PricingRule is the entering-column rule the solve priced with.
 	PricingRule Pricing
 	// WarmStarted reports that the solve skipped phase one by starting from
-	// a transferred prior basis (see Options.WarmStart, Solver.SolveFrom).
+	// a transferred prior basis (see Solver.SolveFrom).
 	WarmStarted bool
 	// DualIterations is the number of dual simplex pivots performed
 	// (Options.Dual only; included in Iterations).
@@ -291,8 +282,8 @@ func NewSolver() *Solver { return &Solver{} }
 // reusing the solver's buffers.  A revised solve that hits a numerically
 // singular refactorization (which a correct basis never produces exactly,
 // only catastrophic round-off does) transparently falls back to the flat
-// path.  With Options.WarmStart the revised method first tries the optimal
-// basis of this Solver's previous solve (see WarmBasis).
+// path.  Every Solve starts cold: the answer never depends on what the
+// Solver solved before.
 func (s *Solver) Solve(p *Problem, opts Options) (*Solution, error) {
 	return s.SolveFrom(p, opts, nil)
 }
@@ -300,14 +291,10 @@ func (s *Solver) Solve(p *Problem, opts Options) (*Solution, error) {
 // SolveFrom is Solve warm-started from an explicit basis snapshot (see
 // WarmBasis): when the snapshot transfers to this problem the solve skips
 // phase one entirely, and when it does not the ordinary cold start runs.
-// Only MethodRevised uses the snapshot.  A nil basis is an ordinary Solve —
-// except that with Options.WarmStart set, the Solver's own last optimal
-// basis stands in for it.
+// Only MethodRevised uses the snapshot.  A nil basis is an ordinary Solve.
 func (s *Solver) SolveFrom(p *Problem, opts Options, from *WarmBasis) (*Solution, error) {
 	if opts.Method != MethodRevised {
 		from = nil
-	} else if from == nil && opts.WarmStart && s.rev.haveWarm {
-		from = &s.rev.lastWarm
 	}
 	return s.solve(p, opts, from)
 }

@@ -28,12 +28,6 @@ type Counters struct {
 	// WarmStarts is the number of solves that skipped phase one by starting
 	// from a transferred prior basis.
 	WarmStarts uint64
-	// NumericRefactors is the number of refactorizations that found a
-	// recorded symbolic skeleton and attempted a numeric-only replay.
-	NumericRefactors uint64
-	// SymbolicReuses is the number of replays that verified, skipping the
-	// Markowitz analysis (see lusym.go).
-	SymbolicReuses uint64
 	// VerifiedSolves is the number of cascade solves whose result passed the
 	// independent certificate check (Verify).
 	VerifiedSolves uint64
@@ -55,9 +49,8 @@ type Counters struct {
 // sums are order-independent, so a sink's totals are reproducible under the
 // concurrent driver.  The zero value is an empty sink.
 type Stats struct {
-	solves, iters, phase1, passes, refactors, etas, luFills atomic.Uint64
-	warmStarts, symReuses, numRefactors                     atomic.Uint64
-	verified, verifyFails, cascadeFalls, dualPivots         atomic.Uint64
+	solves, iters, phase1, passes, refactors, etas, luFills     atomic.Uint64
+	warmStarts, verified, verifyFails, cascadeFalls, dualPivots atomic.Uint64
 }
 
 // Add folds c into the sink.  Solves record through it, and a caller that
@@ -74,8 +67,6 @@ func (s *Stats) Add(c Counters) {
 	s.etas.Add(c.EtaColumns)
 	s.luFills.Add(c.LUFills)
 	s.warmStarts.Add(c.WarmStarts)
-	s.numRefactors.Add(c.NumericRefactors)
-	s.symReuses.Add(c.SymbolicReuses)
 	s.verified.Add(c.VerifiedSolves)
 	s.verifyFails.Add(c.VerifyFailures)
 	s.cascadeFalls.Add(c.CascadeFallbacks)
@@ -93,8 +84,6 @@ func (s *Stats) Snapshot() Counters {
 		EtaColumns:       s.etas.Load(),
 		LUFills:          s.luFills.Load(),
 		WarmStarts:       s.warmStarts.Load(),
-		NumericRefactors: s.numRefactors.Load(),
-		SymbolicReuses:   s.symReuses.Load(),
 		VerifiedSolves:   s.verified.Load(),
 		VerifyFailures:   s.verifyFails.Load(),
 		CascadeFallbacks: s.cascadeFalls.Load(),
@@ -113,8 +102,6 @@ func recordSolve(st *Stats, sol *Solution) {
 		Refactorizations: uint64(sol.Refactorizations),
 		EtaColumns:       uint64(sol.EtaColumns),
 		LUFills:          uint64(sol.LUFills),
-		SymbolicReuses:   uint64(sol.SymbolicReuses),
-		NumericRefactors: uint64(sol.NumericRefactors),
 		DualPivots:       uint64(sol.DualIterations),
 	}
 	if sol.WarmStarted {

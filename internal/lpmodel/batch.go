@@ -1,20 +1,19 @@
 package lpmodel
 
 import (
-	"fmt"
-
 	"pfcache/internal/core"
 	"pfcache/internal/lp"
 )
 
 // ModelBatch amortises model building and LP solving across the rows of a
 // sweep.  It keeps a small LRU set of Models keyed by instance fingerprint —
-// a repeated instance (the warm re-solve the experiment rows and the service
-// shards run) is a zero-rebuild hit that hands back the already-built Model,
-// and a new instance is built with BuildInto into the least-recently-used
-// slot, reusing its interval tables, variable maps and Problem arena — and it
-// owns the lp.Batch whose solver-level arenas and symbolic-factorization
-// cache the solves share.
+// a repeated instance (a service shard re-solving an instance its response
+// cache evicted) is a zero-rebuild hit that hands back the already-built
+// Model, and a new instance is built with BuildInto into the
+// least-recently-used slot, reusing its interval tables, variable maps and
+// Problem arena — and it owns the lp.Batch whose solver buffers and duals
+// arena the solves share.  Neither changes what is computed: every solve
+// through the batch starts cold.
 //
 // A ModelBatch is single-goroutine, like the lp.Batch it wraps; the service
 // gives each shard worker its own, and the experiments package pools them
@@ -92,38 +91,14 @@ func (b *ModelBatch) Model(in *core.Instance) (*Model, error) {
 	return victim.model, nil
 }
 
-// SolveBatch solves the model's LP relaxation through the batch's lp.Batch.
-// It is SolveWith's batched twin: the same Fractional assembly, but the
-// solve routes through lp.Batch.Solve, so same-pattern solves share the
-// symbolic factorization, the solver arenas and the per-pattern warm basis
-// (a re-solve of the same built model warm-starts automatically; see the
-// lp.Batch contract).  The model's own seeded warm basis is not consulted —
-// the batch members supersede it.
+// SolveBatch solves the model's LP relaxation cold through the batch's
+// lp.Batch.  It is SolveWith's batched twin: the same Fractional assembly
+// and the same bits, with the solver buffers and the duals arena shared
+// across the batch's solves.  It keeps no basis for SolveIncremental.
 func (m *Model) SolveBatch(b *lp.Batch, opts lp.Options) (*Fractional, error) {
 	sol, err := b.Solve(m.Problem, opts)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("lpmodel: LP relaxation ended with status %v", sol.Status)
-	}
-	frac := &Fractional{
-		X:          make([]float64, len(m.Intervals)),
-		Objective:  sol.Objective,
-		Iterations: sol.Iterations,
-		Integral:   true,
-		Downgrades: sol.Downgrades,
-	}
-	const tol = 1e-6
-	for idx := range m.Intervals {
-		v := sol.X[m.xVar[idx]]
-		if v < tol {
-			v = 0
-		}
-		frac.X[idx] = v
-		if v > tol && v < 1-tol {
-			frac.Integral = false
-		}
-	}
-	return frac, nil
+	return m.fractional(sol)
 }

@@ -3,16 +3,19 @@ package lpmodel
 import (
 	"testing"
 
+	"pfcache/internal/core"
 	"pfcache/internal/lp"
 	"pfcache/internal/workload"
 )
 
-// TestPlanBatchMatchesPlan pins the contract the E7 sweep rows rely on:
-// planning through one reused ModelBatch, whose model slots are recycled and
-// whose solves share solver arenas and symbolic factorizations, gives
+// TestPlanBatchMatchesPlan pins the contract the E7 sweep rows and the
+// service shards rely on: planning through one reused ModelBatch, whose
+// model slots are recycled and whose solves share solver arenas, gives
 // exactly what a plain Plan gives.  Stall, lower bound, schedule and pivots
 // must agree on E7-shaped instances, on the served engine and on the suite's
-// Dantzig/eta pair.
+// Dantzig/eta pair.  Every instance after the first is planned as A, B, A —
+// A, the previous instance, then A again from its cached model — and the
+// repeat must match Plan too: a re-solve starts cold, like the first.
 func TestPlanBatchMatchesPlan(t *testing.T) {
 	engines := []struct {
 		name string
@@ -24,6 +27,7 @@ func TestPlanBatchMatchesPlan(t *testing.T) {
 	sizes := []struct{ n, blocks, k, f int }{{11, 6, 3, 2}, {22, 10, 4, 4}}
 	for _, eng := range engines {
 		mb := NewModelBatch()
+		var prev *core.Instance
 		for _, disks := range []int{1, 2, 3} {
 			for _, size := range sizes {
 				for seed := int64(900); seed < 908; seed++ {
@@ -33,16 +37,27 @@ func TestPlanBatchMatchesPlan(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s D=%d n=%d seed %d: Plan: %v", eng.name, disks, size.n, seed, err)
 					}
-					got, err := PlanBatch(mb, in, eng.opts)
-					if err != nil {
-						t.Fatalf("%s D=%d n=%d seed %d: PlanBatch: %v", eng.name, disks, size.n, seed, err)
+					check := func(what string) {
+						t.Helper()
+						got, err := PlanBatch(mb, in, eng.opts)
+						if err != nil {
+							t.Fatalf("%s D=%d n=%d seed %d: %s: %v", eng.name, disks, size.n, seed, what, err)
+						}
+						if got.Stall != want.Stall || got.LowerBound != want.LowerBound ||
+							got.LPIterations != want.LPIterations || got.Schedule.String() != want.Schedule.String() {
+							t.Errorf("%s D=%d n=%d seed %d: %s stall %d, bound %g, %d pivots; Plan %d, %g, %d; schedules equal: %v",
+								eng.name, disks, size.n, seed, what, got.Stall, got.LowerBound, got.LPIterations,
+								want.Stall, want.LowerBound, want.LPIterations, got.Schedule.String() == want.Schedule.String())
+						}
 					}
-					if got.Stall != want.Stall || got.LowerBound != want.LowerBound ||
-						got.LPIterations != want.LPIterations || got.Schedule.String() != want.Schedule.String() {
-						t.Errorf("%s D=%d n=%d seed %d: PlanBatch stall %d, bound %g, %d pivots; Plan %d, %g, %d; schedules equal: %v",
-							eng.name, disks, size.n, seed, got.Stall, got.LowerBound, got.LPIterations,
-							want.Stall, want.LowerBound, want.LPIterations, got.Schedule.String() == want.Schedule.String())
+					check("PlanBatch")
+					if prev != nil {
+						if _, err := PlanBatch(mb, prev, eng.opts); err != nil {
+							t.Fatalf("%s D=%d n=%d seed %d: PlanBatch of the previous instance: %v", eng.name, disks, size.n, seed, err)
+						}
+						check("repeated PlanBatch")
 					}
+					prev = in
 				}
 			}
 		}

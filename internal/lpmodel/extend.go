@@ -50,11 +50,12 @@ func (m *Model) Extend(reqs ...core.BlockID) error {
 // re-optimises from the previous optimal basis (new rows enter with their
 // crash slacks, old rows keep their basic columns), falling back to a cold
 // primal solve whenever the basis does not transfer or the re-optimisation
-// fails to certify.  The result is exactly a SolveWith of the current
-// program — only the path to it is shorter.
+// fails to certify.  The result is an optimum of the current program, like
+// SolveWith's, reached by a shorter path; on a degenerate program it may be
+// another optimal vertex than a cold solve's.
 func (m *Model) SolveIncremental(s *lp.Solver, opts lp.Options) (*Fractional, error) {
 	opts.Dual = true
-	return m.SolveWith(s, opts)
+	return m.solveFrom(s, opts, m.warm)
 }
 
 // blockPos returns the position of block b in m.Blocks, or -1 when b is not

@@ -88,11 +88,9 @@ type Model struct {
 	boundaryRow []int
 	extStart    [][]int32
 
-	// warm is the basis seeding the next solve: captured automatically from
-	// this model's last optimal solve, or transplanted from a same-shaped
-	// model via WarmStart.  The solver falls back to a cold start whenever
-	// the basis does not transfer, so a stale or foreign basis is never
-	// unsafe — see lp.WarmBasis.
+	// warm is the optimal basis of this model's last SolveWith or
+	// SolveIncremental, the start of the next SolveIncremental.  No other
+	// solve reads it.
 	warm *lp.WarmBasis
 }
 
@@ -132,9 +130,8 @@ func Build(in *core.Instance) (*Model, error) {
 // model cycled through BuildInto across the rows of a sweep performs no
 // steady-state allocations beyond the per-instance block index.
 //
-// BuildInto leaves m exactly as Build would: in particular any previously
-// seeded warm basis is dropped (the batch path keeps warm bases per pattern
-// in lp.Batch instead, where they survive model reuse safely).
+// BuildInto leaves m exactly as Build would: in particular the basis of the
+// previous program's last solve is dropped.
 func BuildInto(m *Model, in *core.Instance) error {
 	if err := in.Validate(); err != nil {
 		return err
@@ -502,30 +499,24 @@ func (m *Model) Solve(opts lp.Options) (*Fractional, error) {
 	return m.SolveWith(nil, opts)
 }
 
-// WarmStart seeds this model's next solve with a basis captured from a
-// same-shaped model's optimal solve (Model.Basis).  The solve falls back to
-// a cold start when the basis does not transfer.
-func (m *Model) WarmStart(b *lp.WarmBasis) { m.warm = b }
-
-// Basis returns the optimal basis captured by this model's last successful
-// solve (nil before the first), for warm-starting the next same-shaped
-// model's solve — the pattern the experiment row-loops and the service
-// shards use to amortise phase-1 work across a sweep.
-func (m *Model) Basis() *lp.WarmBasis { return m.warm }
-
-// SolveWith solves the LP relaxation with the given reusable Solver (nil
-// falls back to the package solver pool), so sweeps that solve many models
-// of similar size can reuse one set of tableau buffers.  The solve warm
-// starts from the model's seeded basis when one is set, and captures the
-// optimal basis for the next solve either way.
+// SolveWith solves the LP relaxation cold with the given reusable Solver
+// (nil falls back to the package solver pool), so sweeps that solve many
+// models of similar size can reuse one set of tableau buffers.  It keeps
+// the optimal basis for a later SolveIncremental.
 func (m *Model) SolveWith(s *lp.Solver, opts lp.Options) (*Fractional, error) {
+	return m.solveFrom(s, opts, nil)
+}
+
+// solveFrom solves the LP relaxation from the given basis (nil: cold) and
+// keeps the optimal basis in m.warm.
+func (m *Model) solveFrom(s *lp.Solver, opts lp.Options, from *lp.WarmBasis) (*Fractional, error) {
 	opts.CaptureBasis = true
 	var sol *lp.Solution
 	var err error
 	if s != nil {
-		sol, err = s.SolveFrom(m.Problem, opts, m.warm)
+		sol, err = s.SolveFrom(m.Problem, opts, from)
 	} else {
-		sol, err = lp.SolveFrom(m.Problem, opts, m.warm)
+		sol, err = lp.SolveFrom(m.Problem, opts, from)
 	}
 	if err != nil {
 		return nil, err
@@ -533,6 +524,12 @@ func (m *Model) SolveWith(s *lp.Solver, opts lp.Options) (*Fractional, error) {
 	if sol.Basis != nil {
 		m.warm = sol.Basis
 	}
+	return m.fractional(sol)
+}
+
+// fractional assembles the Fractional of a solve of m's program, failing
+// when the solve did not end optimal.
+func (m *Model) fractional(sol *lp.Solution) (*Fractional, error) {
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("lpmodel: LP relaxation ended with status %v", sol.Status)
 	}

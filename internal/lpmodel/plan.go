@@ -15,21 +15,10 @@ import (
 // calls reuse tableau buffers; callers holding their own lp.Solver can use
 // Build plus Model.SolveWith plus Extract directly.
 func Plan(in *core.Instance, opts lp.Options) (*PlanResult, error) {
-	return PlanFrom(in, opts, nil)
-}
-
-// PlanFrom is Plan with the LP solve warm-started from a basis captured off
-// a same-shaped model's optimal solve (Model.Basis): when the basis
-// transfers, the solve skips phase one entirely — and when the donor model
-// solved the identical instance, it terminates without a single pivot at the
-// donor's vertex, so the extracted schedule is the one Plan would have
-// produced.  A nil basis is an ordinary Plan.
-func PlanFrom(in *core.Instance, opts lp.Options, warm *lp.WarmBasis) (*PlanResult, error) {
 	m, err := Build(in)
 	if err != nil {
 		return nil, err
 	}
-	m.WarmStart(warm)
 	frac, err := m.Solve(opts)
 	if err != nil {
 		return nil, err
@@ -39,10 +28,10 @@ func PlanFrom(in *core.Instance, opts lp.Options, warm *lp.WarmBasis) (*PlanResu
 
 // PlanBatch is Plan routed through a ModelBatch: the model build reuses the
 // batch's slot storage (a repeated instance skips the rebuild entirely) and
-// the LP solve runs through the batch's lp.Batch, sharing solver arenas, the
-// symbolic factorization cache and the per-pattern warm bases across the
-// rows of a sweep.  A cold solve through the batch is bit-identical to Plan
-// (see the lp.Batch contract), so the extracted schedule is too.
+// the LP solve runs through the batch's lp.Batch, sharing its solver buffers
+// across the rows of a sweep.  Every solve through the batch is cold and
+// bit-identical to Plan's (see the lp.Batch contract), so the extracted
+// schedule is too, however often an instance repeats.
 func PlanBatch(b *ModelBatch, in *core.Instance, opts lp.Options) (*PlanResult, error) {
 	m, err := b.Model(in)
 	if err != nil {

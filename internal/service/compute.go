@@ -18,8 +18,8 @@ import (
 // and the tests: responses are byte-identical no matter which of them asks.
 // mb may be nil (the model is built fresh and a pooled solver is drawn for
 // LP work); shards pass their owned lpmodel.ModelBatch, so repeated LP
-// requests on one shard reuse the built model, the tableau arenas, the
-// pattern's symbolic factorization and its warm basis.
+// requests on one shard reuse the built model and the solver buffers.  The
+// LP solve starts cold either way, which is what makes the bytes the same.
 //
 // lpOpts configures the lp-optimal strategy's solves and optOpts the opt
 // strategy's exact search; their Stats fields name the sinks the work is
@@ -65,8 +65,8 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 		// numerical failure re-solves down the engine ladder instead of being
 		// cached, replicated and frozen into benchmark tables.  A clean
 		// solve's response is byte-identical with or without the cascade —
-		// and with or without the batch (the lp.Batch cold-solve contract),
-		// which only changes what is reused, never what is computed.
+		// and with or without the batch (the lp.Batch contract), which only
+		// changes what is reused, never what is computed.
 		lpOpts.Cascade = true
 		if mb != nil {
 			m, err = mb.Model(in)

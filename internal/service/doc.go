@@ -34,15 +34,13 @@
 // Internally, schedule requests are sharded by the instance's canonical
 // fingerprint (core.Instance.Fingerprint) onto a fixed set of worker shards.
 // Each shard processes its requests serially on one goroutine and owns a
-// reusable lpmodel.ModelBatch: the built LP models of its recent instances,
-// one lp.Solver whose arenas are sized once and reused allocation-free, the
-// recorded symbolic factorizations of its basis patterns and a warm basis
-// per problem pattern.  Requests for the same instance always hash to the
-// same shard, so within a shard every level of work is shared — a repeated
-// instance (a cache miss after eviction) skips the model rebuild and pivots,
-// a same-shaped instance reuses the symbolic analysis and warm-starts — and
-// across shards nothing is shared, so no tableau is ever touched by two
-// concurrent solves.  A shard's batch lives until a solve on it is tainted
+// reusable lpmodel.ModelBatch: the built LP models of its recent instances
+// and one lp.Solver whose arenas are sized once and reused allocation-free.
+// Requests for the same instance always hash to the same shard, so a
+// repeated instance (a cache miss after eviction) skips the model rebuild;
+// its solve still starts cold, so it is served the bytes of its first
+// answer.  Across shards nothing is shared, so no tableau is ever touched
+// by two concurrent solves.  A shard's batch lives until a solve on it is tainted
 // (see below); only then is it discarded wholesale.  In front of the shards
 // sit a bounded LRU cache keyed by the canonical instance encoding plus the
 // strategy (so repeated requests are answered from memory, byte-identically)
@@ -76,14 +74,14 @@
 //     down the engine ladder, byte-identically to a clean solve.  A shard
 //     whose solve was downgraded — or whose solver panicked — discards its
 //     whole batch for a fresh one (counted in /v1/stats as solver_resets):
-//     the models, warm bases and recorded symbolic factorizations that were
-//     live during the failure are all suspect, so latent corruption never
-//     carries into later requests.  A cascade exhausted on every rung
+//     the models and solver buffers that were live during the failure are
+//     suspect, so latent corruption never carries into later requests.  A cascade exhausted on every rung
 //     surfaces as a typed 500 carrying the lp.CascadeExhaustedError text,
 //     which the front tier treats as retryable; failures are never cached.
-//     The lp block of /v1/stats exposes verified_solves, verify_failures,
-//     cascade_fallbacks, symbolic_reuses and numeric_refactors for
-//     dashboards to alarm on.
+//     The lp block of /v1/stats exposes verified_solves, verify_failures
+//     and cascade_fallbacks for dashboards to alarm on.  Its
+//     symbolic_reuses, numeric_refactors and ft_updates fields are always
+//     0, kept for the wire format.
 //   - Request bodies are bounded (413 beyond 16 MiB), and /healthz
 //     (liveness: always 200 while the process runs) is split from /readyz
 //     (readiness: 503 after BeginDrain), which lets a supervisor drain a

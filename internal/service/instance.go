@@ -50,10 +50,15 @@ func generate(spec *WorkloadSpec) (seq core.Sequence, err error) {
 // maxDisks sit far above every instance the strategies are meant for; the
 // lp-optimal model alone holds k + D - 1 initial cache locations, and at
 // k = 2^23 it no longer fits in memory even for a six-request sequence.
+// maxFetch caps F for the costs' sake: a schedule's stall is at most a few
+// fetch times per request, so with n ≤ maxRequests = 2^23 and
+// F ≤ maxFetch = 2^20, n·F ≤ 2^43 and the reported stall and elapsed time
+// (n + stall) stay far inside int64.
 const (
 	maxRequests = maxRequestBody / 2
 	maxCache    = 1 << 12
 	maxDisks    = 1 << 6
+	maxFetch    = 1 << 20
 )
 
 // checkSizes rejects a request whose sizes exceed the caps above.  Each size
@@ -77,6 +82,7 @@ func (r *ScheduleRequest) checkSizes() error {
 		{"phases × per_phase", w.Phases, w.PerPhase, maxRequests},
 		{"k", r.K, 1, maxCache},
 		{"disks", r.Disks, 1, maxDisks},
+		{"f", r.F, 1, maxFetch},
 	} {
 		if c.a > 0 && c.b > c.limit/c.a {
 			return fmt.Errorf("service: %s exceeds the limit %d", c.name, c.limit)
@@ -107,8 +113,8 @@ func (r *ScheduleRequest) BuildInstance() (*core.Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The text carries its own k and disks.
-		if err := (&ScheduleRequest{K: in.K, Disks: in.Disks}).checkSizes(); err != nil {
+		// The text carries its own k, F and disks.
+		if err := (&ScheduleRequest{K: in.K, F: in.F, Disks: in.Disks}).checkSizes(); err != nil {
 			return nil, err
 		}
 		return in, nil

@@ -291,21 +291,18 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		var resp *ScheduleResponse
 		err := s.pool.run(fctx, fnvSum(canonical), func(tctx context.Context, sh *shard) (bool, error) {
-			// Each shard's batch keeps per-pattern warm bases; WarmStart
-			// lets the next same-shaped lp-optimal instance on this shard
-			// skip phase one (and a repeated instance — a cache miss after
-			// eviction — skip the model rebuild and the solve's pivots
-			// entirely).
+			// The shard's batch lends its built models and solver buffers;
+			// the solve itself starts cold, so a repeated instance (a cache
+			// miss after eviction) is served the bytes of its first answer.
 			var cerr error
 			resp, cerr = ComputeSchedule(tctx, in, req.Strategy, req.IncludeSchedule, sh.batch,
 				lp.Options{Method: s.opts.Solver, Pricing: s.opts.Pricing,
-					Basis: s.opts.Basis, WarmStart: true, Stats: &sh.lp},
+					Basis: s.opts.Basis, Stats: &sh.lp},
 				opt.Options{Stats: &sh.opt})
 			if cerr != nil {
 				// A numerical failure taints the batch even though the request
-				// failed: whatever state drove the cascade to exhaustion must
-				// not seed the next request's warm start or replay its
-				// recorded factorizations.
+				// failed: the models and buffers that drove the cascade to
+				// exhaustion must not serve the next request.
 				return numericFailure(cerr), cerr
 			}
 			// A solve the cascade had to downgrade succeeded, but the batch

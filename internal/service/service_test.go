@@ -22,8 +22,8 @@ import (
 // (explicit sequence, generated workload, text format), single and parallel
 // disks, greedy, LP and exact strategies.  Sizes are small so the suite stays
 // fast under -race.
-func testRequests(t *testing.T) []service.ScheduleRequest {
-	t.Helper()
+func testRequests(tb testing.TB) []service.ScheduleRequest {
+	tb.Helper()
 	inst := workload.Marshal(workload.Instance(workload.Zipf(24, 8, 1.2, 7), 4, 3, 2, workload.AssignStripe, 7))
 	return []service.ScheduleRequest{
 		{Strategy: "aggressive", Seq: []int{0, 1, 2, 3, 0, 1, 4, 2, 0, 3}, K: 3, F: 4},
@@ -177,6 +177,51 @@ func TestServerScheduleMatchesDirectRun(t *testing.T) {
 	if resp.Stall != res.Stall || resp.Elapsed != res.Elapsed || resp.FetchCount != res.FetchCount {
 		t.Errorf("served costs (stall=%d elapsed=%d fetches=%d) != direct run (stall=%d elapsed=%d fetches=%d)",
 			resp.Stall, resp.Elapsed, resp.FetchCount, res.Stall, res.Elapsed, res.FetchCount)
+	}
+}
+
+// TestScheduleResolveServesFirstBytes pins ComputeSchedule's promise on the
+// path a cache eviction takes: with one shard and a one-entry cache,
+// requests A, B, A make the shard solve A a second time, on the model its
+// batch still holds.  The repeat must be served A's first bytes, which are
+// the sequential reference's.  The LP is degenerate, so a re-solve that
+// started from the first solve's basis would report 0 pivots and round
+// another bound.
+func TestScheduleResolveServesFirstBytes(t *testing.T) {
+	srv := service.NewServer(service.Options{Shards: 1, CacheEntries: 1})
+	defer srv.Close()
+	serve := func(req *service.ScheduleRequest) []byte {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", req.Workload.Seed, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	zipf := func(seed int64) *service.ScheduleRequest {
+		return &service.ScheduleRequest{Strategy: "lp-optimal", K: 4, F: 3, Disks: 2,
+			Workload: &service.WorkloadSpec{Kind: "zipf", N: 22, Blocks: 8, S: 1.2, Seed: seed}}
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		a, b := zipf(seed), zipf(seed+1000)
+		want, err := service.ScheduleBody(a, lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := serve(a)
+		serve(b)
+		again := serve(a)
+		if !bytes.Equal(first, want) {
+			t.Errorf("seed %d: first A body differs from the reference:\n got %s\nwant %s", seed, first, want)
+		}
+		if !bytes.Equal(again, first) {
+			t.Errorf("seed %d: repeated A body differs from the first:\n got %s\nwant %s", seed, again, first)
+		}
 	}
 }
 

@@ -44,11 +44,10 @@ type shardTask struct {
 }
 
 // shard is one worker of the service: a goroutine draining a bounded task
-// queue, owning a reusable lpmodel.ModelBatch — built models, solver arenas,
-// symbolic factorizations and per-pattern warm bases — as the scratch state
-// of its computations.  Requests for the same instance always hash to the
-// same shard, so a hot instance lands on the shard whose batch has already
-// built its model and analysed its basis pattern, instead of re-allocating
+// queue, owning a reusable lpmodel.ModelBatch — built models and solver
+// buffers — as the scratch state of its computations.  Requests for the same
+// instance always hash to the same shard, so a hot instance lands on the
+// shard whose batch has already built its model, instead of re-allocating
 // tableaus across the process.  The shard's schedule and session work is
 // counted in its own sinks, which /v1/stats sums across shards.
 type shard struct {
@@ -108,10 +107,10 @@ const defaultQueueDepth = 64
 // the computation into an error for the caller so a poisoned instance kills
 // one request, not the shard.  A task that taints its batch — a numerical
 // failure, even one the cascade recovered from, or a panic that may have
-// left batch state half-written — gets the whole batch discarded: models,
-// warm bases and recorded symbolic factorizations alike, since any of them
-// may carry the damage.  The next request on this shard starts from fresh
-// buffers, at the cost of re-allocating and re-analysing once.
+// left batch state half-written — gets the whole batch discarded: built
+// models and solver buffers alike, since either may carry the damage.  The
+// next request on this shard starts from fresh buffers, at the cost of
+// re-allocating and rebuilding once.
 func (p *shardPool) runTask(s *shard, t *shardTask) {
 	defer close(t.done)
 	defer func() {
@@ -133,8 +132,9 @@ func (p *shardPool) runTask(s *shard, t *shardTask) {
 	}
 }
 
-// discardBatch replaces the shard's batch with a fresh one.  Only the
-// shard's own goroutine calls it, so no locking is needed.
+// discardBatch replaces the shard's batch with a fresh one, the shard's
+// recovery from a numeric failure or a panic.  Only the shard's own
+// goroutine calls it, so no locking is needed.
 func (p *shardPool) discardBatch(s *shard) {
 	s.batch = lpmodel.NewModelBatch()
 	p.resets.Add(1)

@@ -226,6 +226,9 @@ type LPCountersWire struct {
 	VerifiedSolves   uint64 `json:"verified_solves"`
 	VerifyFailures   uint64 `json:"verify_failures"`
 	CascadeFallbacks uint64 `json:"cascade_fallbacks"`
+	// SymbolicReuses and NumericRefactors are always 0: the solver no
+	// longer replays recorded symbolic factorizations.  The fields stay
+	// until the trajectory format drops them.
 	SymbolicReuses   uint64 `json:"symbolic_reuses"`
 	NumericRefactors uint64 `json:"numeric_refactors"`
 	DualPivots       uint64 `json:"dual_pivots"`
@@ -248,8 +251,6 @@ func lpCountersWire(c lp.Counters) LPCountersWire {
 		VerifiedSolves:   c.VerifiedSolves,
 		VerifyFailures:   c.VerifyFailures,
 		CascadeFallbacks: c.CascadeFallbacks,
-		SymbolicReuses:   c.SymbolicReuses,
-		NumericRefactors: c.NumericRefactors,
 		DualPivots:       c.DualPivots,
 	}
 }

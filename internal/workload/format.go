@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,9 +36,15 @@ func Marshal(in *core.Instance) string {
 	fmt.Fprintf(&b, "f %d\n", in.F)
 	fmt.Fprintf(&b, "disks %d\n", in.Disks)
 	if in.Disks > 1 {
+		// Every assigned block gets its line, referenced or not: Parse needs
+		// a disk map for a multi-disk instance even when no block is
+		// referenced, and then only the unreferenced lines can supply it.
 		blocks := in.Blocks()
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
+		for blk := range in.DiskOf {
+			blocks = append(blocks, blk)
+		}
+		slices.Sort(blocks)
+		for _, blk := range slices.Compact(blocks) {
 			fmt.Fprintf(&b, "disk %d %d\n", int(blk), in.Disk(blk))
 		}
 	}

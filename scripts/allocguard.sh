@@ -16,10 +16,11 @@
 #    to guarantee verification never adds per-solve allocations beyond that
 #    copy.
 #  * The batched LP paths must hold their amortization promises:
-#    BenchmarkBatchSolveE7Size (internal/lp) runs the twelve-solve E7 warm
-#    sweep through one lp.Batch, where steady state is two allocations per
-#    solve (the Solution and its X vector — everything else lives in batch
-#    arenas), so the op-level bound is 24; BenchmarkModelBatchBuild (root)
+#    BenchmarkBatchSolveE7Size (internal/lp) runs twelve cold E7-size solves
+#    (six models, each solved twice) through one lp.Batch, where steady
+#    state is two allocations per solve (the Solution and its X vector — the
+#    solver buffers and the duals copy live in the batch), so the op-level
+#    bound is 24; BenchmarkModelBatchBuild (root)
 #    rebuilds two E7-sized models per op through lpmodel.BuildInto, whose
 #    remaining allocations are the per-instance block index plus map/closure
 #    small change, bounded at 64 per op.
