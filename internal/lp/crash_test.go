@@ -302,3 +302,395 @@ func TestCrashStartOnlyOnLU(t *testing.T) {
 			a.Iterations, a.Phase1Iterations, a.Objective, b.Iterations, b.Phase1Iterations, b.Objective)
 	}
 }
+
+// Triangular crash tests.  After the unit-singleton pass, the BasisLU cold
+// start gives each = row with b_i = 0 that still holds its artificial the
+// lowest-index nonbasic column with a ±1 entry in the row and none in a row
+// claimed before it (cscMatrix.triCol, revisedSolver.crashTriangular).
+
+// triangularProblem builds a random LP for the triangular pass: rows over a
+// block of flow columns with mostly ±1 coefficients, as zero-RHS = rows
+// (some holding a unit singleton, so the unit pass takes them), zero-RHS >=
+// and <= rows, and = rows whose normalised right-hand side is positive (some
+// flipped from a negative one, some with a unit singleton); plus a cap on
+// the flow columns, so every feasible problem is bounded.
+func triangularProblem(rng *rand.Rand) *Problem {
+	type row struct {
+		coeffs []Coef
+		sense  Sense
+		rhs    float64
+		single bool // gets a unit singleton
+	}
+	palette := []float64{1, -1, 1, -1, 1, -1, 2, -0.5}
+	nFlow := 3 + rng.Intn(8)
+	var rows []row
+	for r, nRows := 0, 2+rng.Intn(8); r < nRows; r++ {
+		var coeffs []Coef
+		for j := 0; j < nFlow; j++ {
+			if rng.Float64() < 0.35 {
+				coeffs = append(coeffs, Coef{Var: j, Value: palette[rng.Intn(len(palette))]})
+			}
+		}
+		if len(coeffs) == 0 {
+			coeffs = append(coeffs, Coef{Var: rng.Intn(nFlow), Value: 1})
+		}
+		rw := row{coeffs: coeffs, sense: EQ}
+		switch rng.Intn(8) {
+		case 0:
+			rw.sense = GE
+		case 1:
+			rw.sense = LE
+		case 2:
+			rw.rhs, rw.single = float64(1+rng.Intn(3)), rng.Intn(2) == 0
+		case 3:
+			rw.rhs = -float64(1 + rng.Intn(3))
+		case 4:
+			rw.single = true
+		}
+		rows = append(rows, rw)
+	}
+	vars := nFlow
+	for _, rw := range rows {
+		if rw.single {
+			vars++
+		}
+	}
+	p := NewProblem(vars)
+	for j := 0; j < nFlow; j++ {
+		p.SetObjective(j, rng.Float64()*4-2)
+	}
+	next := nFlow
+	for _, rw := range rows {
+		if rw.single {
+			p.SetObjective(next, rng.Float64()*2)
+			rw.coeffs = append(rw.coeffs, Coef{Var: next, Value: 1})
+			next++
+		}
+		p.AddConstraint(rw.coeffs, rw.sense, rw.rhs)
+	}
+	capRow := make([]Coef, nFlow)
+	for j := range capRow {
+		capRow[j] = Coef{Var: j, Value: 1}
+	}
+	p.AddConstraint(capRow, LE, 10)
+	return p
+}
+
+// triangularOracle recomputes the triangular crash table from the problem's
+// rows, spelling the rule out without the CSC form.
+func triangularOracle(p *Problem) []int {
+	rows := p.NumConstraints()
+	basic := map[int]bool{}
+	colRows := map[int][]int{}
+	for i := 0; i < rows; i++ {
+		if j := p.CrashColumn(i); j >= 0 {
+			basic[j] = true
+		}
+		for _, c := range p.Constraint(i).Coeffs {
+			colRows[c.Var] = append(colRows[c.Var], i)
+		}
+	}
+	out := make([]int, rows)
+	claimed := make([]bool, rows)
+	for i := range out {
+		out[i] = -1
+		c := p.Constraint(i)
+		if c.Sense != EQ || c.RHS != 0 || p.CrashColumn(i) >= 0 {
+			continue
+		}
+		for _, co := range c.Coeffs {
+			if (co.Value != 1 && co.Value != -1) || basic[co.Var] || (out[i] >= 0 && co.Var > out[i]) {
+				continue
+			}
+			free := true
+			for _, r := range colRows[co.Var] {
+				free = free && !claimed[r]
+			}
+			if free {
+				out[i] = co.Var
+			}
+		}
+		if out[i] >= 0 {
+			claimed[i] = true
+			basic[out[i]] = true
+		}
+	}
+	return out
+}
+
+// TestTriangularCrashTable pins the triangular crash table to the oracle on
+// random problems: only = rows with b = 0 and no unit crash column are
+// claimed, each by the lowest-index column that is nonbasic, has a ±1 entry
+// in the row and has no entry in a row claimed before it.  The lattice must
+// exercise every exclusion.
+func TestTriangularCrashTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	var claimed, blocked, otherRows int
+	for trial := 0; trial < 400; trial++ {
+		p := triangularProblem(rng)
+		want := triangularOracle(p)
+		rows := 0
+		for i, w := range want {
+			if got := p.TriangularCrashColumn(i); got != w {
+				t.Fatalf("trial %d row %d (%v, rhs %g): triangular column %d, want %d",
+					trial, i, p.Constraint(i).Sense, p.Constraint(i).RHS, got, w)
+			}
+			if w >= 0 {
+				rows++
+			}
+			c := p.Constraint(i)
+			if c.Sense != EQ || c.RHS != 0 {
+				for _, co := range c.Coeffs {
+					if co.Value == 1 || co.Value == -1 {
+						otherRows++ // a ±1 entry in a row the pass must not claim
+						break
+					}
+				}
+			}
+		}
+		if m := p.csc(); m.triRows != rows {
+			t.Fatalf("trial %d: triRows %d, want %d", trial, m.triRows, rows)
+		}
+		claimed += rows
+		// A claimed row whose lowest nonbasic ±1 column has an entry in an
+		// earlier claimed row is decided by the triangularity condition.
+		basic := map[int]bool{}
+		for i := range want {
+			if j := p.CrashColumn(i); j >= 0 {
+				basic[j] = true
+			}
+		}
+		for i, w := range want {
+			if w < 0 {
+				continue
+			}
+			for _, co := range p.Constraint(i).Coeffs {
+				if (co.Value == 1 || co.Value == -1) && !basic[co.Var] && co.Var < w {
+					blocked++
+					break
+				}
+			}
+			basic[w] = true
+		}
+	}
+	if claimed == 0 || blocked == 0 || otherRows == 0 {
+		t.Fatalf("%d claimed rows, %d decided by triangularity, %d unclaimable rows with ±1 entries: the lattice misses a case",
+			claimed, blocked, otherRows)
+	}
+	t.Logf("%d claimed rows, %d decided by triangularity, %d unclaimable rows with ±1 entries", claimed, blocked, otherRows)
+}
+
+// TestTriangularCrashKeepsBasicValues installs the triangular pass over the
+// unit crash and requires every claimed column to be basic at exactly 0,
+// every other basic column to keep its value, the replaced artificials to
+// leave the basis, and the factorization to succeed with B·xB = b.
+func TestTriangularCrashKeepsBasicValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	tested := 0
+	for trial := 0; trial < 300; trial++ {
+		p := triangularProblem(rng)
+		m := p.csc()
+		if m.triRows == 0 {
+			continue
+		}
+		tested++
+		var r revisedSolver
+		r.basisMode = BasisLU
+		r.load(p)
+		before := map[int]float64{}
+		for i, c := range r.basis {
+			before[c] = r.xB[i]
+		}
+		tri := map[int]bool{}
+		for i, j := range m.triCol {
+			if j >= 0 {
+				tri[int(j)] = true
+				if !r.inBasis[r.artLo+int(r.rowArt[i])] {
+					t.Fatalf("trial %d: row %d's artificial is not basic after the unit crash", trial, i)
+				}
+			}
+		}
+		if err := r.crashTriangular(); err != nil {
+			t.Fatalf("trial %d: factorizing the crashed basis: %v", trial, err)
+		}
+		if r.refactors != 1 {
+			t.Fatalf("trial %d: %d factorizations, want 1", trial, r.refactors)
+		}
+		for i, c := range r.basis {
+			if tri[c] {
+				if r.xB[i] != 0 {
+					t.Fatalf("trial %d: triangular column %d basic at %g, want exactly 0", trial, c, r.xB[i])
+				}
+				delete(tri, c)
+				continue
+			}
+			v, ok := before[c]
+			if !ok {
+				t.Fatalf("trial %d: column %d turned basic, not a triangular crash column", trial, c)
+			}
+			if r.xB[i] != v {
+				t.Fatalf("trial %d: basic column %d moved from %g to %g", trial, c, v, r.xB[i])
+			}
+		}
+		if len(tri) != 0 {
+			t.Fatalf("trial %d: triangular columns %v are not basic", trial, tri)
+		}
+		if res := r.residual(); res > 1e-12 {
+			t.Fatalf("trial %d: B·xB - b = %g after the crash", trial, res)
+		}
+	}
+	if tested == 0 {
+		t.Fatal("no problem with a triangular crash row")
+	}
+}
+
+// TestTriangularCrashMatchesIdentityStart solves the triangular lattice on
+// every BasisLU engine from the full crash start, the unit pass alone and
+// the identity start, and requires equal statuses and objectives and a
+// certified optimum from the full crash.
+func TestTriangularCrashMatchesIdentityStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	full, unit, ident := NewSolver(), NewSolver(), NewSolver()
+	unit.rev.unitCrashOnly = true
+	ident.rev.identityStart = true
+	optimal, differed := 0, 0
+	for trial := 0; trial < 150; trial++ {
+		p := triangularProblem(rng)
+		for _, e := range crashEngines {
+			fs, err := full.Solve(p, e.opts)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, e.name, err)
+			}
+			for _, other := range []*Solver{unit, ident} {
+				os, err := other.Solve(p, e.opts)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, e.name, err)
+				}
+				if fs.Status != os.Status {
+					t.Fatalf("trial %d %s: status %v with the triangular crash, %v without", trial, e.name, fs.Status, os.Status)
+				}
+				if fs.Status == StatusOptimal && math.Abs(fs.Objective-os.Objective) > 1e-6*(1+math.Abs(os.Objective)) {
+					t.Fatalf("trial %d %s: objective %.12g with the triangular crash, %.12g without", trial, e.name, fs.Objective, os.Objective)
+				}
+				if other == unit && fs.Phase1Iterations != os.Phase1Iterations {
+					differed++
+				}
+			}
+			if fs.Status != StatusOptimal {
+				continue
+			}
+			optimal++
+			if err := Verify(p, fs); err != nil {
+				t.Fatalf("trial %d %s: certificate: %v", trial, e.name, err)
+			}
+		}
+	}
+	if optimal == 0 || differed == 0 {
+		t.Fatalf("%d optimal solves, %d whose phase one the triangular crash changed: the lattice does not exercise it", optimal, differed)
+	}
+	t.Logf("%d optimal solves, %d whose phase one the triangular crash changed", optimal, differed)
+}
+
+// TestDualTransplantKeepsUnitColumns extends solved problems by zero-RHS =
+// rows that the triangular pass would claim and requires the dual
+// transplant to leave them on load's columns: the [[B,0],[C,S]]
+// dual-feasibility argument needs S to be unit vectors.
+func TestDualTransplantKeepsUnitColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	checked := 0
+	for trial := 0; trial < 120; trial++ {
+		p := triangularProblem(rng)
+		base, err := NewSolver().Solve(p, Options{CaptureBasis: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Status != StatusOptimal {
+			continue
+		}
+		oldVars := p.NumVars()
+		var fresh []int
+		for v := 0; v < 2+rng.Intn(3); v++ {
+			fresh = append(fresh, p.AddVariable(rng.Float64()))
+		}
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			coeffs := []Coef{{Var: fresh[rng.Intn(len(fresh))], Value: 1}, {Var: rng.Intn(oldVars), Value: -1}}
+			if rng.Intn(2) == 0 {
+				coeffs[0].Value = -1
+			}
+			p.AddConstraint(coeffs, EQ, 0)
+		}
+		var r revisedSolver
+		r.basisMode = BasisLU
+		r.load(p)
+		if !r.installBasisDual(base.Basis) {
+			t.Fatalf("trial %d: the extension did not transplant", trial)
+		}
+		donor := map[int]bool{}
+		for _, c := range base.Basis.cols {
+			donor[c] = true
+		}
+		for i := base.Basis.rows; i < r.rows; i++ {
+			j := int(r.m.triCol[i])
+			if j < 0 {
+				continue
+			}
+			checked++
+			if r.inBasis[j] && !donor[j] {
+				t.Fatalf("trial %d: appended row %d's triangular column %d is basic after the transplant", trial, i, j)
+			}
+			if !r.inBasis[r.artLo+int(r.rowArt[i])] {
+				t.Fatalf("trial %d: appended row %d's artificial is not basic after the transplant", trial, i)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no appended row had a triangular crash column")
+	}
+	t.Logf("%d appended rows with a triangular crash column", checked)
+}
+
+// TestIdentityStartsSkipTriangularCrash is the guard that BasisEta and the
+// identityStart seam keep the identity start on problems the triangular
+// pass claims rows of, down to the eta solve's pivot counts.
+func TestIdentityStartsSkipTriangularCrash(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := triangularProblem(rng)
+	for p.csc().triRows == 0 {
+		p = triangularProblem(rng)
+	}
+	for _, seam := range []struct {
+		name  string
+		basis BasisMethod
+		ident bool
+	}{{"eta", BasisEta, false}, {"lu-identity", BasisLU, true}} {
+		var r revisedSolver
+		r.basisMode, r.identityStart = seam.basis, seam.ident
+		r.load(p)
+		if err := r.crashTriangular(); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range r.basis {
+			if c < r.numVars {
+				t.Fatalf("%s: row %d starts on structural column %d", seam.name, i, c)
+			}
+		}
+		if r.refactors != 0 {
+			t.Fatalf("%s: the identity start factorized %d times", seam.name, r.refactors)
+		}
+	}
+	crash, ident := NewSolver(), NewSolver()
+	ident.rev.identityStart = true
+	opts := Options{Pricing: PricingDantzig, Basis: BasisEta}
+	a, err := crash.Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ident.Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Iterations != b.Iterations || a.Phase1Iterations != b.Phase1Iterations || a.Refactorizations != b.Refactorizations {
+		t.Fatalf("BasisEta solve differs with the crash seam: %d/%d pivots, %d refactorizations vs %d/%d, %d",
+			a.Iterations, a.Phase1Iterations, a.Refactorizations, b.Iterations, b.Phase1Iterations, b.Refactorizations)
+	}
+}

@@ -42,7 +42,11 @@
 // a candidate list, duals recomputed per pivot — as the reference
 // implementation and the rule the experiment suite pins for reproducing the
 // committed BENCH_*.json schedule values.  Both rules fall back to Bland's
-// rule after a run of degenerate pivots, which guarantees termination.
+// rule after a run of degenerate pivots, which guarantees termination:
+// after degenerateSwitch (50) on Dantzig and on the flat path, after
+// degenerateSwitchSE (1,000) on steepest edge, where the paper's LPs run
+// long degenerate stretches that are not cycles.  Solution.BlandIterations
+// and the BlandPivots counter report how many pivots Bland priced.
 //
 // Basis (Options.Basis, lu.go/eta.go).  The default BasisLU factorizes the
 // basis as a sparse LU: right-looking Gaussian elimination with
@@ -78,10 +82,36 @@
 //
 // The paper's model is full of such rows: each interval's per-disk fetch
 // balance holds that disk's scratch column (the idle fetch of Lemma 3), with
-// cost 0 and coefficient +1.  At serving size most of a cold solve is phase
-// one spent pricing out exactly those rows' artificials; with the crash,
-// BenchmarkRevisedSolveServeSize (n=40, D=3) takes 460 pivots, 333 of them
-// in phase one, instead of 1,261 and 992.
+// cost 0 and coefficient +1.  At serving size most of a cold solve was phase
+// one spent pricing out exactly those rows' artificials.
+//
+// A cold start then runs a second, triangular pass (after Bixby's crash
+// basis), for the zero-RHS balance rows the unit pass leaves on their
+// artificial (Σf − Σe = 0, Σe = 0).  In row order, each = row with b_i = 0
+// that still holds its artificial takes the lowest-index nonbasic
+// structural column with a ±1 entry in the row and no entry in a row this
+// pass claimed before it (Problem.TriangularCrashColumn; the table is built
+// with the CSC form, so a solve allocates nothing for it).  The claimed
+// columns form a lower triangular block with a ±1 diagonal beside the
+// singleton basics, so the basis is nonsingular, and because every claimed
+// row's b_i is 0 each claimed column is basic at exactly 0: the basic values
+// are those of the unit crash, feasible and unchanged.  The basis is no
+// longer the identity, so one factorization replaces the empty LU.  On
+// lp-cold's 126 instances the unit pass leaves about 206 zero-valued
+// artificials per solve (and 9 positive ones); the triangular pass claims
+// about 172 of them, which phase one would otherwise swap out one
+// degenerate pivot at a time.  With the crash,
+// BenchmarkRevisedSolveServeSize (n=40, D=3) takes 359 pivots, 150 of them
+// in phase one, instead of 1,261 and 992 from the identity start, and 460
+// and 333 with the unit pass alone under the former 50-pivot Bland window
+// on steepest edge.  Its time moves less than its pivots: the pivots the
+// crash removes are phase one's cheapest, on a near-identity basis, while
+// the crashed phase one ends on another vertex from which phase two takes
+// 209 pivots instead of 127, each reading a denser BTRAN'd row.
+//
+// The triangular pass runs on the cold path only.  A dual transplant keeps
+// load's columns in the appended rows (see Dual re-optimization), and
+// SolveFrom replaces the whole basis.
 //
 // BasisEta keeps the identity start.  It is the engine the experiment suite
 // pins (with PricingDantzig) and the cascade's Dantzig+eta reference rung.
@@ -117,12 +147,17 @@
 // unit vectors).  When the crash columns cost nothing, as the paper model's
 // scratch columns do, B' keeps every old column's reduced cost — the
 // transplant is dual feasible by construction — while the appended rows may
-// violate primal feasibility.  Solver.SolveDualFrom transplants the
-// snapshot (installBasisDual accepts donor artificials and skips the
-// primal-feasibility gate installBasis enforces), runs dual
-// simplex pivots that drive out the worst primal violation per pivot while
-// keeping reduced costs non-negative, and finishes with an ordinary primal
-// phase that prices in the appended columns — the only ones that can carry
+// violate primal feasibility.  The argument needs S to be unit vectors,
+// which is why the transplant never installs the triangular crash: a
+// triangular column may have entries in the old rows, which breaks the
+// block form, and may have a cost, which moves the old columns' reduced
+// costs.  Solver.SolveDualFrom transplants the snapshot (installBasisDual
+// accepts donor artificials and skips the primal-feasibility gate
+// installBasis enforces), runs dual simplex pivots that drive out the worst
+// primal violation per pivot while keeping reduced costs non-negative
+// (ratio ties go to the largest pivot element, as in the primal
+// ratioTestSE), and finishes with an ordinary primal phase that prices in
+// the appended columns — the only ones that can carry
 // negative reduced costs.  A stalled dual phase (dualStallWindow pivots
 // without violation progress), an exhausted budget or any non-optimal exit
 // abandons the transplant for the cold two-phase primal start, so Dual is

@@ -113,9 +113,14 @@ func (r *revisedSolver) installBasisDual(from *WarmBasis) bool {
 // basic value below zero, or a basic artificial above zero (the residue of
 // an appended equality row).  The entering column minimises the dual ratio
 // |rc_j| / |row_j| over the nonbasic non-artificial columns whose reduced
-// cost is non-negative; columns that are already dual infeasible (fresh
-// extension columns priced below zero) are left for the primal clean-up
-// phase that follows.
+// cost is non-negative, breaking ties (ratios within tolerance) towards the
+// largest pivot element |row_j|, as the primal ratioTestSE does.  The paper's
+// LPs are full of such ties, among zero-cost columns; on
+// TestDualResolveE7Extension's extension the steepest-edge/LU re-solve
+// takes 26 pivots this way and 57 when ties go to the smallest index,
+// Bland-style (its cold solve takes 103).  Columns that are already dual
+// infeasible (fresh extension columns priced below zero) are left for the
+// primal clean-up phase that follows.
 //
 // Reduced costs are maintained across pivots instead of re-priced: the dual
 // step moves y by t·rho, so rc_j shifts by -t·row_j using the pivot row the
@@ -184,7 +189,7 @@ func (r *revisedSolver) optimizeDual(maxIter int) (Status, error) {
 		r.btranB(r.rho)
 		r.fullPasses++
 		enter := -1
-		bestRatio := math.Inf(1)
+		bestRatio, bestA := math.Inf(1), 0.0
 		for j := 0; j < r.artLo; j++ {
 			if r.inBasis[j] {
 				r.dualRow[j] = 0
@@ -205,8 +210,8 @@ func (r *revisedSolver) optimizeDual(maxIter int) (Status, error) {
 			}
 			ratio := rc / a
 			if ratio < bestRatio-r.tol ||
-				(math.Abs(ratio-bestRatio) <= r.tol && (enter < 0 || j < enter)) {
-				bestRatio, enter = ratio, j
+				(math.Abs(ratio-bestRatio) <= r.tol && a > bestA) {
+				bestRatio, enter, bestA = ratio, j, a
 			}
 		}
 		if enter < 0 {

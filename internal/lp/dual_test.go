@@ -162,6 +162,40 @@ func TestDualResolveE7Extension(t *testing.T) {
 	}
 }
 
+// TestDualTiesBreakOnLargestPivot pins the dual ratio test's tie rule on
+// every engine: among entering columns with equal dual ratios the largest
+// pivot element enters.  The appended row x1 + 2·x2 = 1 leaves its
+// artificial basic at 1, and x1 (cost 1) and x2 (cost 2) both price at
+// ratio 1, so the rule enters x2 = 0.5 where the smallest index would enter
+// x1 = 1: two optimal vertices of equal objective.
+func TestDualTiesBreakOnLargestPivot(t *testing.T) {
+	for gi, grid := range dualEngineGrid {
+		p := lp.NewProblem(3)
+		p.SetObjective(1, 1)
+		p.SetObjective(2, 2)
+		p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 1}, {Var: 2, Value: 1}}, lp.LE, 10)
+		opts := grid
+		opts.CaptureBasis = true
+		s := lp.NewSolver()
+		base, err := s.Solve(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddConstraint([]lp.Coef{{Var: 1, Value: 1}, {Var: 2, Value: 2}}, lp.EQ, 1)
+		warm, err := s.SolveDualFrom(p, grid, base.Basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != lp.StatusOptimal || !warm.WarmStarted || warm.DualIterations != 1 {
+			t.Fatalf("grid %d: status %v, warm %v, %d dual pivots; want one warm dual pivot",
+				gi, warm.Status, warm.WarmStarted, warm.DualIterations)
+		}
+		if warm.X[1] != 0 || warm.X[2] != 0.5 {
+			t.Fatalf("grid %d: x = %v, want x2 = 0.5 entered on the larger pivot", gi, warm.X)
+		}
+	}
+}
+
 // TestDualHostileBasis feeds the dual path forged prefix-shaped snapshots —
 // duplicate columns, out-of-range columns, donor artificials — and requires
 // a safe fallback to the cold result every time.

@@ -30,3 +30,8 @@ func TamperDual(sol *Solution, i int, v float64) {
 
 // HasDuals reports whether the solve recorded its simplex multipliers.
 func HasDuals(sol *Solution) bool { return sol.duals != nil }
+
+// UnitCrashOnly makes s's cold starts skip the triangular crash pass, so
+// external tests can compare the full crash start against the
+// unit-singleton pass alone.
+func UnitCrashOnly(s *Solver) { s.rev.unitCrashOnly = true }

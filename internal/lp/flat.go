@@ -37,6 +37,7 @@ type flatSolver struct {
 
 	iterations  int
 	phase1Iters int
+	blandIters  int
 	fullPasses  int
 	allocs      int
 }
@@ -48,6 +49,7 @@ func (f *flatSolver) solve(p *Problem, opts Options, tol float64) (*Solution, er
 	f.tol = tol
 	f.iterations = 0
 	f.phase1Iters = 0
+	f.blandIters = 0
 	f.fullPasses = 0
 	f.allocs = 0
 	f.load(p)
@@ -283,7 +285,8 @@ func (f *flatSolver) optimize(maxIter int) Status {
 			return StatusIterLimit
 		}
 		var enter int
-		if degenerate >= degenerateSwitch {
+		bland := degenerate >= degenerateSwitch
+		if bland {
 			enter = f.priceBland()
 		} else {
 			enter = f.priceDantzig()
@@ -297,6 +300,9 @@ func (f *flatSolver) optimize(maxIter int) Status {
 		}
 		f.pivot(leave, enter)
 		f.iterations++
+		if bland {
+			f.blandIters++
+		}
 		obj := f.objectiveValue()
 		if obj >= lastObj-f.tol {
 			degenerate++
@@ -402,6 +408,7 @@ func (f *flatSolver) solution(status Status, p *Problem) *Solution {
 		Status:           status,
 		Iterations:       f.iterations,
 		Phase1Iterations: f.phase1Iters,
+		BlandIterations:  f.blandIters,
 		PricingPasses:    f.fullPasses,
 		TableauAllocs:    f.allocs,
 	}

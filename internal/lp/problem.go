@@ -250,6 +250,13 @@ func (p *Problem) csc() *cscMatrix {
 // lowest-index variable whose only coefficient is exactly +1 in that row.
 func (p *Problem) CrashColumn(i int) int { return int(p.csc().crashCol[i]) }
 
+// TriangularCrashColumn returns the structural variable the same cold start
+// installs in constraint row i by its second, triangular pass, or -1.  Only
+// equality rows with a zero right-hand side and no crash column have one: in
+// row order, each takes the lowest-index variable that is not basic yet, has
+// a coefficient of exactly ±1 in the row and none in a row claimed before it.
+func (p *Problem) TriangularCrashColumn(i int) int { return int(p.csc().triCol[i]) }
+
 // Constraint returns the i-th constraint.
 func (p *Problem) Constraint(i int) Constraint {
 	return p.cons[i]

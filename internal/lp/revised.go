@@ -82,6 +82,7 @@ type revisedSolver struct {
 
 	iterations  int
 	phase1Iters int
+	blandIters  int
 	dualIters   int
 	fullPasses  int
 	refactors   int
@@ -91,9 +92,10 @@ type revisedSolver struct {
 	allocs      int
 	warmStarted bool
 
-	// identityStart disables the BasisLU crash start, so in-package tests
-	// can compare it against the slack/artificial identity start.
-	identityStart bool
+	// identityStart disables both BasisLU crash passes and unitCrashOnly
+	// the triangular one, so tests can compare the crash start against the
+	// slack/artificial identity start and against the unit pass alone.
+	identityStart, unitCrashOnly bool
 
 	// dualsReuse, when non-nil, is the backing array the solution's dual
 	// copy reuses instead of allocating (the Batch arena, batch.go).  The
@@ -118,6 +120,7 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	r.capture = opts.CaptureBasis
 	r.iterations = 0
 	r.phase1Iters = 0
+	r.blandIters = 0
 	r.dualIters = 0
 	r.fullPasses = 0
 	r.refactors = 0
@@ -188,6 +191,12 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 		}
 	}
 
+	// Cold start.  The triangular crash runs here, not in load, because
+	// installBasisDual keeps load's unit columns in the appended rows.
+	if err := r.crashTriangular(); err != nil {
+		return nil, err
+	}
+
 	// Phase one: minimise the sum of artificial variables.
 	if r.numArt > 0 {
 		r.setPhase(1)
@@ -224,7 +233,8 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 // slacks for <= rows, artificials for = and >= rows and, on the BasisLU
 // path, a unit column singleton in place of the artificial wherever the row
 // has one (cscMatrix.crashCol).  Either way the basis is the identity, so
-// the factored inverse starts empty and exact.
+// the factored inverse starts empty and exact.  A cold start then adds the
+// triangular crash (crashTriangular); warm starts replace this basis.
 func (r *revisedSolver) load(p *Problem) {
 	r.m = p.csc()
 	rows := r.m.rows
@@ -322,6 +332,24 @@ func (r *revisedSolver) load(p *Problem) {
 			r.setBasic(i, int(j))
 		}
 	}
+}
+
+// crashTriangular is the BasisLU cold start's second crash pass: every row
+// with a triangular crash column (cscMatrix.triCol) trades its artificial
+// for that column.  The claimed columns are basic at exactly 0, so the basic
+// values load installed stay feasible and unchanged, and one factorization
+// of the basis, no longer the identity, replaces the empty LU.
+func (r *revisedSolver) crashTriangular() error {
+	if r.basisMode != BasisLU || r.identityStart || r.unitCrashOnly || r.m.triRows == 0 {
+		return nil
+	}
+	for i, j := range r.m.triCol {
+		if j >= 0 {
+			r.inBasis[r.basis[i]] = false
+			r.setBasic(i, int(j))
+		}
+	}
+	return r.refactorize()
 }
 
 func (r *revisedSolver) setBasic(row, col int) {
@@ -485,13 +513,16 @@ func (r *revisedSolver) priceBland() int {
 // optimize runs revised simplex pivots for the current phase until
 // optimality, unboundedness or the iteration limit, pricing with the
 // configured rule (steepest-edge or Dantzig over the shared candidate list,
-// Bland after a run of degenerate pivots).
+// Bland after a run of degenerate pivots: degenerateSwitchSE of them on the
+// steepest-edge engine, degenerateSwitch on Dantzig).
 func (r *revisedSolver) optimize(maxIter int) (Status, error) {
 	degenerate := 0
 	lastObj := r.objectiveValue()
 	r.cand = r.cand[:0]
 	steepest := r.pricing == PricingSteepestEdge
+	window := degenerateSwitch
 	if steepest {
+		window = degenerateSwitchSE
 		r.resetReference()
 		r.seResets-- // the per-phase reset is bookkeeping, not drift
 		r.refreshRC()
@@ -500,7 +531,7 @@ func (r *revisedSolver) optimize(maxIter int) (Status, error) {
 		if r.iterations >= maxIter {
 			return StatusIterLimit, nil
 		}
-		bland := degenerate >= degenerateSwitch
+		bland := degenerate >= window
 		var enter int
 		switch {
 		case steepest && bland:
@@ -560,6 +591,9 @@ func (r *revisedSolver) optimize(maxIter int) (Status, error) {
 			return 0, err
 		}
 		r.iterations++
+		if bland {
+			r.blandIters++
+		}
 		if !steepest {
 			obj := r.objectiveValue()
 			if obj >= lastObj-r.tol {
@@ -881,6 +915,7 @@ func (r *revisedSolver) solution(status Status, p *Problem) *Solution {
 		Status:           status,
 		Iterations:       r.iterations,
 		Phase1Iterations: r.phase1Iters,
+		BlandIterations:  r.blandIters,
 		DualIterations:   r.dualIters,
 		PricingPasses:    r.fullPasses,
 		TableauAllocs:    r.allocs,

@@ -186,6 +186,10 @@ type Solution struct {
 	// Phase1Iterations is the number of pivots spent finding a basic
 	// feasible solution.
 	Phase1Iterations int
+	// BlandIterations is the number of pivots priced by Bland's rule, the
+	// anti-cycling fallback after a run of degenerate pivots (included in
+	// Iterations).
+	BlandIterations int
 	// PricingPasses is the number of full reduced-cost sweeps over all
 	// columns; partial pricing keeps this far below Iterations on large
 	// programs.
@@ -235,8 +239,24 @@ const defaultTolerance = 1e-9
 const candListSize = 24
 
 // degenerateSwitch is the number of consecutive non-improving pivots after
-// which pricing falls back to Bland's rule to guarantee termination.
+// which pricing falls back to Bland's rule to guarantee termination.  It
+// governs Dantzig pricing on both the revised and the flat path; the
+// experiment suite pins Dantzig over the eta file and the cascade's reference
+// rungs are Dantzig and flat, so their pivot sequences, and the committed
+// BENCH rows and served fallback answers built on them, stay as recorded.
 const degenerateSwitch = 50
+
+// degenerateSwitchSE is the steepest-edge engine's Bland window.  The
+// paper's LPs have long degenerate runs that are not cycles: phase one
+// trades the balance rows' zero-valued artificials one pivot at a time, and
+// ratioTestSE's tie rules (basic artificials first, then the largest pivot)
+// keep such a run moving.  After 50 of them Bland's rule priced the rest of
+// the run, with denser pivots (the BTRAN'd row about twice the nonzeros):
+// on lp-cold's 126 instances it priced 104 of 673 pivots per solve and set
+// the slowest solves.  With this window it prices none there, and the
+// window alone cuts pivots to 605 per solve.  Bland stays the termination
+// guarantee for a run that does cycle.
+const degenerateSwitchSE = 1000
 
 // solverPool recycles Solvers (and so their working buffers) across
 // package-level Solve calls, which is what makes repeated solves in the

@@ -39,6 +39,19 @@ type cscMatrix struct {
 	// nonzero is exactly +1 in row i.  Such a column is the row's unit
 	// vector, so the crash basis stays the identity.
 	crashCol []int32
+
+	// triCol[i] is the structural column the BasisLU engine's cold start
+	// installs in row i by its second, triangular crash pass (see
+	// revisedSolver.crashTriangular), or -1; triRows counts the rows that
+	// have one.  Only = rows with b_i = 0 and no crashCol get one: in row
+	// order, each takes the lowest-index column that is not basic yet, has
+	// a ±1 entry in the row and has no entry in a row claimed before it.
+	// The claimed columns form a lower triangular block with a ±1 diagonal
+	// beside the singleton basics, so the crashed basis is nonsingular, and
+	// since every claimed row's b_i is 0 each claimed column is basic at
+	// exactly 0.
+	triCol  []int32
+	triRows int
 }
 
 // buildCSC assembles the CSC form of p's constraint matrix.  Cost is
@@ -115,8 +128,10 @@ func buildCSC(p *Problem) *cscMatrix {
 	// Crash columns: a descending sweep leaves each row with its
 	// lowest-index unit column singleton.
 	m.crashCol = make([]int32, rows)
+	m.triCol = make([]int32, rows)
 	for i := range m.crashCol {
 		m.crashCol[i] = -1
+		m.triCol[i] = -1
 	}
 	for j := cols - 1; j >= 0; j-- {
 		s := m.colPtr[j]
@@ -125,6 +140,37 @@ func buildCSC(p *Problem) *cscMatrix {
 		}
 		if i := m.rowIdx[s]; m.sense[i] != LE {
 			m.crashCol[i] = int32(j)
+		}
+	}
+
+	// Triangular crash columns, claimed row by row.  The fill cursors are
+	// free again: basic[j] != 0 marks column j basic after either pass.
+	basic := next
+	clear(basic)
+	for _, j := range m.crashCol {
+		if j >= 0 {
+			basic[j] = 1
+		}
+	}
+	for i := 0; i < rows; i++ {
+		if m.sense[i] != EQ || m.b[i] != 0 || m.crashCol[i] >= 0 {
+			continue
+		}
+	scan:
+		for s := m.rowPtr[i]; s < m.rowPtr[i+1]; s++ {
+			j := m.colIdxR[s]
+			if v := m.valR[s]; (v != 1 && v != -1) || basic[j] != 0 {
+				continue
+			}
+			for t := m.colPtr[j]; t < m.colPtr[j+1]; t++ {
+				if m.triCol[m.rowIdx[t]] >= 0 {
+					continue scan
+				}
+			}
+			m.triCol[i] = j
+			m.triRows++
+			basic[j] = 1
+			break
 		}
 	}
 	return m

@@ -14,6 +14,9 @@ type Counters struct {
 	// Phase1Pivots is the part of Iterations spent in phase one, finding a
 	// basic feasible solution.
 	Phase1Pivots uint64
+	// BlandPivots is the part of Iterations priced by Bland's rule after a
+	// run of degenerate pivots, on the revised and the flat path alike.
+	BlandPivots uint64
 	// PricingPasses is the total number of full reduced-cost sweeps.
 	PricingPasses uint64
 	// Refactorizations is the total number of basis-inverse rebuilds
@@ -49,8 +52,8 @@ type Counters struct {
 // sums are order-independent, so a sink's totals are reproducible under the
 // concurrent driver.  The zero value is an empty sink.
 type Stats struct {
-	solves, iters, phase1, passes, refactors, etas, luFills     atomic.Uint64
-	warmStarts, verified, verifyFails, cascadeFalls, dualPivots atomic.Uint64
+	solves, iters, phase1, bland, passes, refactors, etas, luFills atomic.Uint64
+	warmStarts, verified, verifyFails, cascadeFalls, dualPivots    atomic.Uint64
 }
 
 // Add folds c into the sink.  Solves record through it, and a caller that
@@ -62,6 +65,7 @@ func (s *Stats) Add(c Counters) {
 	s.solves.Add(c.Solves)
 	s.iters.Add(c.Iterations)
 	s.phase1.Add(c.Phase1Pivots)
+	s.bland.Add(c.BlandPivots)
 	s.passes.Add(c.PricingPasses)
 	s.refactors.Add(c.Refactorizations)
 	s.etas.Add(c.EtaColumns)
@@ -79,6 +83,7 @@ func (s *Stats) Snapshot() Counters {
 		Solves:           s.solves.Load(),
 		Iterations:       s.iters.Load(),
 		Phase1Pivots:     s.phase1.Load(),
+		BlandPivots:      s.bland.Load(),
 		PricingPasses:    s.passes.Load(),
 		Refactorizations: s.refactors.Load(),
 		EtaColumns:       s.etas.Load(),
@@ -98,6 +103,7 @@ func recordSolve(st *Stats, sol *Solution) {
 		Solves:           1,
 		Iterations:       uint64(sol.Iterations),
 		Phase1Pivots:     uint64(sol.Phase1Iterations),
+		BlandPivots:      uint64(sol.BlandIterations),
 		PricingPasses:    uint64(sol.PricingPasses),
 		Refactorizations: uint64(sol.Refactorizations),
 		EtaColumns:       uint64(sol.EtaColumns),

@@ -78,3 +78,43 @@ func TestFetchBalanceRowsCrashOnScratch(t *testing.T) {
 			tc.n, tc.disks, len(m.sVar), crash.Phase1Iterations, ident.Phase1Iterations, crash.Iterations, ident.Iterations)
 	}
 }
+
+// TestBalanceRowsTriangularCrash pins the LU engine's triangular crash pass
+// on the same models: it claims some of the zero-RHS balance rows
+// (Σf − Σe = 0, Σe = 0) that still hold their artificial after the unit
+// pass, and no other row.  internal/lp's TestTriangularCrashShortensPhaseOne
+// solves these models with and without the pass.
+func TestBalanceRowsTriangularCrash(t *testing.T) {
+	cases := []struct {
+		n, blocks, k, f, disks int
+		seed                   int64
+	}{
+		{11, 6, 3, 2, 3, 900},
+		{22, 10, 4, 4, 2, 5},
+		{30, 12, 5, 4, 3, 17},
+	}
+	for _, tc := range cases {
+		seq := workload.Uniform(tc.n, tc.blocks, tc.seed)
+		in := workload.Instance(seq, tc.k, tc.f, tc.disks, workload.AssignStripe, 0)
+		m, err := Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := m.Problem
+		claimed := 0
+		for i := 0; i < p.NumConstraints(); i++ {
+			if p.TriangularCrashColumn(i) < 0 {
+				continue
+			}
+			claimed++
+			if c := p.Constraint(i); c.Sense != lp.EQ || c.RHS != 0 || p.CrashColumn(i) >= 0 {
+				t.Fatalf("n=%d D=%d: the triangular pass claims row %d (%v, rhs %g, crash column %d)",
+					tc.n, tc.disks, i, c.Sense, c.RHS, p.CrashColumn(i))
+			}
+		}
+		if claimed == 0 {
+			t.Fatalf("n=%d D=%d: the triangular pass claims no zero-RHS balance row", tc.n, tc.disks)
+		}
+		t.Logf("n=%d D=%d: %d balance rows claimed by the triangular pass", tc.n, tc.disks, claimed)
+	}
+}

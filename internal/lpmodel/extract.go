@@ -203,6 +203,31 @@ func evaluate(in *core.Instance, sched *core.Schedule) (*sim.Result, *core.Sched
 	return res, clean, nil
 }
 
+// candidateOffsets returns Extract's timeline offsets: the distinct
+// fractional parts of every support interval's start (and of 0), then those
+// of every interval's end not already listed, each nudged inside its
+// interval.
+func candidateOffsets(frac *Fractional, idxs []int, dist []float64) (starts, ends []float64) {
+	seen := make(map[int64]bool)
+	add := func(list []float64, t float64) []float64 {
+		t = t - math.Floor(t)
+		keyVal := int64(math.Round(t * 1e9))
+		if !seen[keyVal] {
+			seen[keyVal] = true
+			list = append(list, t)
+		}
+		return list
+	}
+	starts = add(starts, 1e-7)
+	for i := range idxs {
+		starts = add(starts, dist[i]+1e-7)
+	}
+	for i, idx := range idxs {
+		ends = add(ends, dist[i]+frac.X[idx]+1e-7)
+	}
+	return starts, ends
+}
+
 // Extract converts a fractional solution into an integral schedule by trying
 // every candidate timeline offset and keeping the best feasible one.
 func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
@@ -240,24 +265,7 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 	// Each tier is consulted only when the previous tiers produced no
 	// feasible schedule, so instances the classic enumeration handles keep
 	// their historical schedules.
-	seen := make(map[int64]bool)
-	var starts, ends []float64
-	add := func(list []float64, t float64) []float64 {
-		t = t - math.Floor(t)
-		keyVal := int64(math.Round(t * 1e9))
-		if !seen[keyVal] {
-			seen[keyVal] = true
-			list = append(list, t)
-		}
-		return list
-	}
-	starts = add(starts, 1e-7)
-	for i := range idxs {
-		starts = add(starts, dist[i]+1e-7)
-	}
-	for i, idx := range idxs {
-		ends = add(ends, dist[i]+frac.X[idx]+1e-7)
-	}
+	starts, ends := candidateOffsets(frac, idxs, dist)
 
 	var best *sim.Result
 	var bestSched *core.Schedule

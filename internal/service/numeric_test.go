@@ -153,7 +153,7 @@ func TestStatsWireFieldsGolden(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing lp block: %v", m)
 	}
-	for _, k := range []string{"phase1_pivots", "verified_solves", "verify_failures",
+	for _, k := range []string{"phase1_pivots", "bland_pivots", "verified_solves", "verify_failures",
 		"cascade_fallbacks", "symbolic_reuses", "numeric_refactors", "dual_pivots", "ft_updates"} {
 		if _, ok := lpBlock[k]; !ok {
 			t.Errorf("lp stats missing %q: %v", k, lpBlock)

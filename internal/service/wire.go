@@ -218,6 +218,7 @@ type LPCountersWire struct {
 	Solves           uint64 `json:"solves"`
 	Iterations       uint64 `json:"iterations"`
 	Phase1Pivots     uint64 `json:"phase1_pivots"`
+	BlandPivots      uint64 `json:"bland_pivots"`
 	PricingPasses    uint64 `json:"pricing_passes"`
 	Refactorizations uint64 `json:"refactorizations"`
 	EtaColumns       uint64 `json:"eta_columns"`
@@ -243,6 +244,7 @@ func lpCountersWire(c lp.Counters) LPCountersWire {
 		Solves:           c.Solves,
 		Iterations:       c.Iterations,
 		Phase1Pivots:     c.Phase1Pivots,
+		BlandPivots:      c.BlandPivots,
 		PricingPasses:    c.PricingPasses,
 		Refactorizations: c.Refactorizations,
 		EtaColumns:       c.EtaColumns,
