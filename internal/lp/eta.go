@@ -1,5 +1,7 @@
 package lp
 
+import "slices"
+
 // etaFile is a product-form representation of the basis inverse: one eta
 // column per pivot.  Writing the FTRAN'd entering column as alpha with pivot
 // row r, the pivot multiplies the current inverse on the left by E^-1, where
@@ -18,6 +20,13 @@ type etaFile struct {
 	start  []int32   // len(pivRow)+1 offsets into idx/val
 	idx    []int32   // off-pivot row indices
 	val    []float64 // off-pivot alpha values
+
+	// rowBits holds, on the BasisLU path only, one bitset of words uint64s
+	// per eta marking its off-pivot rows (revisedSolver.pivot writes it),
+	// so btranUnit can tell which etas cannot read a sparse vector's
+	// nonzeros.  The BasisEta reinversion leaves it empty.
+	rowBits []uint64
+	words   int
 }
 
 // etaDrop is the absolute magnitude below which off-pivot entries are not
@@ -37,6 +46,7 @@ func (e *etaFile) reset() {
 	e.start[0] = 0
 	e.idx = e.idx[:0]
 	e.val = e.val[:0]
+	e.rowBits = e.rowBits[:0]
 }
 
 // count returns the number of eta columns in the file.
@@ -66,6 +76,21 @@ func (e *etaFile) push(alpha []float64, r int, allocs *int) {
 		e.val = append(e.val, v)
 	}
 	e.start = append(e.start, int32(len(e.idx)))
+}
+
+// markRows writes the row bitset of the newest eta (see rowBits).
+func (e *etaFile) markRows(allocs *int) {
+	n, w := len(e.rowBits), e.words
+	if cap(e.rowBits)-n < w {
+		*allocs++
+	}
+	e.rowBits = slices.Grow(e.rowBits, w)[:n+w]
+	bits := e.rowBits[n:]
+	clear(bits)
+	k := len(e.pivRow) - 1
+	for _, i := range e.idx[e.start[k]:e.start[k+1]] {
+		bits[i>>6] |= 1 << (i & 63)
+	}
 }
 
 // ftran applies the basis inverse to v in place: each eta, oldest first,
@@ -98,4 +123,41 @@ func (e *etaFile) btran(v []float64) {
 		}
 		v[r] = t * e.pivInv[k]
 	}
+}
+
+// btranUnit is btran for v = e_row on a file whose rowBits are written
+// (the update etas of the BasisLU path).  It keeps nz, the rows where v may
+// be nonzero, starting with row; an eta none of whose off-pivot rows is in
+// nz reads only zeros in btran's dot, so its dot is skipped and its pivot
+// entry only scaled, and each eta whose dot turns its pivot entry nonzero
+// adds that row to nz.  For finite etas the result equals btran's bit for
+// bit, up to the sign of zero entries.  nz is scratch capacity, returned
+// for reuse.
+func (e *etaFile) btranUnit(v []float64, row int, nz []int32) []int32 {
+	nz = append(nz[:0], int32(row))
+	w := e.words
+	for k := len(e.pivRow) - 1; k >= 0; k-- {
+		r := e.pivRow[k]
+		bits := e.rowBits[k*w : k*w+w]
+		hit := false
+		for _, i := range nz {
+			if bits[i>>6]&(1<<(i&63)) != 0 {
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			v[r] *= e.pivInv[k]
+			continue
+		}
+		t := v[r]
+		for s := e.start[k]; s < e.start[k+1]; s++ {
+			t -= e.val[s] * v[e.idx[s]]
+		}
+		if v[r] == 0 && t != 0 {
+			nz = append(nz, r)
+		}
+		v[r] = t * e.pivInv[k]
+	}
+	return nz
 }

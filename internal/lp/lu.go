@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // luFactor is a sparse LU factorization of the simplex basis, the production
 // replacement for rebuilding the product-form eta file from scratch
@@ -28,7 +31,11 @@ import "math"
 //     index* of an earlier pivot (physical row = pivRow[uIdx[s]]).
 //
 // ftran/btran solve against L and U directly: B^-1 v = U^-1 L^-1 v and
-// B^-T v = L^-T U^-T v, both in place on a dense physical-row vector.
+// B^-T v = L^-T U^-T v, both in place on a dense physical-row vector.  Most
+// steps of a serving basis are identities (slack, artificial and unit crash
+// columns: no multipliers, no off-diagonal U entries, diagonal 1), so the
+// solves walk only the step lists lSteps and uSteps, which skip exactly the
+// steps that leave every vector bit for bit unchanged.
 // Between refactorizations the basis inverse is LU composed with the update
 // eta file (see revisedSolver.ftranB/btranB): each pivot appends the
 // FTRAN'd entering column as a product-form update in U-space — the
@@ -47,6 +54,21 @@ type luFactor struct {
 	uStart   []int32 // len(pivRow)+1 offsets into uIdx/uVal
 	uIdx     []int32 // elimination index of the entry's pivot row
 	uVal     []float64
+
+	// Step lists in ascending elimination order: lSteps holds the steps
+	// with L multipliers, uSteps those with off-diagonal U entries or a
+	// diagonal other than 1 (listSteps).
+	lSteps []int32
+	uSteps []int32
+
+	// The factors' dependencies, transposed for btranUnit (listDeps):
+	// uDep[uDepStart[i]:uDepStart[i+1]] lists the steps whose U column has
+	// an entry at elimination index i, lDep[lDepStart[i]:lDepStart[i+1]]
+	// the steps whose L column has a multiplier in step i's pivot row.
+	// liveU and liveL are btranUnit's step bitsets, all zero between calls.
+	uDepStart, uDep []int32
+	lDepStart, lDep []int32
+	liveU, liveL    []uint64
 
 	// fills counts entries created beyond the basis columns' own nonzeros
 	// during the last factorization.
@@ -108,6 +130,8 @@ func (lu *luFactor) reset() {
 	lu.uVal = lu.uVal[:0]
 	lu.lStart = lu.lStart[:0]
 	lu.uStart = lu.uStart[:0]
+	lu.lSteps = lu.lSteps[:0]
+	lu.uSteps = lu.uSteps[:0]
 	lu.fills = 0
 }
 
@@ -147,6 +171,8 @@ func (lu *luFactor) grow(m int, allocs *int) {
 	lu.pivRow = grabInt32s(lu.pivRow, m, allocs)[:0]
 	lu.pivSlot = grabInt32s(lu.pivSlot, m, allocs)[:0]
 	lu.uDiagInv = grabFloats(lu.uDiagInv, m, allocs)[:0]
+	lu.lSteps = grabInt32s(lu.lSteps, m, allocs)[:0]
+	lu.uSteps = grabInt32s(lu.uSteps, m, allocs)[:0]
 	if cap(lu.lStart) < m+1 {
 		*allocs++
 		lu.lStart = make([]int32, 0, m+1)
@@ -411,13 +437,74 @@ func (lu *luFactor) factorize(r *revisedSolver, slots []int) error {
 		lu.rowOrder[pr] = int32(k)
 		lu.colDone[pc] = true
 	}
+	lu.listSteps()
+	lu.listDeps(&r.allocs)
 	return nil
 }
 
-// ftran applies the factored basis inverse to v in place: v <- U^-1 L^-1 v.
-func (lu *luFactor) ftran(v []float64) {
+// listDeps transposes the factors' patterns into uDep and lDep and sizes
+// the live bitsets.  A U entry sits at an elimination index below its step
+// and an L multiplier in a row pivoted after its step, so a step's U
+// dependents all come after it and its L dependents all before it.
+func (lu *luFactor) listDeps(allocs *int) {
 	n := len(lu.pivRow)
-	for k := 0; k < n; k++ {
+	lu.uDepStart = grabInt32s(lu.uDepStart, n+1, allocs)
+	lu.lDepStart = grabInt32s(lu.lDepStart, n+1, allocs)
+	lu.uDep = grabInt32s(lu.uDep, len(lu.uIdx), allocs)
+	lu.lDep = grabInt32s(lu.lDep, len(lu.lIdx), allocs)
+	transpose := func(start, dep []int32, stepStart []int32, at func(s int32) int32) {
+		clear(start)
+		for s := int32(0); s < stepStart[n]; s++ {
+			start[at(s)+1]++
+		}
+		for i := 0; i < n; i++ {
+			start[i+1] += start[i]
+		}
+		for k := 0; k < n; k++ {
+			for s := stepStart[k]; s < stepStart[k+1]; s++ {
+				i := at(s)
+				dep[start[i]] = int32(k)
+				start[i]++
+			}
+		}
+		copy(start[1:], start[:n])
+		start[0] = 0
+	}
+	transpose(lu.uDepStart, lu.uDep, lu.uStart, func(s int32) int32 { return lu.uIdx[s] })
+	transpose(lu.lDepStart, lu.lDep, lu.lStart, func(s int32) int32 { return lu.rowOrder[lu.lIdx[s]] })
+	words := (n + 63) >> 6
+	if cap(lu.liveU) < words {
+		*allocs++
+		lu.liveU = make([]uint64, words)
+		lu.liveL = make([]uint64, words)
+	}
+	lu.liveU = lu.liveU[:words]
+	lu.liveL = lu.liveL[:words]
+}
+
+// listSteps rebuilds the step lists from the factors.  A step left out is
+// the identity in every solve: an L step without multipliers changes
+// nothing, and a U step without off-diagonal entries whose diagonal is 1
+// multiplies its entry by exactly 1.  A diagonal of -1 (a >= row's slack, a
+// -1 crash entry) is not the identity and stays listed.  Callers that alter
+// uDiagInv after factorize (fault injection) list the steps again.
+func (lu *luFactor) listSteps() {
+	lu.lSteps = lu.lSteps[:0]
+	lu.uSteps = lu.uSteps[:0]
+	for k := range lu.pivRow {
+		if lu.lStart[k+1] > lu.lStart[k] {
+			lu.lSteps = append(lu.lSteps, int32(k))
+		}
+		if lu.uStart[k+1] > lu.uStart[k] || lu.uDiagInv[k] != 1 {
+			lu.uSteps = append(lu.uSteps, int32(k))
+		}
+	}
+}
+
+// ftran applies the factored basis inverse to v in place: v <- U^-1 L^-1 v,
+// walking only the listed steps.
+func (lu *luFactor) ftran(v []float64) {
+	for _, k := range lu.lSteps {
 		t := v[lu.pivRow[k]]
 		if t == 0 {
 			continue
@@ -426,7 +513,8 @@ func (lu *luFactor) ftran(v []float64) {
 			v[lu.lIdx[s]] -= lu.lVal[s] * t
 		}
 	}
-	for k := n - 1; k >= 0; k-- {
+	for i := len(lu.uSteps) - 1; i >= 0; i-- {
+		k := lu.uSteps[i]
 		r := lu.pivRow[k]
 		t := v[r]
 		if t == 0 {
@@ -441,10 +529,9 @@ func (lu *luFactor) ftran(v []float64) {
 }
 
 // btran applies the transposed factored inverse to v in place:
-// v <- L^-T U^-T v.
+// v <- L^-T U^-T v, walking only the listed steps.
 func (lu *luFactor) btran(v []float64) {
-	n := len(lu.pivRow)
-	for k := 0; k < n; k++ {
+	for _, k := range lu.uSteps {
 		r := lu.pivRow[k]
 		t := v[r]
 		for s := lu.uStart[k]; s < lu.uStart[k+1]; s++ {
@@ -452,13 +539,74 @@ func (lu *luFactor) btran(v []float64) {
 		}
 		v[r] = t * lu.uDiagInv[k]
 	}
-	for k := n - 1; k >= 0; k-- {
+	for i := len(lu.lSteps) - 1; i >= 0; i-- {
+		k := lu.lSteps[i]
 		r := lu.pivRow[k]
 		t := v[r]
 		for s := lu.lStart[k]; s < lu.lStart[k+1]; s++ {
 			t -= lu.lVal[s] * v[lu.lIdx[s]]
 		}
 		v[r] = t
+	}
+}
+
+// btranUnit is btran for a v that is zero outside the physical rows listed
+// in nz, as rho is after the update etas (etaFile.btranUnit).  It runs only
+// the live steps: those whose pivot row is in nz, and those a nonzero
+// result of an earlier-run step feeds (uDep in the U pass, lDep in the L
+// pass).  Every other step reads only zeros, so btran would leave a zero
+// there.  A live step computes what btran computes, summing in the same
+// order, so for finite factors the result equals btran's bit for bit up to
+// the sign of zero entries.  The bitsets visit the U steps in ascending and
+// the L steps in descending order, as btran does.
+func (lu *luFactor) btranUnit(v []float64, nz []int32) {
+	if len(lu.pivRow) == 0 {
+		return // the identity basis of load
+	}
+	liveU, liveL := lu.liveU, lu.liveL
+	for _, p := range nz {
+		k := lu.rowOrder[p]
+		liveU[k>>6] |= 1 << (k & 63)
+	}
+	for w := range liveU {
+		for liveU[w] != 0 {
+			b := bits.TrailingZeros64(liveU[w])
+			liveU[w] &^= 1 << b
+			k := int32(w<<6 | b)
+			r := lu.pivRow[k]
+			t := v[r]
+			for s := lu.uStart[k]; s < lu.uStart[k+1]; s++ {
+				t -= lu.uVal[s] * v[lu.pivRow[lu.uIdx[s]]]
+			}
+			t *= lu.uDiagInv[k]
+			v[r] = t
+			if t == 0 {
+				continue
+			}
+			liveL[w] |= 1 << b
+			for _, d := range lu.uDep[lu.uDepStart[k]:lu.uDepStart[k+1]] {
+				liveU[d>>6] |= 1 << (d & 63)
+			}
+		}
+	}
+	for w := len(liveL) - 1; w >= 0; w-- {
+		for liveL[w] != 0 {
+			b := 63 - bits.LeadingZeros64(liveL[w])
+			liveL[w] &^= 1 << b
+			k := int32(w<<6 | b)
+			r := lu.pivRow[k]
+			t := v[r]
+			for s := lu.lStart[k]; s < lu.lStart[k+1]; s++ {
+				t -= lu.lVal[s] * v[lu.lIdx[s]]
+			}
+			v[r] = t
+			if t == 0 {
+				continue
+			}
+			for _, d := range lu.lDep[lu.lDepStart[k]:lu.lDepStart[k+1]] {
+				liveL[d>>6] |= 1 << (d & 63)
+			}
+		}
 	}
 }
 

@@ -99,16 +99,22 @@ func (r *revisedSolver) priceSteepest() int {
 	return r.refillSE()
 }
 
-// refillSE rebuilds the candidate list with the (up to candListSize) best
-// steepest-edge scores over the maintained reduced costs and returns the
-// best column, or -1 when every reduced cost is within tolerance.
+// refillSE rebuilds the candidate list with the (up to seCandListSize)
+// best steepest-edge scores over the maintained reduced costs and returns
+// the best column, or -1 when every reduced cost is within tolerance.  The
+// scan reads rc alone: the engine keeps every basic column's rc at exactly
+// 0 (fullPrice pins it, seUpdate zeroes the entering column's and skips
+// basic columns), so rc < -tol already excludes them.
 func (r *revisedSolver) refillSE() int {
+	if r.probe != nil {
+		r.probe(probeRefill, -1)
+	}
 	cand := r.cand[:0]
 	best, bestScore := -1, 0.0
 	worst := 0.0 // smallest score currently in a full list
 	limit := r.priceLimit()
 	for j := 0; j < limit; j++ {
-		if r.rc[j] >= -r.tol || r.inBasis[j] {
+		if r.rc[j] >= -r.tol {
 			continue
 		}
 		s := r.rc[j] * r.rc[j] / r.gamma[j]
@@ -189,7 +195,7 @@ func (r *revisedSolver) priceBlandSE() int {
 
 // seUpdate propagates one pivot through the steepest-edge engine's state
 // before the basis changes: one BTRAN of the leaving row's unit vector
-// yields rho with B^-T e_r, whose support spans the pivot row
+// (btranRow) yields rho = B^-T e_r, whose support spans the pivot row
 // alpha_rj = rho · A_j.  The pivot row is assembled sparsely — only the
 // A-rows in rho's support are read, through the CSC matrix's CSR view, into
 // an epoch-stamped accumulator — and only the columns it actually touches
@@ -207,9 +213,10 @@ func (r *revisedSolver) seUpdate(enter, leave int, gq float64) {
 	} else {
 		r.gamma[leaving] = 1
 	}
-	clear(r.rho)
-	r.rho[leave] = 1
-	r.btranB(r.rho)
+	r.btranRow(leave)
+	if r.probe != nil {
+		r.probe(probeRho, leave)
+	}
 	mult := r.rc[enter] / alphaR
 	inv := 1 / alphaR
 	phase1 := r.phase == 1

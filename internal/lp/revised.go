@@ -53,6 +53,7 @@ type revisedSolver struct {
 	rc      []float64 // reduced-cost scratch for full pricing passes
 	gamma   []float64 // steepest-edge reference weights, per column
 	rho     []float64 // dual scratch: BTRAN of the leaving row's unit vector
+	rhoNZ   []int32   // rows where rho may be nonzero (etaFile.btranUnit)
 	cand    []int
 	colBuf  []int // basis snapshot during refactorization
 
@@ -92,6 +93,11 @@ type revisedSolver struct {
 	allocs      int
 	warmStarted bool
 
+	// probe, when non-nil, is called at the engine's checkpoints (see
+	// probeSite), so tests can check its state mid-solve.  Production
+	// solves leave it nil.
+	probe func(site probeSite, row int)
+
 	// identityStart disables both BasisLU crash passes and unitCrashOnly
 	// the triangular one, so tests can compare the crash start against the
 	// slack/artificial identity start and against the unit pass alone.
@@ -106,6 +112,19 @@ type revisedSolver struct {
 	// production; see fault.go).  Solver.solve arms and clears it.
 	fault *Fault
 }
+
+// probeSite names a checkpoint revisedSolver.probe observes.
+type probeSite int
+
+const (
+	// probeFactor: refactorize has factored the basis on the BasisLU path.
+	probeFactor probeSite = iota
+	// probeRho: seUpdate has computed rho for the leaving row (the probe's
+	// row argument).
+	probeRho
+	// probeRefill: refillSE is about to rebuild the candidate list.
+	probeRefill
+)
 
 // solve runs the two-phase revised simplex.  A non-nil warm basis is tried
 // first: when it transfers to this problem the solve starts in phase two
@@ -271,6 +290,7 @@ func (r *revisedSolver) load(p *Problem) {
 	r.rc = grabFloats(r.rc, r.cols, &r.allocs)
 	r.gamma = grabFloats(r.gamma, r.cols, &r.allocs)
 	r.rho = grabFloats(r.rho, rows, &r.allocs)
+	r.rhoNZ = grabInt32s(r.rhoNZ, rows, &r.allocs)[:0]
 	if cap(r.cand) < seCandListSize {
 		r.allocs++
 		r.cand = make([]int, 0, seCandListSize)
@@ -289,6 +309,7 @@ func (r *revisedSolver) load(p *Problem) {
 	}
 	r.touched = r.touched[:0]
 	r.eta.reset()
+	r.eta.words = (rows + 63) >> 6
 	r.lu.reset()
 	r.sinceRefactor = 0
 	r.sincePivot = 0
@@ -398,6 +419,27 @@ func (r *revisedSolver) btranB(v []float64) {
 	if r.basisMode == BasisLU {
 		r.lu.btran(v)
 	}
+}
+
+// btranRow sets r.rho to B^-T e_row, the BTRAN'd unit vector of a leaving
+// row.  On the BasisLU path the update etas run through etaFile.btranUnit,
+// which skips the eta dots that would read only zeros, and the LU factors
+// through luFactor.btranUnit, which runs only the steps the rows it leaves
+// nonzero can reach; the result equals btranB's up to the sign of zero
+// entries.
+func (r *revisedSolver) btranRow(row int) {
+	clear(r.rho)
+	r.rho[row] = 1
+	if r.basisMode != BasisLU {
+		r.eta.btran(r.rho)
+		return
+	}
+	c := cap(r.rhoNZ)
+	r.rhoNZ = r.eta.btranUnit(r.rho, row, r.rhoNZ)
+	if cap(r.rhoNZ) != c {
+		r.allocs++
+	}
+	r.lu.btranUnit(r.rho, r.rhoNZ)
 }
 
 // setPhase installs the cost vector of the given phase (see flatSolver).
@@ -715,6 +757,9 @@ func (r *revisedSolver) pivot(leave, enter int) error {
 		}
 	}
 	e.start = append(e.start, int32(len(e.idx)))
+	if r.basisMode == BasisLU {
+		e.markRows(&r.allocs)
+	}
 	r.xB[leave] = theta
 	r.etaColumns++
 	r.inBasis[r.basis[leave]] = false
@@ -787,6 +832,7 @@ func (r *revisedSolver) refactorize() error {
 		}
 		if f := r.fault; f != nil && f.CorruptFactor && r.phase == 2 {
 			f.apply(r.lu.uDiagInv)
+			r.lu.listSteps()
 		}
 		r.luFills += r.lu.fills
 		for k, row := range r.lu.pivRow {
@@ -797,6 +843,9 @@ func (r *revisedSolver) refactorize() error {
 		r.lu.ftran(r.xB)
 		r.sinceRefactor = 0
 		r.sincePivot = 0
+		if r.probe != nil {
+			r.probe(probeFactor, -1)
+		}
 		return nil
 	}
 

@@ -33,6 +33,10 @@ func (e *VerificationError) Error() string {
 // non-negative, dual signs matching the constraint senses).  Non-Optimal
 // solutions verify trivially: there is no certificate to check.
 //
+// Every check fails unless its violation is provably within tolerance, so a
+// NaN anywhere in X, the objective or the multipliers fails it (the builtin
+// max carries a NaN through), and a non-finite X entry fails "bounds".
+//
 // Verification is read-only and allocation-free on the pooled path: it walks
 // the problem's constraints and the cached CSC matrix, allocating only the
 // error it returns on failure.
@@ -41,14 +45,16 @@ func Verify(p *Problem, sol *Solution) error {
 		return nil
 	}
 
-	// Bounds: every variable non-negative.
+	// Bounds: every variable finite and non-negative.
 	worst := 0.0
 	for _, v := range sol.X {
-		if -v > worst {
-			worst = -v
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			worst = math.Inf(1)
+			break
 		}
+		worst = max(worst, -v)
 	}
-	if worst > verifyTol {
+	if !(worst <= verifyTol) {
 		return &VerificationError{Check: "bounds", Violation: worst, Tolerance: verifyTol}
 	}
 
@@ -72,19 +78,15 @@ func Verify(p *Problem, sol *Solution) error {
 		case EQ:
 			viol = math.Abs(lhs - c.RHS)
 		}
-		if viol > 0 {
-			if rel := viol / (1 + math.Abs(c.RHS)); rel > worst {
-				worst = rel
-			}
-		}
+		worst = max(worst, viol/(1+math.Abs(c.RHS)))
 	}
-	if worst > verifyTol {
+	if !(worst <= verifyTol) {
 		return &VerificationError{Check: "primal-residual", Violation: worst, Tolerance: verifyTol}
 	}
 
 	// Objective: the reported value must match a recomputation from scratch.
 	obj := p.Value(sol.X)
-	if diff := math.Abs(obj-sol.Objective) / (1 + math.Abs(obj)); diff > verifyTol {
+	if diff := math.Abs(obj-sol.Objective) / (1 + math.Abs(obj)); !(diff <= verifyTol) {
 		return &VerificationError{Check: "objective", Violation: diff, Tolerance: verifyTol}
 	}
 
@@ -112,17 +114,13 @@ func Verify(p *Problem, sol *Solution) error {
 		case GE:
 			viol = -y[i] // slack rc = +y_i >= -tol
 		}
-		if viol > worst {
-			worst = viol
-		}
+		worst = max(worst, viol)
 	}
 	for j := 0; j < m.cols; j++ {
 		rc := p.objective[j] - m.colDot(y, j)
-		if viol := -rc / (1 + math.Abs(p.objective[j])); viol > worst {
-			worst = viol
-		}
+		worst = max(worst, -rc/(1+math.Abs(p.objective[j])))
 	}
-	if worst > verifyTol {
+	if !(worst <= verifyTol) {
 		return &VerificationError{Check: "dual-feasibility", Violation: worst, Tolerance: verifyTol}
 	}
 	return nil

@@ -81,6 +81,38 @@ func TestVerifyCertificate(t *testing.T) {
 	wantVerifyFailure(t, p, sol, "dual-feasibility")
 }
 
+// TestVerifyRejectsNonFinite: a NaN in X, the objective or the duals, or an
+// infinite X with a matching infinite objective, must fail the certificate
+// instead of slipping past comparisons that read false on NaN.  The LP has
+// only >= rows (min x + 2y s.t. x + y >= 2, x + 3y >= 3), so an infinite y
+// satisfies every row and c'x - objective reads Inf - Inf = NaN.
+func TestVerifyRejectsNonFinite(t *testing.T) {
+	p := lp.NewProblem(2)
+	p.SetObjective(0, 1)
+	p.SetObjective(1, 2)
+	p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 1}}, lp.GE, 2)
+	p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 3}}, lp.GE, 3)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name, check string
+		tamper      func(*lp.Solution)
+	}{
+		{"NaN in X", "bounds", func(sol *lp.Solution) { lp.TamperX(sol, 0, nan) }},
+		{"NaN objective", "objective", func(sol *lp.Solution) { lp.TamperObjective(sol, nan) }},
+		{"NaN dual", "dual-feasibility", func(sol *lp.Solution) { lp.TamperDual(sol, 0, nan) }},
+		{"infinite X and objective", "bounds", func(sol *lp.Solution) {
+			lp.TamperX(sol, 1, inf)
+			lp.TamperObjective(sol, inf)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sol := optimalSolution(t, p)
+			tc.tamper(sol)
+			wantVerifyFailure(t, p, sol, tc.check)
+		})
+	}
+}
+
 // TestVerifyTrivialOnNonOptimal: non-optimal statuses carry no certificate.
 func TestVerifyTrivialOnNonOptimal(t *testing.T) {
 	p := lp.NewProblem(1)

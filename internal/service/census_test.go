@@ -58,15 +58,18 @@ func lpColdCensus(tb testing.TB, first, last int) []*core.Instance {
 // edge over LU) under the verification cascade, then extraction and
 // simulation.  Per solve it reports pivots, phase-one pivots, Bland pivots,
 // refactorizations and LU fill; over the census the solve time at p50, p90
-// and max and the total served stall.  The counters and the stall are
-// deterministic, so a change that moves pivots or a served stall shows it
-// here before a serving-benchmark run does.
+// and max, the solve time per pivot (us/pivot: total solve time over total
+// pivots, so a per-pivot change reads apart from the pivot count) and the
+// total served stall.  The counters and the stall are deterministic, so a
+// change that moves pivots or a served stall shows it here before a
+// serving-benchmark run does.
 func BenchmarkLPColdCensus(b *testing.B) {
 	ins := lpColdCensus(b, 1, 3)
 	mb := lpmodel.NewModelBatch()
 	var sink lp.Stats
 	opts := lp.Options{Cascade: true, Stats: &sink}
 	times := make([]time.Duration, 0, len(ins))
+	var total time.Duration
 	stall := 0
 	b.ResetTimer()
 	for op := 0; op < b.N; op++ {
@@ -79,7 +82,9 @@ func BenchmarkLPColdCensus(b *testing.B) {
 			}
 			start := time.Now()
 			frac, err := m.SolveBatch(mb.LP(), opts)
-			times = append(times, time.Since(start))
+			d := time.Since(start)
+			times = append(times, d)
+			total += d
 			if err != nil {
 				b.Fatalf("instance %d: %v", i, err)
 			}
@@ -107,5 +112,6 @@ func BenchmarkLPColdCensus(b *testing.B) {
 	b.ReportMetric(ms(times[len(times)/2]), "solve-ms-p50")
 	b.ReportMetric(ms(times[len(times)*9/10]), "solve-ms-p90")
 	b.ReportMetric(ms(times[len(times)-1]), "solve-ms-max")
+	b.ReportMetric(float64(total)/float64(time.Microsecond)/float64(c.Iterations), "us/pivot")
 	b.ReportMetric(float64(stall), "stall-total")
 }
