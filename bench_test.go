@@ -187,20 +187,12 @@ func BenchmarkOptSearchDijkstraE7Size(b *testing.B) {
 	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{Bound: opt.BoundNone, NoHeuristic: true})
 }
 
-// BenchmarkOptSearchLandmarkE7Size isolates the landmark layer's cost on the
-// E7-sized search: matching bound plus the precomputed landmark table, with
-// dominance merging off.  Compare with MatchingE7Size for what the landmark
-// table buys, with AStarE7Size (the full engine) for what dominance saves and
-// with DijkstraE7Size for what the bounds save.
-func BenchmarkOptSearchLandmarkE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoDominance: true})
-}
-
 // BenchmarkOptSearchMatchingE7Size is the E7-sized search on the per-state
-// matching bound alone, landmarks and dominance off: the baseline
-// LandmarkE7Size must beat for the landmark table to earn its place.
+// matching and pair bounds alone, dominance merging off.  Compare with
+// AStarE7Size (the full engine) for what dominance saves and with
+// DijkstraE7Size for what the bounds save.
 func BenchmarkOptSearchMatchingE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoLandmarks: true, NoDominance: true})
+	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoDominance: true})
 }
 
 func BenchmarkLPRelaxation(b *testing.B) {

@@ -13,8 +13,6 @@
 //	pcbench -json -stable   # omit wall times, for byte-reproducible JSON
 //	pcbench -workers 1      # force sequential execution
 //	pcbench -solver flat    # solve the LPs with the flat-tableau simplex
-//	pcbench -pricing steepest-edge  # override the pinned entering-column rule
-//	pcbench -basis lu       # override the pinned basis representation
 //	pcbench -replay         # trace-replay benchmark: serve a growing trace
 //	                        # via incremental warm re-solves and via per-step
 //	                        # cold rebuilds, verify the served schedules are
@@ -26,10 +24,9 @@
 //	pcbench -serve-url URL  # run the sweep on a live pcserve and verify it
 //	                        # matches the in-process run byte for byte
 //
-// The experiment suite pins the revised simplex to the engines the committed
-// BENCH_*.json files were recorded with (Dantzig pricing, eta basis) so
-// historical schedule rows stay byte-reproducible; -pricing and -basis
-// select the new engines (steepest-edge, lu) for comparisons.
+// The suite tie-breaks every LP whose schedule it extracts, so its tables do
+// not depend on the LP engine: -solver flat prints the same schedule values
+// as the default revised simplex, only slower.
 //
 // The -json output is produced by service.RunSweepWith, the same code path
 // the pcserve /v1/sweep endpoint streams; with -serve-url, pcbench becomes a
@@ -68,8 +65,6 @@ func run() int {
 	stable := flag.Bool("stable", false, "omit wall times from -json output so repeated runs are byte-identical")
 	workers := flag.Int("workers", 0, "worker pool size (0 = one per CPU, 1 = sequential)")
 	solver := flag.String("solver", "revised", "LP simplex implementation: revised or flat")
-	pricing := flag.String("pricing", "", "revised-simplex pricing rule: steepest-edge or dantzig (default: the suite's pinned dantzig)")
-	basis := flag.String("basis", "", "revised-simplex basis representation: lu or eta (default: the suite's pinned eta)")
 	replay := flag.Bool("replay", false, "run the trace-replay benchmark instead of the experiment sweep: incremental warm re-solves vs per-step cold rebuilds on a growing trace")
 	timings := flag.String("timings", "", "file holding `go test -bench` output whose ns/op figures are embedded in the -json timings block")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
@@ -88,24 +83,12 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if *pricing != "" {
-		if _, err := lp.ParsePricing(*pricing); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if *basis != "" {
-		if _, err := lp.ParseBasis(*basis); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
 	if *replay {
 		if *jsonOut || *serveURL != "" || *timings != "" {
 			fmt.Fprintln(os.Stderr, "-replay is a standalone benchmark; it cannot be combined with -json, -serve-url or -timings")
 			return 2
 		}
-		return runReplay(&service.SweepRequest{Solver: *solver, Pricing: *pricing, Basis: *basis})
+		return runReplay(&service.SweepRequest{Solver: *solver})
 	}
 	var benchTimings map[string]float64
 	if *timings != "" {
@@ -123,8 +106,7 @@ func run() int {
 	if *runFlag != "" {
 		ids = strings.Split(*runFlag, ",")
 	}
-	req := &service.SweepRequest{IDs: ids, Stable: *stable, Workers: *workers,
-		Solver: *solver, Pricing: *pricing, Basis: *basis}
+	req := &service.SweepRequest{IDs: ids, Stable: *stable, Workers: *workers, Solver: *solver}
 	if _, err := service.ResolveExperiments(req.IDs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

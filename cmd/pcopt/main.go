@@ -10,7 +10,7 @@
 //
 // The exhaustive method runs the A*/branch-and-bound search of internal/opt
 // (exact but exponential in the worst case); -bound, -full, -max-states,
-// -dijkstra, -no-landmarks and -no-dominance expose the engine's knobs, and
+// -dijkstra and -no-dominance expose the engine's knobs, and
 // the search counters are printed after the result.  The lp method runs the
 // Theorem 4 pipeline of the paper and reports both the fractional lower
 // bound and the extracted schedule's stall time.
@@ -34,7 +34,6 @@ func main() {
 	maxStates := flag.Int("max-states", 0, fmt.Sprintf("state budget of the search (0 = default %d)", opt.DefaultMaxStates))
 	bound := flag.String("bound", "greedy", "branch-and-bound incumbent seeding: greedy or none")
 	dijkstra := flag.Bool("dijkstra", false, "disable the A* heuristic (uniform-cost order; with -bound none this is the blind reference search)")
-	noLandmarks := flag.Bool("no-landmarks", false, "disable the precomputed landmark lower bounds (A* keeps the per-state matching bound)")
 	noDominance := flag.Bool("no-dominance", false, "disable canonicalized dominance merging (duplicates are detected by raw key only)")
 	showSchedule := flag.Bool("schedule", false, "print the optimal schedule")
 	flag.Parse()
@@ -57,7 +56,6 @@ func main() {
 			MaxStates:   *maxStates,
 			Bound:       boundMode,
 			NoHeuristic: *dijkstra,
-			NoLandmarks: *noLandmarks,
 			NoDominance: *noDominance,
 		})
 		if err != nil {
@@ -72,7 +70,6 @@ func main() {
 		fmt.Printf("pruned by bound: %d\n", res.PrunedByBound)
 		fmt.Printf("duplicate hits: %d\n", res.DuplicateHits)
 		fmt.Printf("pruned by dominance: %d\n", res.PrunedByDominance)
-		fmt.Printf("landmark hits: %d\n", res.LandmarkHits)
 		fmt.Printf("peak table size: %d\n", res.PeakTableSize)
 		if res.SeedStall >= 0 {
 			status := "beaten by the search"

@@ -60,22 +60,10 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "server-side deadline per schedule computation, 504 beyond it (0 = none)")
 	workers := flag.Int("workers", 0, "experiment pool size for sweeps whose request sets no workers (0 = one per CPU)")
 	solver := flag.String("solver", "revised", "LP simplex implementation: revised or flat")
-	pricing := flag.String("pricing", "steepest-edge", "revised-simplex pricing rule for schedule requests: steepest-edge or dantzig")
-	basis := flag.String("basis", "lu", "revised-simplex basis representation for schedule requests: lu or eta")
 	drain := flag.Duration("drain", 2*time.Second, "not-ready interval between the shutdown signal and closing the listener")
 	flag.Parse()
 
 	method, err := lp.ParseMethod(*solver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	pricingRule, err := lp.ParsePricing(*pricing)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	basisMethod, err := lp.ParseBasis(*basis)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -87,8 +75,6 @@ func run() int {
 		CacheEntries:    *cacheEntries,
 		ScheduleTimeout: *timeout,
 		Solver:          method,
-		Pricing:         pricingRule,
-		Basis:           basisMethod,
 		Workers:         *workers,
 	})
 	defer srv.Close()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"sync"
 
+	"pfcache/internal/core"
 	"pfcache/internal/lpmodel"
 )
 
@@ -50,4 +51,42 @@ func (c Config) releaseBatch(b *lpmodel.ModelBatch) {
 		defer p.mu.Unlock()
 		p.free = append(p.free, b)
 	}
+}
+
+// tieEps is the suite's tie-break magnitude (Model.TieBreakObjective): large
+// enough that the solver's optimality tolerance still separates the
+// perturbed vertices, small enough that the extracted vertex is optimal for
+// the unperturbed program too.
+const tieEps = 1e-5
+
+// tieLP builds the instance's program in a ModelBatch drawn from the run's
+// pool, tie-breaks it at tieEps and solves it cold, then hands the model and
+// its optimum to use before the batch returns to the pool.  The tie-break
+// makes the optimal x unique, so the schedule extracted from it, and every
+// table cell built on it, is the same whatever engine solves it; the
+// optimum's Objective is still the unperturbed LP bound.
+func (c Config) tieLP(in *core.Instance, use func(*lpmodel.Model, *lpmodel.Fractional) error) error {
+	mb := c.acquireBatch()
+	defer c.releaseBatch(mb)
+	m, err := mb.Model(in)
+	if err != nil {
+		return err
+	}
+	m.TieBreakObjective(tieEps)
+	frac, err := m.SolveBatch(mb.LP(), c.lpOptions())
+	if err != nil {
+		return err
+	}
+	return use(m, frac)
+}
+
+// planLP is the Theorem 4 pipeline on the instance's tie-broken program.
+func (c Config) planLP(in *core.Instance) (*lpmodel.PlanResult, error) {
+	var res *lpmodel.PlanResult
+	err := c.tieLP(in, func(m *lpmodel.Model, frac *lpmodel.Fractional) error {
+		var err error
+		res, err = lpmodel.Extract(m, frac)
+		return err
+	})
+	return res, err
 }

@@ -7,31 +7,22 @@ import (
 	"pfcache/internal/opt"
 )
 
-// Config is the configuration of one run of the suite: the engines its LPs
-// are solved with, how many workers the driver uses, and the sinks its
-// solver work is counted in.  RunAll and every Experiment.Run take it as a
-// value, so runs with different configurations can proceed side by side in
-// one process.
+// Config is the configuration of one run of the suite: the simplex
+// implementation its LPs are solved with, how many workers the driver uses,
+// and the sinks its solver work is counted in.  RunAll and every
+// Experiment.Run take it as a value, so runs with different configurations
+// can proceed side by side in one process.
 //
-// The zero value is the reproduction setup the committed BENCH_*.json
-// trajectory files were recorded with.  Those files record schedule values
-// produced by Dantzig pricing over the eta-file basis, and on the degenerate
-// alternative optima of the synchronized-schedule LPs both the
-// entering-column rule and the refactorization's row reassignment decide
-// which optimal vertex the solve lands on, so the suite keeps both pinned to
-// the historical engines unless Pricing or Basis overrides them.  The
-// library defaults (steepest edge, LU) serve every non-reproduction caller.
+// The zero value is the reproduction setup.  The suite's tables do not
+// depend on the LP engine: every program whose schedule it extracts is
+// tie-broken (Model.TieBreakObjective, see tieLP), so any correct solve lands
+// on the same optimal vertex, and the committed BENCH_*.json schedule values
+// come out the same on the revised and the flat path.
 type Config struct {
 	// Method is the simplex implementation the LPs are solved with (zero
 	// value: lp.MethodRevised).  pcbench exposes it as -solver, so perf
 	// comparisons between implementations run the identical experiment code.
 	Method lp.Method
-	// Pricing overrides the pinned entering-column rule, Dantzig's (nil keeps
-	// it).
-	Pricing *lp.Pricing
-	// Basis overrides the pinned basis representation, the eta file (nil
-	// keeps it).
-	Basis *lp.BasisMethod
 	// Workers is the driver's concurrency: RunAll and the row loops inside
 	// the experiments run on at most this many goroutines (<= 0: one per
 	// CPU; 1: fully sequential).
@@ -45,27 +36,9 @@ type Config struct {
 	batches *batchPool
 }
 
-// SolverPricing returns the effective pricing rule: lp.PricingDantzig unless
-// overridden.
-func (c Config) SolverPricing() lp.Pricing {
-	if c.Pricing != nil {
-		return *c.Pricing
-	}
-	return lp.PricingDantzig
-}
-
-// SolverBasis returns the effective basis representation: lp.BasisEta unless
-// overridden.
-func (c Config) SolverBasis() lp.BasisMethod {
-	if c.Basis != nil {
-		return *c.Basis
-	}
-	return lp.BasisEta
-}
-
 // lpOptions are the solver options every experiment passes to LP solves.
 func (c Config) lpOptions() lp.Options {
-	return lp.Options{Method: c.Method, Pricing: c.SolverPricing(), Basis: c.SolverBasis(), Stats: c.LPStats}
+	return lp.Options{Method: c.Method, Stats: c.LPStats}
 }
 
 // optOptions applies the run's exact-search sink to an experiment's option

@@ -15,9 +15,19 @@ import (
 )
 
 // runParallel executes a parallel-disk algorithm and returns its executor
-// result.
-func runParallel(in *core.Instance, a parallel.Algorithm) (*sim.Result, error) {
-	sched, err := a.Run(in)
+// result.  The lp-optimal entry runs on the suite's tie-broken program
+// (planLP) instead of the algorithm's own untied solve.
+func (c Config) runParallel(in *core.Instance, a parallel.Algorithm) (*sim.Result, error) {
+	var sched *core.Schedule
+	var err error
+	if a.Name == "lp-optimal" {
+		var res *lpmodel.PlanResult
+		if res, err = c.planLP(in); err == nil {
+			sched = res.Schedule
+		}
+	} else {
+		sched, err = a.Run(in)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
@@ -38,8 +48,8 @@ func E2IntroParallelExample(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E2: introduction example, two disks (k=4, F=4, n=7)",
 		"algorithm", "stall", "elapsed", "extra cache")
 	t.Note = "Paper: the described schedule has stall time 3."
-	for _, a := range parallel.AlgorithmsWith(cfg.lpOptions()) {
-		res, err := runParallel(in, a)
+	for _, a := range parallel.Algorithms() {
+		res, err := cfg.runParallel(in, a)
 		if err != nil {
 			return nil, err
 		}
@@ -61,14 +71,14 @@ func E2IntroParallelExample(cfg Config) (*report.Table, error) {
 // locations) and "max extra" at most 2(D-1).  The n=11 rows are the
 // historical instance size, the n=22 rows the sizes the A*/branch-and-bound
 // search first unlocked, and the n=40 rows the sizes reachable with the
-// layered bounds.  The four trailing columns attribute the exact engine's
+// layered bounds.  The three trailing columns attribute the exact engine's
 // work per bound layer on the same instances: the matching-bound search
-// alone ("astar"), with the landmark table ("astar+lm"), with landmarks and
-// dominance merging ("astar+lm+dom" — the default engine), and the blind
-// Dijkstra reference.  A -1 records a layer that exhausted its state budget.
+// alone ("astar"), with dominance merging ("astar+dom" — the default
+// engine), and the blind Dijkstra reference.  A -1 records a layer that
+// exhausted its state budget.
 func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 	t := report.NewTable("E7: Theorem 4 - LP schedule vs optimal stall",
-		"D", "n", "instances", "mean stall ratio", "max stall ratio", "max extra cache", "budget 2(D-1)", "mean LP bound / OPT", "astar expanded", "astar+lm expanded", "astar+lm+dom expanded", "dijkstra expanded")
+		"D", "n", "instances", "mean stall ratio", "max stall ratio", "max extra cache", "budget 2(D-1)", "mean LP bound / OPT", "astar expanded", "astar+dom expanded", "dijkstra expanded")
 	t.Note = "Expected: stall ratio <= 1.000, extra cache within budget, expansions shrink with every bound layer."
 	diskSet := []int{1, 2, 3}
 	sizes := []struct{ n, blocks, k, f int }{
@@ -78,9 +88,9 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 	}
 	const seeds = 4
 	type point struct {
-		ratio, bound                     float64
-		extra                            int
-		astarExp, lmExp, domExp, dijkExp int
+		ratio, bound              float64
+		extra                     int
+		astarExp, domExp, dijkExp int
 	}
 	// layerExpansions runs one engine configuration and returns its expansion
 	// count, or -1 when the configuration exhausts its state budget (the
@@ -111,11 +121,7 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		astarExp, err := layerExpansions(in, cfg.optOptions(opt.Options{NoLandmarks: true, NoDominance: true}), optRes.Stall, "matching-bound")
-		if err != nil {
-			return err
-		}
-		lmExp, err := layerExpansions(in, cfg.optOptions(opt.Options{NoDominance: true}), optRes.Stall, "landmark")
+		astarExp, err := layerExpansions(in, cfg.optOptions(opt.Options{NoDominance: true}), optRes.Stall, "matching-bound")
 		if err != nil {
 			return err
 		}
@@ -123,12 +129,7 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		// The batch shares built models and solver arenas across the rows
-		// this worker processes; a batched solve is bit-identical to a plain
-		// lpmodel.Plan.
-		mb := cfg.acquireBatch()
-		res, err := lpmodel.PlanBatch(mb, in, cfg.lpOptions())
-		cfg.releaseBatch(mb)
+		res, err := cfg.planLP(in)
 		if err != nil {
 			return err
 		}
@@ -137,7 +138,6 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 			bound:    stats.Ratio(res.LowerBound, float64(optRes.Stall)),
 			extra:    res.ExtraCache,
 			astarExp: astarExp,
-			lmExp:    lmExp,
 			domExp:   optRes.StatesExpanded,
 			dijkExp:  dijkExp,
 		}
@@ -158,7 +158,7 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 		for si, size := range sizes {
 			var ratios, bounds []float64
 			maxExtra := 0
-			astarExp, lmExp, domExp, dijkExp := 0, 0, 0, 0
+			astarExp, domExp, dijkExp := 0, 0, 0
 			base := (di*len(sizes) + si) * seeds
 			for _, p := range points[base : base+seeds] {
 				ratios = append(ratios, p.ratio)
@@ -167,13 +167,12 @@ func E7ParallelLPOptimal(cfg Config) (*report.Table, error) {
 					maxExtra = p.extra
 				}
 				astarExp = sumExp(astarExp, p.astarExp)
-				lmExp = sumExp(lmExp, p.lmExp)
 				domExp = sumExp(domExp, p.domExp)
 				dijkExp = sumExp(dijkExp, p.dijkExp)
 			}
 			s := stats.Summarize(ratios)
 			b := stats.Summarize(bounds)
-			t.AddRow(disks, size.n, seeds, s.Mean, s.Max, maxExtra, 2*(disks-1), b.Mean, astarExp, lmExp, domExp, dijkExp)
+			t.AddRow(disks, size.n, seeds, s.Mean, s.Max, maxExtra, 2*(disks-1), b.Mean, astarExp, domExp, dijkExp)
 		}
 	}
 	return t, nil
@@ -190,7 +189,7 @@ func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 		"D", "lp-optimal", "aggressive", "conservative", "demand")
 	t.Note = "Expected: lp-optimal stays near 1; the others grow with D."
 	diskSet := []int{1, 2, 3, 4}
-	algos := parallel.AlgorithmsWith(cfg.lpOptions())
+	algos := parallel.Algorithms()
 	// The interleaved workload is deterministic for a given D (the old
 	// per-seed loop recomputed identical instances), so one point per D
 	// suffices.
@@ -201,39 +200,31 @@ func E8ParallelHeuristics(cfg Config) (*report.Table, error) {
 		in := workload.Instance(seq, 4, 3, disks, workload.AssignStripe, 0)
 		// One solve serves both the lower bound and the lp-optimal row:
 		// the schedule is extracted from the same fractional optimum.
-		mb := cfg.acquireBatch()
-		defer cfg.releaseBatch(mb)
-		m, err := mb.Model(in)
-		if err != nil {
-			return err
-		}
-		frac, err := m.SolveBatch(mb.LP(), cfg.lpOptions())
-		if err != nil {
-			return err
-		}
-		lb := frac.Objective
-		// Guard against a zero lower bound (nothing to fetch).
-		if lb < 0.5 {
-			lb = 1
-		}
-		vals := make([]float64, len(algos))
-		for ai, a := range algos {
-			if a.Name == "lp-optimal" {
-				res, err := lpmodel.Extract(m, frac)
+		return cfg.tieLP(in, func(m *lpmodel.Model, frac *lpmodel.Fractional) error {
+			lb := frac.Objective
+			// Guard against a zero lower bound (nothing to fetch).
+			if lb < 0.5 {
+				lb = 1
+			}
+			vals := make([]float64, len(algos))
+			for ai, a := range algos {
+				if a.Name == "lp-optimal" {
+					res, err := lpmodel.Extract(m, frac)
+					if err != nil {
+						return fmt.Errorf("%s: %w", a.Name, err)
+					}
+					vals[ai] = float64(res.Stall) / lb
+					continue
+				}
+				res, err := cfg.runParallel(in, a)
 				if err != nil {
-					return fmt.Errorf("%s: %w", a.Name, err)
+					return err
 				}
 				vals[ai] = float64(res.Stall) / lb
-				continue
 			}
-			res, err := runParallel(in, a)
-			if err != nil {
-				return err
-			}
-			vals[ai] = float64(res.Stall) / lb
-		}
-		points[i] = vals
-		return nil
+			points[i] = vals
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -23,11 +23,6 @@ import (
 // where the degenerate optimal face lets different pivot paths serve
 // different equal-cost schedules.
 
-// replayEps is the tie-break magnitude: large enough that the solver's
-// optimality tolerance still separates the perturbed vertices, small enough
-// that the reported objective moves by less than 1e-3.
-const replayEps = 1e-5
-
 // ReplayRun is one pass of a growing trace: the served plan after every
 // extension step.
 type ReplayRun struct {
@@ -52,7 +47,7 @@ func ReplayIncremental(base *core.Instance, steps []core.BlockID, opts lp.Option
 	if err != nil {
 		return nil, err
 	}
-	m.TieBreakObjective(replayEps)
+	m.TieBreakObjective(tieEps)
 	solver := lp.NewSolver()
 	if _, err := m.SolveWith(solver, opts); err != nil {
 		return nil, err
@@ -62,7 +57,7 @@ func ReplayIncremental(base *core.Instance, steps []core.BlockID, opts lp.Option
 		if err := m.Extend(b); err != nil {
 			return nil, err
 		}
-		m.TieBreakObjective(replayEps)
+		m.TieBreakObjective(tieEps)
 		frac, err := m.SolveIncremental(solver, opts)
 		if err != nil {
 			return nil, err
@@ -89,7 +84,7 @@ func ReplayCold(base *core.Instance, steps []core.BlockID, opts lp.Options) (*Re
 		if err := lpmodel.BuildInto(m, in); err != nil {
 			return nil, err
 		}
-		m.TieBreakObjective(replayEps)
+		m.TieBreakObjective(tieEps)
 		frac, err := m.SolveWith(solver, opts)
 		if err != nil {
 			return nil, err
@@ -268,7 +263,7 @@ func ReplayMeasure(cfg Config, base *core.Instance, steps []core.BlockID) (*Repl
 	if err != nil {
 		return nil, err
 	}
-	m.TieBreakObjective(replayEps)
+	m.TieBreakObjective(tieEps)
 	solver := lp.NewSolver()
 	if _, err := m.SolveWith(solver, opts); err != nil {
 		return nil, err
@@ -280,7 +275,7 @@ func ReplayMeasure(cfg Config, base *core.Instance, steps []core.BlockID) (*Repl
 		if err := m.Extend(b); err != nil {
 			return nil, err
 		}
-		m.TieBreakObjective(replayEps)
+		m.TieBreakObjective(tieEps)
 		frac, err := m.SolveIncremental(solver, opts)
 		warmDur += time.Since(start)
 		if err != nil {
@@ -304,7 +299,7 @@ func ReplayMeasure(cfg Config, base *core.Instance, steps []core.BlockID) (*Repl
 		if err := lpmodel.BuildInto(cm, in); err != nil {
 			return nil, err
 		}
-		cm.TieBreakObjective(replayEps)
+		cm.TieBreakObjective(tieEps)
 		frac, err := cm.SolveWith(csolver, opts)
 		coldDur += time.Since(start)
 		if err != nil {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestReplayChainsAgree runs every R1 scenario through both replay paths and
-// requires cost-identical plans at every step; on the pinned suite engines
-// the extracted schedules must also be byte-identical, since that is the
-// property the committed R1 rows record.
+// requires cost-identical plans at every step; the extracted schedules must
+// also be byte-identical, since both chains solve the same tie-broken
+// program and that is the property the committed R1 rows record.
 func TestReplayChainsAgree(t *testing.T) {
 	for i, sc := range r1Scenarios() {
 		if testing.Short() && sc.baseN > 30 {
@@ -31,7 +31,7 @@ func TestReplayChainsAgree(t *testing.T) {
 			t.Fatalf("scenario %d: %v", i, err)
 		}
 		if !identical {
-			t.Errorf("scenario %d: schedules diverged on the pinned engines", i)
+			t.Errorf("scenario %d: schedules diverged between the warm and cold chains", i)
 		}
 		if warm.Pivots >= cold.Pivots {
 			t.Errorf("scenario %d: warm chain spent %d pivots, cold chain only %d",
@@ -75,7 +75,7 @@ func BenchmarkReplayIncrementalStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.TieBreakObjective(replayEps)
+	m.TieBreakObjective(tieEps)
 	if _, err := m.SolveWith(solver, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func BenchmarkReplayIncrementalStep(b *testing.B) {
 			if err := lpmodel.BuildInto(m, base.Clone()); err != nil {
 				b.Fatal(err)
 			}
-			m.TieBreakObjective(replayEps)
+			m.TieBreakObjective(tieEps)
 			if _, err := m.SolveWith(solver, opts); err != nil {
 				b.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func BenchmarkReplayIncrementalStep(b *testing.B) {
 		if err := m.Extend(steps[i%len(steps)]); err != nil {
 			b.Fatal(err)
 		}
-		m.TieBreakObjective(replayEps)
+		m.TieBreakObjective(tieEps)
 		if _, err := m.SolveIncremental(solver, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkReplayColdStep(b *testing.B) {
 		if err := lpmodel.BuildInto(m, in); err != nil {
 			b.Fatal(err)
 		}
-		m.TieBreakObjective(replayEps)
+		m.TieBreakObjective(tieEps)
 		if _, err := m.SolveWith(solver, opts); err != nil {
 			b.Fatal(err)
 		}

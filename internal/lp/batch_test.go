@@ -34,7 +34,7 @@ func batchSweepProblems(tb testing.TB) []*lp.Problem {
 }
 
 // TestBatchSolveMatchesColdAcrossEngines pins the batch path's correctness
-// contract over the full engine grid (pricing x basis): two rounds over the
+// contract over the engine grid: two rounds over the
 // same problems through one batch are each bit-identical — status,
 // iteration count, objective and every solution coordinate compared by
 // their float64 bits — to solving each problem cold on its own fresh

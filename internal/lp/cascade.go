@@ -40,13 +40,12 @@ func (e *CascadeExhaustedError) Unwrap() error { return e.Last }
 // pivot budget or suspect terminal status abandons the rung and re-solves
 // one step down the ladder:
 //
-//	rung 0  the configured engines, warm-started when a basis was offered
-//	rung 1  the same engines, cold (a clean re-solve: transient numerical
+//	rung 0  the revised method, warm-started when a basis was offered
+//	rung 1  the revised method, cold (a clean re-solve: transient numerical
 //	        damage — cosmic or injected — does not repeat, and the result
-//	        is bit-identical to what the configured engine computes fresh)
-//	rung 2  Dantzig pricing over a pure eta file (the PR-2 reference pair)
-//	rung 3  the flat dense-tableau path (the PR-1 reference, no shared
-//	        machinery with the revised solver at all)
+//	        is bit-identical to what the engine computes fresh)
+//	rung 2  the flat dense-tableau path (the independent reference, no
+//	        shared machinery with the revised solver at all)
 //
 // A rung's Optimal solution is returned only after it verifies; a terminal
 // Infeasible/Unbounded status is trusted only from the last (reference)
@@ -55,18 +54,13 @@ func (e *CascadeExhaustedError) Unwrap() error { return e.Last }
 // CascadeFallbacks counters of the caller's sink (Options.Stats) aggregate
 // across solves.
 func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmBasis, plan FaultPlan) (*Solution, error) {
-	alt := opts
-	alt.Pricing = PricingDantzig
-	alt.Basis = BasisEta
 	rungs := [...]struct {
-		opts Options
 		warm *WarmBasis
 		flat bool
 	}{
-		{opts: opts, warm: warm},
-		{opts: opts},
-		{opts: alt},
-		{opts: opts, flat: true},
+		{warm: warm},
+		{},
+		{flat: true},
 	}
 	var lastErr error
 	for i := range rungs {
@@ -78,7 +72,7 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 		if plan != nil {
 			fault = plan(i)
 		}
-		ro := rg.opts
+		ro := opts
 		if fault != nil && fault.PivotBudget > 0 {
 			ro.MaxIterations = fault.PivotBudget
 		}

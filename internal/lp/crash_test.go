@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Crash-start tests.  The BasisLU engine starts each equality or >= row
+// Crash-start tests.  The revised method starts each equality or >= row
 // that holds a unit column singleton on that column instead of its
 // artificial (see revisedSolver.load).  These tests pin the crash start to
-// the slack/artificial identity start, reached through the unexported
-// revisedSolver.identityStart seam.
+// the flat reference path, which starts from the slack/artificial identity
+// basis.
 
 // crashKind selects the shape of a planted problem.
 type crashKind int
@@ -137,26 +137,29 @@ func plantedProblem(rng *rand.Rand, kind crashKind) (*Problem, int) {
 	return p, planted
 }
 
-// crashEngines is the BasisLU slice of the engine grid: the engines the
-// crash start applies to.
+// crashEngines are the revised method's settings the crash tests run: the
+// default refactorization period and a two-pivot one, which refactorizes
+// the crash basis again almost at once.
 var crashEngines = []struct {
 	name string
 	opts Options
 }{
-	{"steepest-lu", Options{Pricing: PricingSteepestEdge, Basis: BasisLU}},
-	{"dantzig-lu", Options{Pricing: PricingDantzig, Basis: BasisLU}},
-	{"steepest-lu-refactor2", Options{Pricing: PricingSteepestEdge, Basis: BasisLU, RefactorEvery: 2}},
-	{"dantzig-lu-refactor2", Options{Pricing: PricingDantzig, Basis: BasisLU, RefactorEvery: 2}},
+	{"steepest-lu", Options{}},
+	{"steepest-lu-refactor2", Options{RefactorEvery: 2}},
 }
 
+// flatOptions solves on the flat reference path, the crash tests' oracle:
+// it starts from the slack/artificial identity basis and shares no
+// machinery with the revised method.
+var flatOptions = Options{Method: MethodFlat}
+
 // TestCrashStartMatchesIdentityStart solves planted problems of every kind
-// on every BasisLU engine from the crash start and from the identity start,
-// and requires equal statuses, equal optimal objectives and feasible
-// optimal points.
+// from the revised method's crash start and from the identity start of the
+// flat reference path, and requires equal statuses, equal optimal
+// objectives and feasible, certified optimal points.
 func TestCrashStartMatchesIdentityStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
-	crash, ident := NewSolver(), NewSolver()
-	ident.rev.identityStart = true
+	crash, flat := NewSolver(), NewSolver()
 	kinds := []struct {
 		kind crashKind
 		want Status // -1: any
@@ -164,7 +167,7 @@ func TestCrashStartMatchesIdentityStart(t *testing.T) {
 		{crashEQPositive, -1}, {crashEQZero, -1}, {crashGE, -1}, {crashMixed, -1},
 		{crashInfeasible, StatusInfeasible}, {crashUnbounded, StatusUnbounded},
 	}
-	crashedRows, differed := 0, 0
+	crashedRows := 0
 	for _, k := range kinds {
 		statuses := map[Status]int{}
 		for trial := 0; trial < 60; trial++ {
@@ -177,30 +180,27 @@ func TestCrashStartMatchesIdentityStart(t *testing.T) {
 			if planted == 0 {
 				continue
 			}
+			fs, err := flat.Solve(p, flatOptions)
+			if err != nil {
+				t.Fatalf("kind %d trial %d flat: %v", k.kind, trial, err)
+			}
 			for _, e := range crashEngines {
 				cs, err := crash.Solve(p, e.opts)
 				if err != nil {
 					t.Fatalf("kind %d trial %d %s crash: %v", k.kind, trial, e.name, err)
 				}
-				is, err := ident.Solve(p, e.opts)
-				if err != nil {
-					t.Fatalf("kind %d trial %d %s identity: %v", k.kind, trial, e.name, err)
-				}
-				if cs.Status != is.Status {
-					t.Fatalf("kind %d trial %d %s: crash %v, identity %v", k.kind, trial, e.name, cs.Status, is.Status)
+				if cs.Status != fs.Status {
+					t.Fatalf("kind %d trial %d %s: crash %v, flat %v", k.kind, trial, e.name, cs.Status, fs.Status)
 				}
 				if k.want >= 0 && cs.Status != k.want {
 					t.Fatalf("kind %d trial %d %s: status %v, want %v", k.kind, trial, e.name, cs.Status, k.want)
 				}
 				statuses[cs.Status]++
-				if cs.Phase1Iterations != is.Phase1Iterations {
-					differed++
-				}
 				if cs.Status != StatusOptimal {
 					continue
 				}
-				if math.Abs(cs.Objective-is.Objective) > 1e-6*(1+math.Abs(is.Objective)) {
-					t.Fatalf("kind %d trial %d %s: objective crash %.12g, identity %.12g", k.kind, trial, e.name, cs.Objective, is.Objective)
+				if math.Abs(cs.Objective-fs.Objective) > 1e-6*(1+math.Abs(fs.Objective)) {
+					t.Fatalf("kind %d trial %d %s: objective crash %.12g, flat %.12g", k.kind, trial, e.name, cs.Objective, fs.Objective)
 				}
 				if viol, idx := p.Violation(cs.X); viol > 1e-6 {
 					t.Fatalf("kind %d trial %d %s: crash solution violates row %d by %g", k.kind, trial, e.name, idx, viol)
@@ -214,9 +214,8 @@ func TestCrashStartMatchesIdentityStart(t *testing.T) {
 			t.Fatalf("kind %d: no optimal problem in the lattice (%v)", k.kind, statuses)
 		}
 	}
-	if crashedRows == 0 || differed == 0 {
-		t.Fatalf("%d crashable rows, %d solves whose phase one the crash changed: the lattice does not exercise the crash",
-			crashedRows, differed)
+	if crashedRows == 0 {
+		t.Fatal("no crashable row: the lattice does not exercise the crash")
 	}
 }
 
@@ -247,9 +246,9 @@ func TestCrashColumnPicksLowestUnitSingleton(t *testing.T) {
 	}
 }
 
-// TestCrashStartOnlyOnLU is the guard that BasisEta — the engine the
-// experiment suite pins and the cascade's reference rung — keeps the
-// identity start, while BasisLU starts crashed rows on their singleton.
+// TestCrashStartOnlyOnLU checks the crash basis load installs for the LU
+// engine: every row with a crash column starts on it, its artificial
+// nonbasic, and every other row on its slack or artificial.
 func TestCrashStartOnlyOnLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p, _ := plantedProblem(rng, crashMixed)
@@ -257,54 +256,28 @@ func TestCrashStartOnlyOnLU(t *testing.T) {
 		p, _ = plantedProblem(rng, crashMixed)
 	}
 	var r revisedSolver
-	r.basisMode = BasisEta
-	r.load(p)
-	for i, c := range r.basis {
-		if c < r.numVars {
-			t.Fatalf("BasisEta: row %d starts on structural column %d, want its slack or artificial", i, c)
-		}
-	}
-	r.basisMode = BasisLU
 	r.load(p)
 	crashed := 0
 	for i, c := range r.basis {
 		if j := p.CrashColumn(i); j >= 0 {
 			crashed++
 			if c != j {
-				t.Fatalf("BasisLU: row %d starts on column %d, want crash column %d", i, c, j)
+				t.Fatalf("row %d starts on column %d, want crash column %d", i, c, j)
 			}
 			if r.inBasis[r.artLo+int(r.rowArt[i])] {
-				t.Fatalf("BasisLU: row %d's artificial is still basic", i)
+				t.Fatalf("row %d's artificial is still basic", i)
 			}
 		} else if c < r.numVars {
-			t.Fatalf("BasisLU: row %d starts on structural column %d without a crash column", i, c)
+			t.Fatalf("row %d starts on structural column %d without a crash column", i, c)
 		}
 	}
 	if crashed == 0 {
 		t.Fatal("no crashed row")
 	}
-
-	// Through the solve path: an eta solve is the same with the seam set
-	// or not, down to its pivot counts.
-	crash, ident := NewSolver(), NewSolver()
-	ident.rev.identityStart = true
-	opts := Options{Pricing: PricingDantzig, Basis: BasisEta}
-	a, err := crash.Solve(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ident.Solve(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Iterations != b.Iterations || a.Phase1Iterations != b.Phase1Iterations || a.Objective != b.Objective {
-		t.Fatalf("BasisEta solve differs with the crash seam: %d/%d pivots %g vs %d/%d pivots %g",
-			a.Iterations, a.Phase1Iterations, a.Objective, b.Iterations, b.Phase1Iterations, b.Objective)
-	}
 }
 
-// Triangular crash tests.  After the unit-singleton pass, the BasisLU cold
-// start gives each = row with b_i = 0 that still holds its artificial the
+// Triangular crash tests.  After the unit-singleton pass, the cold start
+// gives each = row with b_i = 0 that still holds its artificial the
 // lowest-index nonbasic column with a ±1 entry in the row and none in a row
 // claimed before it (cscMatrix.triCol, revisedSolver.crashTriangular).
 
@@ -495,7 +468,6 @@ func TestTriangularCrashKeepsBasicValues(t *testing.T) {
 		}
 		tested++
 		var r revisedSolver
-		r.basisMode = BasisLU
 		r.load(p)
 		before := map[int]float64{}
 		for i, c := range r.basis {
@@ -544,37 +516,41 @@ func TestTriangularCrashKeepsBasicValues(t *testing.T) {
 	}
 }
 
-// TestTriangularCrashMatchesIdentityStart solves the triangular lattice on
-// every BasisLU engine from the full crash start, the unit pass alone and
-// the identity start, and requires equal statuses and objectives and a
-// certified optimum from the full crash.
+// TestTriangularCrashMatchesIdentityStart solves the triangular lattice
+// with the revised method from the full crash start and from the unit pass
+// alone, and from the identity start of the flat reference path, and
+// requires equal statuses and objectives and a certified optimum from the
+// full crash.
 func TestTriangularCrashMatchesIdentityStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	full, unit, ident := NewSolver(), NewSolver(), NewSolver()
+	full, unit, flat := NewSolver(), NewSolver(), NewSolver()
 	unit.rev.unitCrashOnly = true
-	ident.rev.identityStart = true
 	optimal, differed := 0, 0
 	for trial := 0; trial < 150; trial++ {
 		p := triangularProblem(rng)
+		ref, err := flat.Solve(p, flatOptions)
+		if err != nil {
+			t.Fatalf("trial %d flat: %v", trial, err)
+		}
 		for _, e := range crashEngines {
 			fs, err := full.Solve(p, e.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, e.name, err)
 			}
-			for _, other := range []*Solver{unit, ident} {
-				os, err := other.Solve(p, e.opts)
-				if err != nil {
-					t.Fatalf("trial %d %s: %v", trial, e.name, err)
-				}
+			us, err := unit.Solve(p, e.opts)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, e.name, err)
+			}
+			for _, os := range []*Solution{us, ref} {
 				if fs.Status != os.Status {
 					t.Fatalf("trial %d %s: status %v with the triangular crash, %v without", trial, e.name, fs.Status, os.Status)
 				}
 				if fs.Status == StatusOptimal && math.Abs(fs.Objective-os.Objective) > 1e-6*(1+math.Abs(os.Objective)) {
 					t.Fatalf("trial %d %s: objective %.12g with the triangular crash, %.12g without", trial, e.name, fs.Objective, os.Objective)
 				}
-				if other == unit && fs.Phase1Iterations != os.Phase1Iterations {
-					differed++
-				}
+			}
+			if fs.Phase1Iterations != us.Phase1Iterations {
+				differed++
 			}
 			if fs.Status != StatusOptimal {
 				continue
@@ -620,7 +596,6 @@ func TestDualTransplantKeepsUnitColumns(t *testing.T) {
 			p.AddConstraint(coeffs, EQ, 0)
 		}
 		var r revisedSolver
-		r.basisMode = BasisLU
 		r.load(p)
 		if !r.installBasisDual(base.Basis) {
 			t.Fatalf("trial %d: the extension did not transplant", trial)
@@ -647,50 +622,4 @@ func TestDualTransplantKeepsUnitColumns(t *testing.T) {
 		t.Fatal("no appended row had a triangular crash column")
 	}
 	t.Logf("%d appended rows with a triangular crash column", checked)
-}
-
-// TestIdentityStartsSkipTriangularCrash is the guard that BasisEta and the
-// identityStart seam keep the identity start on problems the triangular
-// pass claims rows of, down to the eta solve's pivot counts.
-func TestIdentityStartsSkipTriangularCrash(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	p := triangularProblem(rng)
-	for p.csc().triRows == 0 {
-		p = triangularProblem(rng)
-	}
-	for _, seam := range []struct {
-		name  string
-		basis BasisMethod
-		ident bool
-	}{{"eta", BasisEta, false}, {"lu-identity", BasisLU, true}} {
-		var r revisedSolver
-		r.basisMode, r.identityStart = seam.basis, seam.ident
-		r.load(p)
-		if err := r.crashTriangular(); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range r.basis {
-			if c < r.numVars {
-				t.Fatalf("%s: row %d starts on structural column %d", seam.name, i, c)
-			}
-		}
-		if r.refactors != 0 {
-			t.Fatalf("%s: the identity start factorized %d times", seam.name, r.refactors)
-		}
-	}
-	crash, ident := NewSolver(), NewSolver()
-	ident.rev.identityStart = true
-	opts := Options{Pricing: PricingDantzig, Basis: BasisEta}
-	a, err := crash.Solve(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ident.Solve(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Iterations != b.Iterations || a.Phase1Iterations != b.Phase1Iterations || a.Refactorizations != b.Refactorizations {
-		t.Fatalf("BasisEta solve differs with the crash seam: %d/%d pivots, %d refactorizations vs %d/%d, %d",
-			a.Iterations, a.Phase1Iterations, a.Refactorizations, b.Iterations, b.Phase1Iterations, b.Refactorizations)
-	}
 }

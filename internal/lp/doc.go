@@ -15,16 +15,18 @@
 // feasible solution (detecting infeasibility), phase two optimises the real
 // objective (detecting unboundedness).
 //
-// # The revised simplex and its inner engines
+// # The revised simplex and its engine
 //
 // The production implementation (Options.Method == MethodRevised, the
 // default) is a revised simplex.  The constraint matrix is kept in a
 // read-only compressed sparse column form built once per Problem (with a CSR
 // twin for row reads, see sparse.go); slack and artificial columns are
-// singletons handled symbolically.  Its two inner engines are selectable:
+// singletons handled symbolically.  It has one engine: steepest-edge pricing
+// over a sparse LU basis.  Options.Pricing and Options.Basis are ignored;
+// they stay only because the serving benchmark sets them.
 //
-// Pricing (Options.Pricing, pricing.go).  The default PricingSteepestEdge is
-// a projected steepest edge: the entering column maximises rc_j^2 / gamma_j,
+// Pricing (pricing.go).  The entering-column rule is a projected steepest
+// edge: the entering column maximises rc_j^2 / gamma_j,
 // where gamma_j approximates the projected column norm 1 + |B^-1 A_j|^2
 // through Devex-style reference weights.  The engine maintains the whole
 // reduced-cost vector incrementally from the pivot row (one BTRAN of the
@@ -38,18 +40,16 @@
 // before optimality is declared, so incremental round-off can never
 // terminate a solve early.  The leaving row breaks ratio-test ties towards
 // basic artificials and then the largest pivot element (ratioTestSE).
-// PricingDantzig keeps the PR-1/PR-2 rule — most negative reduced cost over
-// a candidate list, duals recomputed per pivot — as the reference
-// implementation and the rule the experiment suite pins for reproducing the
-// committed BENCH_*.json schedule values.  Both rules fall back to Bland's
-// rule after a run of degenerate pivots, which guarantees termination:
-// after degenerateSwitch (50) on Dantzig and on the flat path, after
-// degenerateSwitchSE (1,000) on steepest edge, where the paper's LPs run
-// long degenerate stretches that are not cycles.  Solution.BlandIterations
+// After a run of degenerateSwitchSE (1,000) degenerate pivots pricing falls
+// back to Bland's rule, paired with the smallest-index ratio test, which
+// guarantees termination; the window is long because the paper's LPs run
+// long degenerate stretches that are not cycles.  The flat path prices with
+// Dantzig's rule (most negative reduced cost over a candidate list) and
+// falls back to Bland after degenerateSwitch (50).  Solution.BlandIterations
 // and the BlandPivots counter report how many pivots Bland priced.
 //
-// Basis (Options.Basis, lu.go/eta.go).  The default BasisLU factorizes the
-// basis as a sparse LU: right-looking Gaussian elimination with
+// Basis (lu.go/eta.go).  The basis is factorized as a sparse LU:
+// right-looking Gaussian elimination with
 // Markowitz-style pivoting (minimum-count column from a bucket queue,
 // minimum-row-count row within threshold partial pivoting at luPivotRel),
 // BTRAN/FTRAN solved against the triangular factors directly, and fill-in
@@ -58,13 +58,11 @@
 // untriangularised form of the Forrest–Tomlin column update — so the factors
 // stay frozen and the update file stays short (refactorization every
 // RefactorEvery pivots, or earlier when B·xB drifts from b beyond
-// tolerance).  BasisEta keeps the PR-2 representation — a pure product-form
-// eta file rebuilt from scratch at every refactorization — as the reference;
-// on the experiment-sized LPs the LU factors hold an order of magnitude
-// fewer nonzeros than the reinversion's eta columns, which is where most of
-// the revised path's speedup over PR-2 comes from.
+// tolerance).  On the experiment-sized LPs the LU factors hold an order of
+// magnitude fewer nonzeros than a product-form eta file rebuilt from scratch
+// at every refactorization.
 //
-// A BasisLU pivot pays only for the nonzeros it touches, and computes the
+// A pivot pays only for the nonzeros it touches, and computes the
 // same numbers as walking everything (Hall & McKinnon, "Hyper-sparsity in
 // the revised simplex method", 2005).  FTRAN and BTRAN walk only the LU's
 // step lists (luFactor.listSteps): the steps with L multipliers, and those
@@ -76,7 +74,7 @@
 // starts from a unit vector, so btranRow runs the update etas newest-first
 // while keeping the short list of rows where rho may be nonzero, and skips
 // the dot of any eta whose off-pivot rows (a row bitset per eta, written by
-// pivot on this path only) hold none of them: about 7 of 46 etas are dotted.
+// pivot) hold none of them: about 7 of 46 etas are dotted.
 // The LU part then runs only the live steps, those whose pivot row is on
 // that list or which a nonzero result of an earlier step feeds (the factors'
 // patterns, transposed at each factorization, say which), in the order btran
@@ -88,12 +86,13 @@
 //
 // # Crash start
 //
-// A cold start installs an identity basis: the slack of every <= row, and
-// for = and >= rows an artificial that phase one must price out.  On the
-// BasisLU engine an = or >= row that holds a unit column singleton — a
-// structural column whose only nonzero is exactly +1, in that row — starts
-// with that column basic instead, at b_i (non-negative after the row
-// normalisation); with several, the lowest index wins.  Such a column is the
+// The textbook cold start installs an identity basis: the slack of every <=
+// row, and for = and >= rows an artificial that phase one must price out.
+// The revised method's crash start changes that: an = or >= row that holds
+// a unit column singleton — a structural column whose only nonzero is
+// exactly +1, in that row — starts with that column basic instead, at b_i
+// (non-negative after the row normalisation); with several, the lowest
+// index wins.  Such a column is the
 // row's unit vector, so the basis is still the identity, the empty LU and
 // update-eta factors stay exact, and no initial factorization runs.  The
 // row's artificial keeps its column index, nonbasic at zero (phase one may
@@ -137,14 +136,9 @@
 //
 // The triangular pass runs on the cold path only.  A dual transplant keeps
 // load's columns in the appended rows (see Dual re-optimization), and
-// SolveFrom replaces the whole basis.
-//
-// BasisEta keeps the identity start.  It is the engine the experiment suite
-// pins (with PricingDantzig) and the cascade's Dantzig+eta reference rung.
-// The committed BENCH rows were recorded from its identity start, and a
-// crash start lands some degenerate E2/E7 programs on other optimal
-// vertices, whose rounded schedules differ; it also keeps the reference rung
-// independent of the crash.
+// SolveFrom replaces the whole basis.  The flat path keeps the identity
+// start, which keeps the cascade's reference rung independent of the crash;
+// the crash tests use it as their oracle.
 //
 // # Warm starts
 //
@@ -229,10 +223,9 @@
 // Options.Cascade (cascade.go) turns a solve into a self-healing ladder.
 // Every Optimal result must pass Verify before it is returned; a failed
 // certificate, a singular refactorization, or an exhausted per-rung pivot
-// budget abandons the rung and re-solves one rung down — first the
-// configured engines cold (discarding a possibly poisoned warm basis), then
-// the reference engines (PricingDantzig over BasisEta) cold, finally
-// MethodFlat.  Infeasible/Unbounded are accepted only from the final rung,
+// budget abandons the rung and re-solves one rung down — first the revised
+// method cold (discarding a possibly poisoned warm basis), then MethodFlat,
+// the independent reference.  Infeasible/Unbounded are accepted only from the final rung,
 // since a damaged factorization can misreport either.  Solution.Downgrades
 // records how many rungs were abandoned (0 = first try verified), and the
 // VerifiedSolves/VerifyFailures/CascadeFallbacks counters of the caller's
@@ -243,14 +236,14 @@
 // *PivotBudgetError.
 //
 // The cascade's healing is exact, not approximate: rung 1 re-runs the same
-// engines from a cold start, which is bit-identical to an unfaulted cold
+// engine from a cold start, which is bit-identical to an unfaulted cold
 // solve, so callers that cache or compare response bytes (the service tier)
 // serve the same bytes whether or not a fault was healed.  SetFaultHook
 // (fault.go) is the test-only seam that lets internal/faultinject corrupt
 // factorizations, reported objectives and refactorizations on chosen rungs
 // to prove exactly that.
 //
-// Every working buffer of all engines lives on a reusable Solver, so
+// Every working buffer of both implementations lives on a reusable Solver, so
 // repeated solves — the experiment sweeps solve hundreds of similar-sized
 // programs — run without allocating in steady state.  The package-level
 // Solve draws Solvers from an internal pool; Solution carries pivot,

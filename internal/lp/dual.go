@@ -9,8 +9,8 @@ import "math"
 // When a problem grows by appended rows and columns (Problem.AddVariable,
 // AddConstraint, ExtendConstraint on old rows gaining only NEW columns), the
 // old optimal basis B extends to B' = [[B, 0], [C, S]] where S holds the
-// cold-start columns of the new rows: slacks, artificials and (BasisLU)
-// crash unit columns.  B' is nonsingular whenever B is, and when S's columns
+// cold-start columns of the new rows: slacks, artificials and crash unit
+// columns.  B' is nonsingular whenever B is, and when S's columns
 // cost nothing its simplex multipliers are y' = (y_old, 0): every OLD column
 // keeps its reduced cost, so the transplanted basis stays dual feasible with
 // respect to the old column set, while the appended rows may leave basic

@@ -53,13 +53,9 @@ func extendProblem(p *lp.Problem, x []float64, newVars, violated, satisfied int,
 	return added
 }
 
-// dualEngineGrid is the engine grid the dual warm path must hold on.
-var dualEngineGrid = []lp.Options{
-	{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisLU},
-	{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisEta},
-	{Pricing: lp.PricingDantzig, Basis: lp.BasisLU},
-	{Pricing: lp.PricingDantzig, Basis: lp.BasisEta},
-}
+// dualEngineGrid is the engine grid the dual warm path must hold on: the
+// revised method's one engine.
+var dualEngineGrid = []lp.Options{{}}
 
 // TestDualResolveMatchesColdRandom extends random base problems and requires
 // the dual warm re-solve to agree with a cold solve of the same extended
@@ -163,7 +159,7 @@ func TestDualResolveE7Extension(t *testing.T) {
 }
 
 // TestDualTiesBreakOnLargestPivot pins the dual ratio test's tie rule on
-// every engine: among entering columns with equal dual ratios the largest
+// the engine grid: among entering columns with equal dual ratios the largest
 // pivot element enters.  The appended row x1 + 2·x2 = 1 leaves its
 // artificial basic at 1, and x1 (cost 1) and x2 (cost 2) both price at
 // ratio 1, so the rule enters x2 = 0.5 where the smallest index would enter

@@ -1,10 +1,10 @@
 package lp_test
 
-// Property tests pinning the revised simplex's interchangeable inner engines
-// to each other: steepest-edge vs Dantzig pricing, LU vs eta basis, and
-// warm-started vs cold solves.  Every combination must agree on statuses and
-// objectives across the same random/degenerate/infeasible/unbounded lattice
-// the implementation lattice (revised/flat/dense) is pinned on.
+// Property tests pinning the revised simplex's engine (steepest-edge pricing
+// over the sparse LU basis) to the flat reference path, and warm-started to
+// cold solves.  Both must agree on statuses and objectives across the same
+// random/degenerate/infeasible/unbounded lattice the implementation lattice
+// (revised/flat/dense) is pinned on.
 
 import (
 	"math"
@@ -16,64 +16,56 @@ import (
 	"pfcache/internal/workload"
 )
 
-// engineCombos enumerates the revised simplex's pricing x basis grid.
+// engineCombos is the revised simplex's engine grid, which the verify,
+// batch and sparsity tests run every row of: the one engine, steepest-edge
+// pricing over the sparse LU basis.
 var engineCombos = []struct {
 	name string
 	opts lp.Options
 }{
-	{"steepest-lu", lp.Options{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisLU}},
-	{"steepest-eta", lp.Options{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisEta}},
-	{"dantzig-lu", lp.Options{Pricing: lp.PricingDantzig, Basis: lp.BasisLU}},
-	{"dantzig-eta", lp.Options{Pricing: lp.PricingDantzig, Basis: lp.BasisEta}},
+	{"steepest-lu", lp.Options{}},
 }
 
-// solveAllEngines solves p with every pricing/basis combination and requires
-// matching statuses and (when optimal) objectives within 1e-6 plus feasible
-// solutions.  It returns the default-engine solution.
+// solveAllEngines solves p with the revised engine and on the flat
+// reference path and requires matching statuses and (when optimal)
+// objectives within 1e-6 plus feasible solutions.  It returns the revised
+// solution.
 func solveAllEngines(t *testing.T, solvers []*lp.Solver, p *lp.Problem, base lp.Options) *lp.Solution {
 	t.Helper()
+	flat := base
+	flat.Method = lp.MethodFlat
 	var ref *lp.Solution
-	for i, combo := range engineCombos {
-		opts := base
-		opts.Pricing = combo.opts.Pricing
-		opts.Basis = combo.opts.Basis
+	for i, opts := range []lp.Options{base, flat} {
 		sol, err := solvers[i].Solve(p, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", combo.name, err)
-		}
-		if sol.PricingRule != opts.Pricing {
-			t.Fatalf("%s: PricingRule = %v", combo.name, sol.PricingRule)
+			t.Fatalf("%v: %v", opts.Method, err)
 		}
 		if ref == nil {
 			ref = sol
 			continue
 		}
 		if sol.Status != ref.Status {
-			t.Fatalf("%s: status %v, %s got %v", combo.name, sol.Status, engineCombos[0].name, ref.Status)
+			t.Fatalf("%v: status %v, revised got %v", opts.Method, sol.Status, ref.Status)
 		}
 		if sol.Status != lp.StatusOptimal {
 			continue
 		}
 		if math.Abs(sol.Objective-ref.Objective) > 1e-6 {
-			t.Fatalf("%s: objective %g vs %g", combo.name, sol.Objective, ref.Objective)
+			t.Fatalf("%v: objective %g vs %g", opts.Method, sol.Objective, ref.Objective)
 		}
 		if viol, idx := p.Violation(sol.X); viol > 1e-6 {
-			t.Fatalf("%s: solution violates constraint %d by %g", combo.name, idx, viol)
+			t.Fatalf("%v: solution violates constraint %d by %g", opts.Method, idx, viol)
 		}
 	}
 	return ref
 }
 
 func newEngineSolvers() []*lp.Solver {
-	solvers := make([]*lp.Solver, len(engineCombos))
-	for i := range solvers {
-		solvers[i] = lp.NewSolver()
-	}
-	return solvers
+	return []*lp.Solver{lp.NewSolver(), lp.NewSolver()}
 }
 
-// TestEnginesMatchRandom pins all four pricing/basis combinations to each
-// other on the random problem lattice.
+// TestEnginesMatchRandom pins the revised engine to the flat path on the
+// random problem lattice.
 func TestEnginesMatchRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	solvers := newEngineSolvers()
@@ -83,9 +75,9 @@ func TestEnginesMatchRandom(t *testing.T) {
 	}
 }
 
-// TestEnginesMatchRandomSmallRefactor reruns the grid with a tiny
-// refactorization interval so LU factorizations and eta reinversions happen
-// mid-solve even on small problems.
+// TestEnginesMatchRandomSmallRefactor reruns it with a tiny
+// refactorization interval so LU factorizations happen mid-solve even on
+// small problems.
 func TestEnginesMatchRandomSmallRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	solvers := newEngineSolvers()
@@ -96,7 +88,7 @@ func TestEnginesMatchRandomSmallRefactor(t *testing.T) {
 }
 
 // TestEnginesMatchInfeasibleUnboundedDegenerate covers the classic terminal
-// statuses on every engine combination.
+// statuses on the revised engine and the flat path.
 func TestEnginesMatchInfeasibleUnboundedDegenerate(t *testing.T) {
 	solvers := newEngineSolvers()
 
@@ -131,8 +123,8 @@ func TestEnginesMatchInfeasibleUnboundedDegenerate(t *testing.T) {
 	}
 }
 
-// TestEnginesMatchOnPaperModels pins the engine grid on the paper's
-// synchronized-schedule LPs.
+// TestEnginesMatchOnPaperModels pins the revised engine to the flat path on
+// the paper's synchronized-schedule LPs.
 func TestEnginesMatchOnPaperModels(t *testing.T) {
 	solvers := newEngineSolvers()
 	for trial := 0; trial < 4; trial++ {
@@ -320,18 +312,11 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	}
 }
 
-// BenchmarkRevisedSolveSteepestEdgeE7Size is the new default engine pairing
-// (steepest-edge pricing over the LU basis) under its explicit name, so the
-// trajectory keeps tracking it even if the defaults ever move again.
+// BenchmarkRevisedSolveSteepestEdgeE7Size is the engine (steepest-edge
+// pricing over the LU basis) under its explicit name, the series the
+// BENCH_*.json timings blocks have tracked it under.
 func BenchmarkRevisedSolveSteepestEdgeE7Size(b *testing.B) {
-	benchSolve(b, lp.Options{Pricing: lp.PricingSteepestEdge, Basis: lp.BasisLU})
-}
-
-// BenchmarkRevisedSolveDantzigEtaE7Size is the PR-2 engine pairing (Dantzig
-// pricing over the eta-file basis) — the baseline of this revision's speedup
-// claim and the configuration the experiment suite pins for reproduction.
-func BenchmarkRevisedSolveDantzigEtaE7Size(b *testing.B) {
-	benchSolve(b, lp.Options{Pricing: lp.PricingDantzig, Basis: lp.BasisEta})
+	benchSolve(b, lp.Options{})
 }
 
 // BenchmarkRevisedSolveWarmSweepE7Size measures the warm-started E7-size

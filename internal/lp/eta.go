@@ -10,10 +10,10 @@ import "slices"
 // arrays, so the whole file is three slices regardless of pivot count and is
 // reusable across solves without allocation.
 //
-// With the initial basis being the identity (slacks, artificials and the
-// crash start's unit columns) or a fresh refactorization, the basis inverse
-// is E_k^-1 ... E_1^-1 applied oldest-first (ftran) and its transpose
-// applied newest-first (btran).
+// The file holds the update etas since the last LU factorization (or since
+// the identity basis of a cold start), so the basis inverse is
+// E_k^-1 ... E_1^-1 applied after the LU factors oldest-first (ftran) and
+// its transpose applied newest-first before them (btran).
 type etaFile struct {
 	pivRow []int32
 	pivInv []float64 // 1/alpha_r per eta
@@ -21,10 +21,9 @@ type etaFile struct {
 	idx    []int32   // off-pivot row indices
 	val    []float64 // off-pivot alpha values
 
-	// rowBits holds, on the BasisLU path only, one bitset of words uint64s
-	// per eta marking its off-pivot rows (revisedSolver.pivot writes it),
-	// so btranUnit can tell which etas cannot read a sparse vector's
-	// nonzeros.  The BasisEta reinversion leaves it empty.
+	// rowBits holds one bitset of words uint64s per eta marking its
+	// off-pivot rows (revisedSolver.pivot writes it), so btranUnit can tell
+	// which etas cannot read a sparse vector's nonzeros.
 	rowBits []uint64
 	words   int
 }
@@ -55,28 +54,6 @@ func (e *etaFile) count() int { return len(e.pivRow) }
 // nonzeros returns the total number of stored off-pivot entries, the quantity
 // ftran/btran cost is proportional to.
 func (e *etaFile) nonzeros() int { return len(e.idx) }
-
-// push appends the eta column of a pivot on row r with FTRAN'd entering
-// column alpha.  allocs counts backing-array growth so solver reuse remains
-// observable in Solution.TableauAllocs.
-func (e *etaFile) push(alpha []float64, r int, allocs *int) {
-	if len(e.pivRow) == cap(e.pivRow) {
-		*allocs++
-	}
-	e.pivRow = append(e.pivRow, int32(r))
-	e.pivInv = append(e.pivInv, 1/alpha[r])
-	for i, v := range alpha {
-		if i == r || (v < etaDrop && v > -etaDrop) {
-			continue
-		}
-		if len(e.idx) == cap(e.idx) {
-			*allocs++
-		}
-		e.idx = append(e.idx, int32(i))
-		e.val = append(e.val, v)
-	}
-	e.start = append(e.start, int32(len(e.idx)))
-}
 
 // markRows writes the row bitset of the newest eta (see rowBits).
 func (e *etaFile) markRows(allocs *int) {
@@ -125,8 +102,7 @@ func (e *etaFile) btran(v []float64) {
 	}
 }
 
-// btranUnit is btran for v = e_row on a file whose rowBits are written
-// (the update etas of the BasisLU path).  It keeps nz, the rows where v may
+// btranUnit is btran for v = e_row.  It keeps nz, the rows where v may
 // be nonzero, starting with row; an eta none of whose off-pivot rows is in
 // nz reads only zeros in btran's dot, so its dot is skipped and its pivot
 // entry only scaled, and each eta whose dot turns its pivot entry nonzero

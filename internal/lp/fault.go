@@ -11,8 +11,7 @@ import "sync/atomic"
 type Fault struct {
 	// CorruptFactor corrupts the factored basis inverse at every phase-two
 	// refactorization of the solve: the selected pivot entries of the LU
-	// diagonal (BasisLU) or the eta file (BasisEta) are scaled by
-	// 1+CorruptScale.  Re-applying at every refactorization makes the fault
+	// diagonal are scaled by 1+CorruptScale.  Re-applying at every refactorization makes the fault
 	// sticky — the drift check and the periodic refactorization self-heal a
 	// one-shot corruption, so a transient flip would often be absorbed
 	// silently before it could reach the solution.  Phase one is left clean

@@ -5,10 +5,8 @@ import (
 	"math/bits"
 )
 
-// luFactor is a sparse LU factorization of the simplex basis, the production
-// replacement for rebuilding the product-form eta file from scratch
-// (Options.Basis == BasisLU, the default; see eta.go for the surviving
-// BasisEta path).
+// luFactor is a sparse LU factorization of the simplex basis; the update
+// etas since the last factorization live in an etaFile (eta.go).
 //
 // The factorization is a right-looking sparse Gaussian elimination with
 // Markowitz-style pivoting: at every step the pivot column is an active
@@ -18,7 +16,7 @@ import (
 // approximates the Markowitz cost (r-1)(c-1) while the threshold keeps the
 // factors numerically stable, and on the ~1% dense prefetching LPs it keeps
 // fill-in (tracked in fills, surfaced as Solution.LUFills) a small multiple
-// of the basis nonzeros — where the eta-file reinversion wrote one fresh,
+// of the basis nonzeros, where a product-form reinversion writes one fresh,
 // increasingly dense eta column per basis column.
 //
 // The output is a permuted triangular pair kept in flat reusable arrays:

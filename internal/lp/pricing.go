@@ -5,55 +5,30 @@ import (
 	"math"
 )
 
-// Pricing selects the rule the revised simplex uses to pick the entering
-// column.  MethodFlat always prices with Dantzig's rule.
+// Pricing names the revised simplex's entering-column rule.  There is one,
+// PricingSteepestEdge; the type and Options.Pricing are kept, ignored,
+// because the serving benchmark still sets them.
 type Pricing int
 
-// Pricing rules.
-const (
-	// PricingSteepestEdge (the default) is projected steepest edge with
-	// incrementally updated reference weights: the entering column maximises
-	// rc_j^2 / gamma_j, where gamma_j approximates 1 + |B^-1 A_j|^2.  The
-	// weights are maintained Devex-style (updated from the pivot row for the
-	// candidate list, exact for the entering column) and the whole reference
-	// framework is reset to unit weights when the entering column's stored
-	// weight has drifted too far from its exact value.
-	PricingSteepestEdge Pricing = iota
-	// PricingDantzig is the PR-1/PR-2 rule — most negative reduced cost over
-	// a candidate list — kept as the reference implementation.
-	PricingDantzig
-)
+// PricingSteepestEdge is projected steepest edge with incrementally updated
+// reference weights: the entering column maximises rc_j^2 / gamma_j, where
+// gamma_j approximates 1 + |B^-1 A_j|^2.  The weights are maintained
+// Devex-style (updated from the pivot row for the candidate list, exact for
+// the entering column) and the whole reference framework is reset to unit
+// weights when the entering column's stored weight has drifted too far from
+// its exact value.
+const PricingSteepestEdge Pricing = 0
 
 // String names the pricing rule.
 func (p Pricing) String() string {
-	switch p {
-	case PricingSteepestEdge:
+	if p == PricingSteepestEdge {
 		return "steepest-edge"
-	case PricingDantzig:
-		return "dantzig"
-	default:
-		return fmt.Sprintf("pricing(%d)", int(p))
 	}
-}
-
-// ParsePricing resolves a pricing-rule name ("steepest-edge" or "dantzig") as
-// used by command line flags.
-func ParsePricing(name string) (Pricing, error) {
-	switch name {
-	case "steepest-edge", "steepest":
-		return PricingSteepestEdge, nil
-	case "dantzig":
-		return PricingDantzig, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown pricing rule %q (want steepest-edge or dantzig)", name)
-	}
+	return fmt.Sprintf("pricing(%d)", int(p))
 }
 
 // seCandListSize bounds the steepest-edge candidate list.  Refilling it is a
-// pure scan of the maintained reduced-cost vector (no matrix work), so the
-// list can be much larger than the Dantzig path's candListSize — surviving
-// longer between refills on heavily degenerate phases where pivots knock
-// many candidates' reduced costs nonnegative.
+// pure scan of the maintained reduced-cost vector (no matrix work).
 const seCandListSize = 16
 
 // seDriftRatio bounds how far an entering column's stored reference weight
@@ -180,9 +155,8 @@ func (r *revisedSolver) enterWeight(enter int) float64 {
 
 // priceBlandSE is Bland's rule over the maintained reduced costs: the
 // smallest-index eligible column with negative reduced cost, or -1 when none
-// remains.  Unlike priceBland it costs no duals BTRAN and no pricing sweep —
-// the steepest-edge engine keeps rc current through seUpdate even for
-// Bland-selected pivots.
+// remains.  It costs no duals BTRAN and no pricing sweep — the engine keeps
+// rc current through seUpdate even for Bland-selected pivots.
 func (r *revisedSolver) priceBlandSE() int {
 	limit := r.priceLimit()
 	for j := 0; j < limit; j++ {
@@ -201,10 +175,9 @@ func (r *revisedSolver) priceBlandSE() int {
 // an epoch-stamped accumulator — and only the columns it actually touches
 // get the reduced-cost recurrence (rc_j -= (rc_q/alpha_rq) * alpha_rj) and
 // the Devex weight update (w_j = max(w_j, (alpha_rj/alpha_rq)^2 * w_q)).
-// This one sparse pass replaces the per-pivot duals BTRAN and candidate
-// repricing of the Dantzig path, and costs O(pivot-row fill), not
-// O(matrix nonzeros).  gq is the entering column's exact weight from
-// enterWeight.
+// This one sparse pass replaces a per-pivot duals BTRAN and candidate
+// repricing, and costs O(pivot-row fill), not O(matrix nonzeros).  gq is
+// the entering column's exact weight from enterWeight.
 func (r *revisedSolver) seUpdate(enter, leave int, gq float64) {
 	alphaR := r.alpha[leave]
 	leaving := r.basis[leave]

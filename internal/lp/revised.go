@@ -23,11 +23,11 @@ const driftTol = 1e-7
 // revisedSolver is the revised simplex: the constraint matrix is kept in the
 // read-only CSC form cached on the Problem (built once, see Problem.csc), the
 // basis inverse is a sparse LU factorization with product-form update etas
-// between refactorizations (or a pure eta file behind Options.Basis ==
-// BasisEta), and every pivot is a BTRAN solve for the duals, a price over the
-// candidate list (steepest-edge by default, see pricing.go), an FTRAN solve
-// of the entering column, and an O(rows) update of the basic values — no
-// dense tableau anywhere.
+// between refactorizations, and every pivot is a steepest-edge price over
+// the maintained reduced costs (pricing.go), an FTRAN solve of the entering
+// column, a BTRAN of the leaving row that updates the reduced costs and
+// weights, and an O(rows) update of the basic values — no dense tableau
+// anywhere.
 type revisedSolver struct {
 	p   *Problem
 	tol float64
@@ -66,10 +66,8 @@ type revisedSolver struct {
 	touched  []int32   // structural columns assembled this pivot
 	accEpoch int32
 
-	eta           etaFile  // update etas (BasisLU) or the whole inverse (BasisEta)
-	lu            luFactor // factored basis (BasisLU only)
-	pricing       Pricing
-	basisMode     BasisMethod
+	eta           etaFile   // update etas since the last factorization
+	lu            luFactor  // factored basis
 	dualMode      bool      // Options.Dual: widen warm starts to prefix bases
 	capture       bool      // Options.CaptureBasis
 	dualRC        []float64 // maintained phase-2 reduced costs of the dual phase
@@ -98,10 +96,9 @@ type revisedSolver struct {
 	// solves leave it nil.
 	probe func(site probeSite, row int)
 
-	// identityStart disables both BasisLU crash passes and unitCrashOnly
-	// the triangular one, so tests can compare the crash start against the
-	// slack/artificial identity start and against the unit pass alone.
-	identityStart, unitCrashOnly bool
+	// unitCrashOnly disables the triangular crash pass, so tests can
+	// compare the crash start against the unit pass alone.
+	unitCrashOnly bool
 
 	// dualsReuse, when non-nil, is the backing array the solution's dual
 	// copy reuses instead of allocating (the Batch arena, batch.go).  The
@@ -117,7 +114,7 @@ type revisedSolver struct {
 type probeSite int
 
 const (
-	// probeFactor: refactorize has factored the basis on the BasisLU path.
+	// probeFactor: refactorize has factored the basis.
 	probeFactor probeSite = iota
 	// probeRho: seUpdate has computed rho for the leaving row (the probe's
 	// row argument).
@@ -133,8 +130,6 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	r.p = p
 	defer func() { r.p = nil; r.m = nil }() // do not retain the problem
 	r.tol = tol
-	r.pricing = opts.Pricing
-	r.basisMode = opts.Basis
 	r.dualMode = opts.Dual
 	r.capture = opts.CaptureBasis
 	r.iterations = 0
@@ -154,18 +149,14 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 	r.refactorEvery = opts.RefactorEvery
 	if r.refactorEvery <= 0 {
 		// The update etas cost O(rows) per column to apply, the
-		// refactorization one sparse elimination (or O(rows) FTRANs on the
-		// eta path); capping the file around the row count balances the two
-		// while keeping FTRAN/BTRAN far below one dense tableau sweep.  The
-		// LU elimination is cheap enough that a shorter file (more frequent
-		// refactorization) wins on the larger experiment sizes.
+		// refactorization one sparse elimination; capping the file around
+		// the row count balances the two while keeping FTRAN/BTRAN far below
+		// one dense tableau sweep.  The LU elimination is cheap enough that
+		// a short file (frequent refactorization) wins on the larger
+		// experiment sizes.
 		r.refactorEvery = r.rows/2 + 32
-		cap := 128
-		if r.basisMode == BasisLU {
-			cap = 96
-		}
-		if r.refactorEvery > cap {
-			r.refactorEvery = cap
+		if r.refactorEvery > 96 {
+			r.refactorEvery = 96
 		}
 	}
 	if r.fault.armed() {
@@ -249,10 +240,10 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 }
 
 // load fetches the problem's CSC matrix and installs the initial basis:
-// slacks for <= rows, artificials for = and >= rows and, on the BasisLU
-// path, a unit column singleton in place of the artificial wherever the row
-// has one (cscMatrix.crashCol).  Either way the basis is the identity, so
-// the factored inverse starts empty and exact.  A cold start then adds the
+// slacks for <= rows, artificials for = and >= rows, and a unit column
+// singleton in place of the artificial wherever the row has one
+// (cscMatrix.crashCol).  The basis is the identity, so the factored inverse
+// starts empty and exact.  A cold start then adds the
 // triangular crash (crashTriangular); warm starts replace this basis.
 func (r *revisedSolver) load(p *Problem) {
 	r.m = p.csc()
@@ -342,9 +333,6 @@ func (r *revisedSolver) load(p *Problem) {
 			artIdx++
 		}
 	}
-	if r.basisMode != BasisLU || r.identityStart {
-		return
-	}
 	// Crash start: the replaced artificial keeps its column, nonbasic at
 	// zero, so the column layout is the same with or without the crash.
 	for i, j := range r.m.crashCol {
@@ -355,13 +343,13 @@ func (r *revisedSolver) load(p *Problem) {
 	}
 }
 
-// crashTriangular is the BasisLU cold start's second crash pass: every row
+// crashTriangular is the cold start's second crash pass: every row
 // with a triangular crash column (cscMatrix.triCol) trades its artificial
 // for that column.  The claimed columns are basic at exactly 0, so the basic
 // values load installed stay feasible and unchanged, and one factorization
 // of the basis, no longer the identity, replaces the empty LU.
 func (r *revisedSolver) crashTriangular() error {
-	if r.basisMode != BasisLU || r.identityStart || r.unitCrashOnly || r.m.triRows == 0 {
+	if r.unitCrashOnly || r.m.triRows == 0 {
 		return nil
 	}
 	for i, j := range r.m.triCol {
@@ -403,12 +391,9 @@ func (r *revisedSolver) scatterCol(j int, out []float64) {
 }
 
 // ftranB applies the current basis inverse to v in place: the LU factors
-// followed by the (oldest-first) update etas, or the whole eta file on the
-// BasisEta path.
+// followed by the (oldest-first) update etas.
 func (r *revisedSolver) ftranB(v []float64) {
-	if r.basisMode == BasisLU {
-		r.lu.ftran(v)
-	}
+	r.lu.ftran(v)
 	r.eta.ftran(v)
 }
 
@@ -416,24 +401,17 @@ func (r *revisedSolver) ftranB(v []float64) {
 // newest-first, then the transposed LU factors.
 func (r *revisedSolver) btranB(v []float64) {
 	r.eta.btran(v)
-	if r.basisMode == BasisLU {
-		r.lu.btran(v)
-	}
+	r.lu.btran(v)
 }
 
 // btranRow sets r.rho to B^-T e_row, the BTRAN'd unit vector of a leaving
-// row.  On the BasisLU path the update etas run through etaFile.btranUnit,
-// which skips the eta dots that would read only zeros, and the LU factors
-// through luFactor.btranUnit, which runs only the steps the rows it leaves
-// nonzero can reach; the result equals btranB's up to the sign of zero
-// entries.
+// row.  The update etas run through etaFile.btranUnit, which skips the eta
+// dots that would read only zeros, and the LU factors through
+// luFactor.btranUnit, which runs only the steps the rows it leaves nonzero
+// can reach; the result equals btranB's up to the sign of zero entries.
 func (r *revisedSolver) btranRow(row int) {
 	clear(r.rho)
 	r.rho[row] = 1
-	if r.basisMode != BasisLU {
-		r.eta.btran(r.rho)
-		return
-	}
 	c := cap(r.rhoNZ)
 	r.rhoNZ = r.eta.btranUnit(r.rho, row, r.rhoNZ)
 	if cap(r.rhoNZ) != c {
@@ -485,11 +463,6 @@ func (r *revisedSolver) computeDuals() {
 	r.btranB(r.y)
 }
 
-// reducedCost prices one column against the duals in r.y.
-func (r *revisedSolver) reducedCost(j int) float64 {
-	return r.costs[j] - r.colDot(r.y, j)
-}
-
 // fullPrice computes the reduced cost of every eligible column into r.rc
 // from the current duals.  Basic columns are pinned to zero so round-off
 // never re-selects them.  Cost: one CSC sweep, O(nonzeros + cols).
@@ -505,84 +478,29 @@ func (r *revisedSolver) fullPrice() {
 	}
 }
 
-// rebuildCandidates refreshes the candidate list from a full pricing pass
-// and returns the most attractive eligible column, or -1 at optimality.
-func (r *revisedSolver) rebuildCandidates() int {
-	r.fullPrice()
-	best, cand := selectCandidates(r.rc, r.priceLimit(), r.tol, r.cand)
-	r.cand = cand
-	return best
-}
-
-// priceDantzig prices the surviving candidate list against the current duals
-// and falls back to a full pricing sweep only when the list runs dry.
-func (r *revisedSolver) priceDantzig() int {
-	best, bestRC := -1, -r.tol
-	w := 0
-	for _, j := range r.cand {
-		if r.inBasis[j] {
-			continue
-		}
-		rcj := r.reducedCost(j)
-		if rcj < -r.tol {
-			r.cand[w] = j
-			w++
-			if rcj < bestRC {
-				bestRC, best = rcj, j
-			}
-		}
-	}
-	r.cand = r.cand[:w]
-	if best >= 0 {
-		return best
-	}
-	return r.rebuildCandidates()
-}
-
-// priceBland returns the smallest-index eligible column with negative
-// reduced cost (Bland's anti-cycling rule), or -1 at optimality.
-func (r *revisedSolver) priceBland() int {
-	r.fullPrice()
-	limit := r.priceLimit()
-	for j := 0; j < limit; j++ {
-		if r.rc[j] < -r.tol {
-			return j
-		}
-	}
-	return -1
-}
-
 // optimize runs revised simplex pivots for the current phase until
-// optimality, unboundedness or the iteration limit, pricing with the
-// configured rule (steepest-edge or Dantzig over the shared candidate list,
-// Bland after a run of degenerate pivots: degenerateSwitchSE of them on the
-// steepest-edge engine, degenerateSwitch on Dantzig).
+// optimality, unboundedness or the iteration limit, pricing with steepest
+// edge over the shared candidate list, and with Bland's rule after a run of
+// degenerateSwitchSE degenerate pivots.
 func (r *revisedSolver) optimize(maxIter int) (Status, error) {
 	degenerate := 0
-	lastObj := r.objectiveValue()
 	r.cand = r.cand[:0]
-	steepest := r.pricing == PricingSteepestEdge
-	window := degenerateSwitch
-	if steepest {
-		window = degenerateSwitchSE
-		r.resetReference()
-		r.seResets-- // the per-phase reset is bookkeeping, not drift
-		r.refreshRC()
-	}
+	r.resetReference()
+	r.seResets-- // the per-phase reset is bookkeeping, not drift
+	r.refreshRC()
 	for {
 		if r.iterations >= maxIter {
 			return StatusIterLimit, nil
 		}
-		bland := degenerate >= window
+		bland := degenerate >= degenerateSwitchSE
 		var enter int
-		switch {
-		case steepest && bland:
+		if bland {
 			enter = r.priceBlandSE()
 			if enter < 0 {
 				r.refreshRC()
 				enter = r.priceBlandSE()
 			}
-		case steepest:
+		} else {
 			enter = r.priceSteepest()
 			if enter < 0 {
 				// The maintained reduced costs say optimal; confirm against
@@ -591,59 +509,38 @@ func (r *revisedSolver) optimize(maxIter int) (Status, error) {
 				r.refreshRC()
 				enter = r.refillSE()
 			}
-		case bland:
-			r.computeDuals()
-			enter = r.priceBland()
-		default:
-			r.computeDuals()
-			enter = r.priceDantzig()
 		}
 		if enter < 0 {
 			return StatusOptimal, nil
 		}
 		r.ftranColumn(enter)
 		var leave int
-		if steepest && !bland {
-			leave = r.ratioTestSE()
-		} else {
+		if bland {
 			// Bland's anti-cycling guarantee needs smallest-index selection
 			// on BOTH sides of the pivot, so the fallback pairs its entering
-			// rule with the classic smallest-basis-index ratio test even in
-			// steepest-edge mode.
+			// rule with the classic smallest-basis-index ratio test.
 			leave = r.ratioTest()
+		} else {
+			leave = r.ratioTestSE()
 		}
 		if leave < 0 {
 			return StatusUnbounded, nil
 		}
-		var gq float64
-		if steepest {
-			gq = r.enterWeight(enter)
-			// The pivot's objective decrease is theta * |rc_enter|; reading
-			// it off the maintained reduced costs replaces the O(rows)
-			// objective evaluation of the Dantzig path.  Do it before
-			// seUpdate pins rc[enter] to zero.
-			if r.xB[leave]/r.alpha[leave]*-r.rc[enter] <= r.tol {
-				degenerate++
-			} else {
-				degenerate = 0
-			}
-			r.seUpdate(enter, leave, gq)
+		gq := r.enterWeight(enter)
+		// The pivot's objective decrease is theta * |rc_enter|, read off the
+		// maintained reduced costs before seUpdate pins rc[enter] to zero.
+		if r.xB[leave]/r.alpha[leave]*-r.rc[enter] <= r.tol {
+			degenerate++
+		} else {
+			degenerate = 0
 		}
+		r.seUpdate(enter, leave, gq)
 		if err := r.pivot(leave, enter); err != nil {
 			return 0, err
 		}
 		r.iterations++
 		if bland {
 			r.blandIters++
-		}
-		if !steepest {
-			obj := r.objectiveValue()
-			if obj >= lastObj-r.tol {
-				degenerate++
-			} else {
-				degenerate = 0
-			}
-			lastObj = obj
 		}
 	}
 }
@@ -658,9 +555,10 @@ func (r *revisedSolver) ftranColumn(enter int) {
 
 // ratioTest picks the leaving row for the FTRAN'd entering column in
 // r.alpha, breaking ties towards the smallest basis index (the same
-// lexicographic anti-cycling bias as the flat path).  The sweep also
-// accumulates |alpha|^2 into r.alphaNorm for the steepest-edge engine's
-// exact entering weight, saving it a second pass over the column.
+// lexicographic anti-cycling bias as the flat path); the Bland fallback
+// pairs it with its smallest-index entering rule.  The sweep also
+// accumulates |alpha|^2 into r.alphaNorm for the exact entering weight,
+// saving a second pass over the column.
 func (r *revisedSolver) ratioTest() int {
 	leave := -1
 	bestRatio := math.Inf(1)
@@ -757,9 +655,7 @@ func (r *revisedSolver) pivot(leave, enter int) error {
 		}
 	}
 	e.start = append(e.start, int32(len(e.idx)))
-	if r.basisMode == BasisLU {
-		e.markRows(&r.allocs)
-	}
+	e.markRows(&r.allocs)
 	r.xB[leave] = theta
 	r.etaColumns++
 	r.inBasis[r.basis[leave]] = false
@@ -809,88 +705,37 @@ func (r *revisedSolver) residual() float64 {
 }
 
 // refactorize rebuilds the basis inverse from scratch for the current basis
-// and recomputes the basic values as B^-1 b, clearing accumulated drift.
-// Rows may be reassigned to different basic variables by the pivot choices,
-// which is harmless: basis[i] names the variable whose value lives in row i.
-//
-// On the BasisLU path this is one sparse Markowitz elimination (lu.go); the
-// update eta file is emptied because the fresh factors absorb it.  On the
-// BasisEta path it is the PR-2 product-form reinversion: each basic column
-// is FTRAN'd through the partial file and pivots on its largest remaining
-// entry, singleton slack and artificial columns first so the structural
-// columns fill against as short a file as possible.
+// and recomputes the basic values as B^-1 b, clearing accumulated drift: one
+// sparse Markowitz elimination (lu.go), after which the update eta file is
+// emptied because the fresh factors absorb it.  Rows may be reassigned to
+// different basic variables by the elimination's pivot choices, which is
+// harmless: basis[i] names the variable whose value lives in row i.
 func (r *revisedSolver) refactorize() error {
 	if f := r.fault; f != nil && f.ForceSingular {
 		return errSingularBasis
 	}
 	r.refactors++
-	if r.basisMode == BasisLU {
-		cols := r.colBuf[:r.rows]
-		copy(cols, r.basis)
-		if err := r.lu.factorize(r, cols); err != nil {
-			return err
-		}
-		if f := r.fault; f != nil && f.CorruptFactor && r.phase == 2 {
-			f.apply(r.lu.uDiagInv)
-			r.lu.listSteps()
-		}
-		r.luFills += r.lu.fills
-		for k, row := range r.lu.pivRow {
-			r.basis[row] = cols[r.lu.pivSlot[k]]
-		}
-		r.eta.reset()
-		copy(r.xB, r.m.b)
-		r.lu.ftran(r.xB)
-		r.sinceRefactor = 0
-		r.sincePivot = 0
-		if r.probe != nil {
-			r.probe(probeFactor, -1)
-		}
-		return nil
-	}
-
-	r.eta.reset()
 	cols := r.colBuf[:r.rows]
 	copy(cols, r.basis)
-	// assigned marks pivot rows already consumed; reuse r.work as the FTRAN
-	// scratch and r.y (free between pivots) is NOT usable here because the
-	// caller needs it, so mark assignment through basis itself: basis[i] = -1
-	// until row i is reassigned.
-	for i := range r.basis {
-		r.basis[i] = -1
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, j := range cols {
-			if (pass == 0) != (j >= r.numVars) {
-				continue // singletons first, structural columns second
-			}
-			clear(r.work)
-			r.scatterCol(j, r.work)
-			r.eta.ftran(r.work)
-			pivotRow, pivotAbs := -1, 0.0
-			for i, v := range r.work {
-				if r.basis[i] != -1 {
-					continue
-				}
-				if a := math.Abs(v); a > pivotAbs {
-					pivotAbs, pivotRow = a, i
-				}
-			}
-			if pivotRow < 0 || pivotAbs <= etaDrop {
-				return errSingularBasis
-			}
-			r.eta.push(r.work, pivotRow, &r.allocs)
-			r.etaColumns++
-			r.basis[pivotRow] = j
-		}
+	if err := r.lu.factorize(r, cols); err != nil {
+		return err
 	}
 	if f := r.fault; f != nil && f.CorruptFactor && r.phase == 2 {
-		f.apply(r.eta.pivInv)
+		f.apply(r.lu.uDiagInv)
+		r.lu.listSteps()
 	}
+	r.luFills += r.lu.fills
+	for k, row := range r.lu.pivRow {
+		r.basis[row] = cols[r.lu.pivSlot[k]]
+	}
+	r.eta.reset()
 	copy(r.xB, r.m.b)
-	r.eta.ftran(r.xB)
+	r.lu.ftran(r.xB)
 	r.sinceRefactor = 0
 	r.sincePivot = 0
+	if r.probe != nil {
+		r.probe(probeFactor, -1)
+	}
 	return nil
 }
 
@@ -971,7 +816,6 @@ func (r *revisedSolver) solution(status Status, p *Problem) *Solution {
 		Refactorizations: r.refactors,
 		EtaColumns:       r.etaColumns,
 		LUFills:          r.luFills,
-		PricingRule:      r.pricing,
 		WarmStarted:      r.warmStarted,
 	}
 	if status == StatusOptimal {

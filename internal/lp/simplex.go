@@ -44,8 +44,9 @@ type Method int
 const (
 	// MethodRevised (the default) is the revised simplex: the constraint
 	// matrix stays in a read-only sparse column form, the basis inverse is a
-	// product-form eta file with periodic refactorization, and every pivot
-	// costs time proportional to the nonzeros it touches.
+	// sparse LU factorization with product-form update etas and periodic
+	// refactorization, and every pivot costs time proportional to the
+	// nonzeros it touches.
 	MethodRevised Method = iota
 	// MethodFlat is the PR-1 flat-tableau path with dense O(rows x cols)
 	// Gauss-Jordan pivots, kept as a reference and numerical fallback.
@@ -77,45 +78,22 @@ func ParseMethod(name string) (Method, error) {
 	}
 }
 
-// BasisMethod selects how the revised simplex represents the basis inverse.
+// BasisMethod names the revised simplex's basis representation.  There is
+// one, BasisLU; the type and Options.Basis are kept, ignored, because the
+// serving benchmark still sets them.
 type BasisMethod int
 
-// Basis representations.
-const (
-	// BasisLU (the default) factorizes the basis as a sparse LU with
-	// Markowitz pivoting and solves BTRAN/FTRAN against the triangular
-	// factors, appending product-form update etas between refactorizations
-	// (see lu.go).
-	BasisLU BasisMethod = iota
-	// BasisEta is the PR-2 representation — a pure product-form eta file
-	// rebuilt from scratch at every refactorization — kept as the reference
-	// implementation.
-	BasisEta
-)
+// BasisLU factorizes the basis as a sparse LU with Markowitz pivoting and
+// solves BTRAN/FTRAN against the triangular factors, appending product-form
+// update etas between refactorizations (see lu.go).
+const BasisLU BasisMethod = 0
 
 // String names the basis representation.
 func (b BasisMethod) String() string {
-	switch b {
-	case BasisLU:
+	if b == BasisLU {
 		return "lu"
-	case BasisEta:
-		return "eta"
-	default:
-		return fmt.Sprintf("basis(%d)", int(b))
 	}
-}
-
-// ParseBasis resolves a basis-representation name ("lu" or "eta") as used by
-// command line flags.
-func ParseBasis(name string) (BasisMethod, error) {
-	switch name {
-	case "lu":
-		return BasisLU, nil
-	case "eta":
-		return BasisEta, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown basis representation %q (want lu or eta)", name)
-	}
+	return fmt.Sprintf("basis(%d)", int(b))
 }
 
 // Options tunes the solver.
@@ -133,12 +111,12 @@ type Options struct {
 	// rebuilt from scratch (0 means an automatic threshold based on the row
 	// count).  Ignored by MethodFlat.
 	RefactorEvery int
-	// Pricing selects the entering-column rule of the revised method; the
-	// zero value is PricingSteepestEdge.  Ignored by MethodFlat (which always
-	// prices with Dantzig's rule).
+	// Pricing is ignored: the revised method always prices with steepest
+	// edge, and MethodFlat with Dantzig's rule.  The field stays because the
+	// serving benchmark sets it.
 	Pricing Pricing
-	// Basis selects the basis-inverse representation of the revised method;
-	// the zero value is BasisLU.  Ignored by MethodFlat.
+	// Basis is ignored: the revised method always keeps a sparse LU basis.
+	// The field stays because the serving benchmark sets it.
 	Basis BasisMethod
 	// WarmStart is ignored: every solve without an explicit basis starts
 	// cold, so its answer depends only on the problem.  The field stays
@@ -160,10 +138,9 @@ type Options struct {
 	// Cascade opts the revised method into the self-healing solve ladder:
 	// every Optimal result is checked against the independent certificate
 	// (Verify), and a verification failure, singular refactorization or
-	// exhausted pivot budget re-solves down the engine ladder — same engines
-	// cold, then Dantzig pricing over a pure eta file, then the flat
-	// reference path — instead of being returned.  See cascade.go.  Ignored
-	// by MethodFlat.
+	// exhausted pivot budget re-solves down the engine ladder — the revised
+	// method cold, then the flat reference path — instead of being
+	// returned.  See cascade.go.  Ignored by MethodFlat.
 	Cascade bool
 	// Stats is the sink the solve's work is counted in (see Counters); nil
 	// leaves the solve uncounted.  Callers that report their own work — a
@@ -201,15 +178,12 @@ type Solution struct {
 	// basis inverse from scratch (always 0 for MethodFlat).
 	Refactorizations int
 	// EtaColumns is the total number of eta columns appended to the basis
-	// inverse by the revised method — update etas plus, on the BasisEta
-	// path, the columns written during refactorizations (always 0 for
+	// inverse by the revised method between refactorizations (always 0 for
 	// MethodFlat).
 	EtaColumns int
 	// LUFills is the total fill-in (entries beyond the basis columns' own
 	// nonzeros) created by the BasisLU factorizations of this solve.
 	LUFills int
-	// PricingRule is the entering-column rule the solve priced with.
-	PricingRule Pricing
 	// WarmStarted reports that the solve skipped phase one by starting from
 	// a transferred prior basis (see Solver.SolveFrom).
 	WarmStarted bool
@@ -233,20 +207,17 @@ type Solution struct {
 
 const defaultTolerance = 1e-9
 
-// candListSize bounds the candidate list kept by partial pricing: a full
-// pricing pass remembers up to this many attractive columns, and subsequent
-// pivots price only those until the list runs dry.
+// candListSize bounds the candidate list kept by the flat path's partial
+// pricing: a full pricing pass remembers up to this many attractive columns,
+// and subsequent pivots price only those until the list runs dry.
 const candListSize = 24
 
 // degenerateSwitch is the number of consecutive non-improving pivots after
-// which pricing falls back to Bland's rule to guarantee termination.  It
-// governs Dantzig pricing on both the revised and the flat path; the
-// experiment suite pins Dantzig over the eta file and the cascade's reference
-// rungs are Dantzig and flat, so their pivot sequences, and the committed
-// BENCH rows and served fallback answers built on them, stay as recorded.
+// which the flat path's Dantzig pricing falls back to Bland's rule to
+// guarantee termination.
 const degenerateSwitch = 50
 
-// degenerateSwitchSE is the steepest-edge engine's Bland window.  The
+// degenerateSwitchSE is the revised simplex's Bland window.  The
 // paper's LPs have long degenerate runs that are not cycles: phase one
 // trades the balance rows' zero-valued artificials one pivot at a time, and
 // ratioTestSE's tie rules (basic artificials first, then the largest pivot)
@@ -421,8 +392,8 @@ func effectiveSense(c Constraint) Sense {
 
 // selectCandidates refreshes cand with the (up to candListSize) most negative
 // entries of rc[:limit] below -tol and returns the most attractive column
-// together with the updated list, or -1 at optimality.  Shared by the full
-// pricing passes of both simplex implementations.
+// together with the updated list, or -1 at optimality: the flat path's full
+// pricing pass.
 func selectCandidates(rc []float64, limit int, tol float64, cand []int) (int, []int) {
 	cand = cand[:0]
 	best, bestRC := -1, -tol

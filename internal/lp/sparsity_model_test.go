@@ -10,7 +10,7 @@ import (
 )
 
 // TestSparseSolvesMatchFullWalks solves random LPs and paper models on each
-// LU row of the engine grid under lp.AttachSparseCheck: every step-list
+// row of the engine grid under lp.AttachSparseCheck: every step-list
 // FTRAN and BTRAN of every factorization (crash bases and mid-solve
 // refactorizations) must equal the full walk bit for bit, every
 // steepest-edge rho must equal the plain eta BTRAN over its update-eta file,
@@ -36,9 +36,6 @@ func TestSparseSolvesMatchFullWalks(t *testing.T) {
 		problems = append(problems, m.Problem)
 	}
 	for _, combo := range engineCombos {
-		if combo.opts.Basis != lp.BasisLU {
-			continue
-		}
 		s := lp.NewSolver()
 		chk := lp.AttachSparseCheck(s)
 		for i, p := range problems {
@@ -64,8 +61,7 @@ func TestSparseSolvesMatchFullWalks(t *testing.T) {
 		if chk.CrashFactors == 0 || chk.MidFactors == 0 || chk.MinusOne == 0 {
 			t.Fatalf("%s: factorizations not covered", combo.name)
 		}
-		if combo.opts.Pricing == lp.PricingSteepestEdge &&
-			(chk.RhoWithEtas == 0 || chk.Rho == chk.RhoWithEtas || chk.Refills == 0) {
+		if chk.RhoWithEtas == 0 || chk.Rho == chk.RhoWithEtas || chk.Refills == 0 {
 			t.Fatalf("%s: rho BTRANs or refills not covered", combo.name)
 		}
 	}

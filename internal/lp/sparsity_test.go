@@ -66,7 +66,7 @@ func diffBits(a, b []float64) int {
 }
 
 // SparseCheck compares, while a Solver solves, the sparse solves of its
-// BasisLU engine with full walks: every factorization's step-list FTRAN and
+// revised engine with full walks: every factorization's step-list FTRAN and
 // BTRAN against ftranFull and btranFull (on every unit vector and two
 // random ones), and every steepest-edge rho against the plain eta BTRAN
 // followed by btranFull.  At every steepest-edge candidate refill it checks

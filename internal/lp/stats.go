@@ -19,14 +19,13 @@ type Counters struct {
 	BlandPivots uint64
 	// PricingPasses is the total number of full reduced-cost sweeps.
 	PricingPasses uint64
-	// Refactorizations is the total number of basis-inverse rebuilds
-	// performed by the revised method (LU factorizations or eta-file
-	// reinversions, per Options.Basis).
+	// Refactorizations is the total number of basis-inverse rebuilds (LU
+	// factorizations) performed by the revised method.
 	Refactorizations uint64
 	// EtaColumns is the total number of eta columns appended by the revised
-	// method (update etas, plus reinversion fills on the BasisEta path).
+	// method between refactorizations.
 	EtaColumns uint64
-	// LUFills is the total fill-in created by BasisLU factorizations.
+	// LUFills is the total fill-in created by the LU factorizations.
 	LUFills uint64
 	// WarmStarts is the number of solves that skipped phase one by starting
 	// from a transferred prior basis.

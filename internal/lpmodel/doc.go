@@ -54,10 +54,12 @@
 // sampled interval multiset I_t from the fractional solution and re-derives
 // the fetched blocks and eviction victims greedily along the timeline using
 // exactly the rules of properties (1) and (2), with a cache budget of
-// k + (D-1) during planning (matching the fractional program) and eviction
-// only when the budget is exhausted.  Every candidate offset's schedule is
-// then executed on the real instance (cache size k, extra locations measured)
-// and the best feasible one is returned; the result records the fractional
+// k + (D-1) during planning (matching the fractional program), then again
+// with the k + 2(D-1) Theorem 4 allows, and eviction only when the budget is
+// exhausted.  Every candidate's schedule, for each offset and budget, is
+// then executed on the real instance (cache size k, extra locations
+// measured) and the best feasible one over all of them is returned (see
+// Extract); the result records the fractional
 // lower bound so callers can check the Theorem 4 guarantee (stall equal to
 // the lower bound, at most 2(D-1) extra locations), and the test suite
 // asserts it against the exhaustive optimum of package opt on small

@@ -15,13 +15,12 @@ import (
 )
 
 // extendEngines is the engine grid the incremental path is pinned against:
-// the default LU engine and the eta-file basis.
+// the revised method's one engine, steepest edge over the LU basis.
 var extendEngines = []struct {
 	name string
 	opts lp.Options
 }{
 	{"steepest-lu", lp.Options{}},
-	{"dantzig-eta", lp.Options{Pricing: lp.PricingDantzig, Basis: lp.BasisEta}},
 }
 
 // programSignature canonicalises a model's LP: every variable is renamed to a

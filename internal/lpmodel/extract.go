@@ -37,6 +37,30 @@ type PlanResult struct {
 	CandidatesTried int
 }
 
+// NoFeasibleOffsetError reports that no candidate offset of a fractional
+// optimum rounds to a feasible schedule, at the k+(D-1) planning budget or at
+// Theorem 4's k+2(D-1).  The rounding treats each sampled interval as one
+// synchronized batch with one fetch slot per disk; in each batch a disk
+// fetches its earliest-needed missing block, and a full plan evicts the
+// resident block referenced furthest in the future, on whichever disk it
+// lives.  That rule does not count fetch slots per disk.  When it evicts a
+// block whose disk has fewer slots left in the remaining batches, before the
+// block's next request, than that disk has other blocks to fetch first, the
+// block is never fetched back and the replay fails at that request.  A wider
+// budget does not help once the remaining batches are that short: the wider
+// plan fills up and evicts the same way.  Another optimal vertex of the
+// same program, with batches placed elsewhere, may round without trouble.
+type NoFeasibleOffsetError struct {
+	// Last is the replay failure of the last candidate tried.
+	Last error
+}
+
+func (e *NoFeasibleOffsetError) Error() string {
+	return fmt.Sprintf("lpmodel: no candidate offset produced a feasible schedule (last error: %v)", e.Last)
+}
+
+func (e *NoFeasibleOffsetError) Unwrap() error { return e.Last }
+
 // sampledInterval is one occurrence of an interval on the fractional
 // timeline.
 type sampledInterval struct {
@@ -204,10 +228,13 @@ func evaluate(in *core.Instance, sched *core.Schedule) (*sim.Result, *core.Sched
 }
 
 // candidateOffsets returns Extract's timeline offsets: the distinct
-// fractional parts of every support interval's start (and of 0), then those
-// of every interval's end not already listed, each nudged inside its
-// interval.
-func candidateOffsets(frac *Fractional, idxs []int, dist []float64) (starts, ends []float64) {
+// fractional parts of every support interval's start (and of 0), and the
+// fractional part of the timeline's total length when it is not already
+// listed, each nudged inside its interval.  Those are every interval's
+// start and end: support builds dist as a running sum, so every interval
+// but the last ends exactly, bit for bit, where the next one starts, and
+// the last ends at total.
+func candidateOffsets(idxs []int, dist []float64, total float64) (starts, ends []float64) {
 	seen := make(map[int64]bool)
 	add := func(list []float64, t float64) []float64 {
 		t = t - math.Floor(t)
@@ -222,9 +249,7 @@ func candidateOffsets(frac *Fractional, idxs []int, dist []float64) (starts, end
 	for i := range idxs {
 		starts = add(starts, dist[i]+1e-7)
 	}
-	for i, idx := range idxs {
-		ends = add(ends, dist[i]+frac.X[idx]+1e-7)
-	}
+	ends = add(ends, total+1e-7)
 	return starts, ends
 }
 
@@ -252,20 +277,21 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 		return result, nil
 	}
 
-	// Candidate offsets and planning budgets, in three tiers.  Tier 1 is the
-	// paper's rounding: the fractional part of every interval's start on the
-	// timeline (nudged inside the interval), plus 0 for the integral case,
-	// planned against k + (D-1) locations.  Tier 2 widens the enumeration to
-	// the remaining distinct fractional offsets of the solution - every
-	// interval's end.  Tier 3 re-tries every offset with the full
+	// Candidate offsets and planning budgets, in three tiers, every one of
+	// them consulted.  Tier 1 is the paper's rounding: the fractional part
+	// of every interval's start on the timeline (nudged inside the
+	// interval), plus 0 for the integral case, planned against k + (D-1)
+	// locations.  Tier 2 adds the one remaining distinct offset of the
+	// solution, the timeline's end.  Tier 3 re-tries both with the full
 	// k + 2(D-1) planning budget Theorem 4 allows: the narrow budget forces
-	// evictions that can defer a block to a later sampled interval that never
-	// comes, while the full allowance keeps such blocks resident (the
-	// resulting schedules still respect the theorem's extra-cache bound).
-	// Each tier is consulted only when the previous tiers produced no
-	// feasible schedule, so instances the classic enumeration handles keep
-	// their historical schedules.
-	starts, ends := candidateOffsets(frac, idxs, dist)
+	// evictions that can defer a block to a later sampled interval that
+	// never comes, or to one that comes too late, while the full allowance
+	// keeps such blocks resident (the resulting schedules still respect the
+	// theorem's extra-cache bound).  A narrower tier's feasible schedule can
+	// stall longer than OPT(k) where a wider tier's does not, so the best
+	// schedule is kept over all of them: the lowest stall, then the least
+	// extra cache, then the first found in this order.
+	starts, ends := candidateOffsets(idxs, dist, total)
 
 	var best *sim.Result
 	var bestSched *core.Schedule
@@ -290,15 +316,13 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 	narrow := in.K + in.Disks - 1
 	wide := in.K + 2*(in.Disks-1)
 	try(starts, narrow)
-	if best == nil {
-		try(ends, narrow)
-	}
-	if best == nil && wide > narrow {
+	try(ends, narrow)
+	if wide > narrow {
 		try(starts, wide)
 		try(ends, wide)
 	}
 	if best == nil {
-		return nil, fmt.Errorf("lpmodel: no candidate offset produced a feasible schedule (last error: %v)", lastErr)
+		return nil, &NoFeasibleOffsetError{Last: lastErr}
 	}
 	result.Schedule = bestSched
 	result.Stall = best.Stall

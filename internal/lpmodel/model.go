@@ -92,6 +92,10 @@ type Model struct {
 	// SolveIncremental, the start of the next SolveIncremental.  No other
 	// solve reads it.
 	warm *lp.WarmBasis
+
+	// tied records a TieBreakObjective since the last build: a solve then
+	// reports the unperturbed objective as its bound (see fractional).
+	tied bool
 }
 
 // Fractional is an optimal solution of the LP relaxation.
@@ -151,6 +155,7 @@ func BuildInto(m *Model, in *core.Instance) error {
 	m.Blocks = m.Blocks[:0]
 	m.Intervals = m.Intervals[:0]
 	m.warm = nil
+	m.tied = false
 	for _, b := range in.InitialCache {
 		m.initial[b] = true
 	}
@@ -528,7 +533,8 @@ func (m *Model) solveFrom(s *lp.Solver, opts lp.Options, from *lp.WarmBasis) (*F
 }
 
 // fractional assembles the Fractional of a solve of m's program, failing
-// when the solve did not end optimal.
+// when the solve did not end optimal.  On a tie-broken model the Objective
+// is the unperturbed sum of stall(I)·x(I), not the solver's perturbed one.
 func (m *Model) fractional(sol *lp.Solution) (*Fractional, error) {
 	if sol.Status != lp.StatusOptimal {
 		return nil, fmt.Errorf("lpmodel: LP relaxation ended with status %v", sol.Status)
@@ -539,6 +545,14 @@ func (m *Model) fractional(sol *lp.Solution) (*Fractional, error) {
 		Iterations: sol.Iterations,
 		Integral:   true,
 		Downgrades: sol.Downgrades,
+	}
+	if m.tied {
+		// The perturbation only picks the vertex; the bound is the paper's
+		// objective at it.
+		frac.Objective = 0
+		for idx, iv := range m.Intervals {
+			frac.Objective += float64(iv.Stall(m.In.F)) * sol.X[m.xVar[idx]]
+		}
 	}
 	const tol = 1e-6
 	for idx := range m.Intervals {

@@ -26,24 +26,6 @@ func Plan(in *core.Instance, opts lp.Options) (*PlanResult, error) {
 	return Extract(m, frac)
 }
 
-// PlanBatch is Plan routed through a ModelBatch: the model build reuses the
-// batch's slot storage (a repeated instance skips the rebuild entirely) and
-// the LP solve runs through the batch's lp.Batch, sharing its solver buffers
-// across the rows of a sweep.  Every solve through the batch is cold and
-// bit-identical to Plan's (see the lp.Batch contract), so the extracted
-// schedule is too, however often an instance repeats.
-func PlanBatch(b *ModelBatch, in *core.Instance, opts lp.Options) (*PlanResult, error) {
-	m, err := b.Model(in)
-	if err != nil {
-		return nil, err
-	}
-	frac, err := m.SolveBatch(b.LP(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return Extract(m, frac)
-}
-
 // LowerBound solves only the LP relaxation and returns its optimal value, a
 // certified lower bound on the optimal stall time sOPT(sigma, k).  It is
 // useful for experiments on instances too large for the exhaustive search of

@@ -125,7 +125,7 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 		if total < 1e-9 {
 			continue
 		}
-		starts, ends := candidateOffsets(frac, idxs, dist)
+		starts, ends := candidateOffsets(idxs, dist, total)
 		narrow, wide := in.K+in.Disks-1, in.K+2*(in.Disks-1)
 		for ti, tier := range []struct {
 			offsets []float64

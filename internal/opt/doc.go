@@ -28,7 +28,7 @@
 // open-addressing hash table, and the frontier is a monotone bucket queue
 // over f = g + h (stall costs are small non-negative integers), so the search
 // performs no per-node heap allocations.  Options can disable every
-// refinement (NoHeuristic, NoLandmarks, NoDominance, BoundNone); NoHeuristic
+// refinement (NoHeuristic, NoDominance, BoundNone); NoHeuristic
 // plus BoundNone yields exactly the historical uniform-cost Dijkstra search
 // (dominance auto-disables there), and the property tests pin the informed
 // engine to the blind one on random instances.
@@ -40,7 +40,7 @@
 // already spent and g(s) the stall already paid, so t(s) = (n - r) + g(s).
 // Any completion of s serves r more requests, so its remaining elapsed time E
 // satisfies remaining stall = E - r, and any lower bound T on E gives the
-// admissible h = max(0, T - r).  Three bound families are combined by max;
+// admissible h = max(0, T - r).  Two bound families are combined by max;
 // each lower-bounds E for every feasible completion.
 //
 // Per-disk slot/reference matching.  Let disk d carry an in-flight fetch with
@@ -75,20 +75,6 @@
 // per-disk bound can state.  Relaxations only remove constraints, so the
 // bound remains admissible; it strictly wins when both disks are loaded and
 // their references interleave.
-//
-// Landmark lower bounds.  Both bounds above are per-state; the landmark table
-// (landmark.go) is precomputed once per search from counting relaxations of
-// the instance suffix.  For a window of positions [p, t], any execution that
-// has served fewer than p requests must, before serving request t, complete
-// enough fetches to cover the window's demand regardless of cache content on
-// entry; a waterfill over the best possible cache allocation gives a
-// stall lower bound win(p, t) that holds for every state entering the window.
-// Because a bound that holds for any entering state also holds after any
-// earlier window has been traversed, the stall bounds of disjoint windows
-// add, and the table lm[p] = max(lm[p+1], max_t win(p, t) + lm[t+1]) is a
-// valid lower bound on the stall still to be paid from any state whose cursor
-// is at p.  h takes the max of lm[cursor] with the per-state bounds; the
-// LandmarkHits counter records evaluations where the landmark strictly won.
 //
 // h is admissible but not consistent (a delivery can drop a bound by more
 // than the transition's cost), so closed nodes are reopened when reached with

@@ -1,7 +1,7 @@
 package opt
 
 // The A* heuristic: an admissible per-state lower bound h on the remaining
-// stall time.  Three families of bounds are combined by max (each is a valid
+// stall time.  Two families of bounds are combined by max (each is a valid
 // lower bound on the remaining elapsed time E, and h = max(0, T - r) where r
 // is the number of unserved requests; see doc.go for the admissibility
 // arguments):
@@ -13,9 +13,7 @@ package opt
 //     latest "fetch completes, then the tail of requests is served" chain;
 //   - the disk-pair merged-slot bound: the same matching over the merged
 //     completion slots of a disk pair against the pair's merged references,
-//     which relaxes block-to-disk binding but exposes joint saturation;
-//   - the landmark bound (landmark.go): a state-independent window-density
-//     bound precomputed once up front from per-disk counting relaxations.
+//     which relaxes block-to-disk binding but exposes joint saturation.
 //
 // The old PR-3 bound (rem + m*F + (n - maxRef) per disk) is exactly the last
 // term (j = m) of the per-disk matching bound, so the new bound dominates it.
@@ -24,8 +22,7 @@ package opt
 // from: futureMask[p] is the set of block indices referenced at positions
 // >= p, diskMask[d] the blocks residing on disk d, and nextRef a dense
 // (n+1) x numBlocks table of first-reference-at-or-after positions (sentinel
-// n when a block is never referenced again).  With landmarks enabled it also
-// builds the window-density landmark table (landmark.go).
+// n when a block is never referenced again).
 func (s *searcher) initHeuristic() {
 	n := s.n
 	nb := len(s.blocks)
@@ -44,20 +41,12 @@ func (s *searcher) initHeuristic() {
 		copy(s.nextRef[p*nb:(p+1)*nb], s.nextRef[(p+1)*nb:(p+2)*nb])
 		s.nextRef[p*nb+int(s.seqIdx[p])] = int32(p)
 	}
-	if s.useLandmarks() {
-		s.initLandmarks()
-	}
 }
 
 // nextRefAt returns the first position >= p at which block index bi is
 // referenced, or n if there is none.
 func (s *searcher) nextRefAt(bi, p int) int {
 	return int(s.nextRef[p*len(s.blocks)+bi])
-}
-
-// useLandmarks reports whether the landmark table participates in h.
-func (s *searcher) useLandmarks() bool {
-	return !s.opts.NoHeuristic && !s.opts.NoLandmarks
 }
 
 // useDominance reports whether canonicalized dominance merging is active.
@@ -157,12 +146,6 @@ func (s *searcher) heuristic(key *stateKey) int32 {
 			if t := pairBound(s.hrefs[d1], s.hrefs[d2], rem1, rem2, f, s.n); t-r > best {
 				best = t - r
 			}
-		}
-	}
-	if s.useLandmarks() {
-		if lm := int(s.landmark[served]); lm > best {
-			best = lm
-			s.landmarkHits++
 		}
 	}
 	return int32(best)

@@ -73,12 +73,9 @@ type Options struct {
 	// NoHeuristic disables the admissible lower bound h, reducing A* to
 	// uniform-cost (Dijkstra) order.  Together with Bound: BoundNone this is
 	// exactly the historical blind search, kept as the reference the property
-	// tests pin the informed search against (landmarks and dominance are
-	// auto-disabled in that configuration, see useDominance).
+	// tests pin the informed search against (dominance is auto-disabled in
+	// that configuration, see useDominance).
 	NoHeuristic bool
-	// NoLandmarks disables the precomputed landmark lower bounds
-	// (landmark.go), leaving only the per-state fetch-work bounds.
-	NoLandmarks bool
 	// NoDominance disables canonicalized dominance merging of states that
 	// differ only in never-again-referenced cache or in-flight content.
 	NoDominance bool
@@ -114,8 +111,8 @@ type Result struct {
 	// content removed) matched: the two states are equivalent, so only the
 	// cheaper path survives.
 	PrunedByDominance int
-	// LandmarkHits counts heuristic evaluations where the precomputed
-	// landmark bound strictly exceeded every per-state fetch-work bound.
+	// LandmarkHits is always 0: the landmark bound it counted is gone.  The
+	// field stays because the serving benchmark reads it.
 	LandmarkHits int
 	// PeakTableSize is the number of distinct states materialised.
 	PeakTableSize int
@@ -210,19 +207,15 @@ type searcher struct {
 	cap    int     // cache capacity including extra locations
 	n      int
 
-	// Heuristic tables (see heuristic.go / landmark.go), read-only after
-	// construction.
+	// Heuristic tables (see heuristic.go), read-only after construction.
 	futureMask []uint64
 	diskMask   [maxDisks]uint64
 	nextRef    []int32
-	landmark   []int32
 	dominance  bool // canonicalized dominance merging active (useDominance)
 
 	// Heuristic scratch: per disk, the ascending first-reference positions
-	// of the missing blocks, and the count of evaluations where the landmark
-	// bound strictly exceeded the per-state fetch-work bounds.
-	hrefs        [maxDisks][]int32
-	landmarkHits int
+	// of the missing blocks.
+	hrefs [maxDisks][]int32
 
 	// Branch-and-bound incumbent (see seed.go); incumbent < 0 means none.
 	incumbent int
@@ -371,7 +364,6 @@ func (s *searcher) result(stall int, sched *core.Schedule, seedOptimal bool) *Re
 		PrunedByBound:     s.pruned,
 		DuplicateHits:     s.dupHits,
 		PrunedByDominance: s.prunedDom,
-		LandmarkHits:      s.landmarkHits,
 		PeakTableSize:     s.table.count,
 		SeedAlgorithm:     s.seedName,
 		SeedStall:         seedStall,

@@ -28,9 +28,6 @@ type Counters struct {
 	// PrunedByDominance counts successors merged into a bisimilar node under
 	// canonicalized dominance (different raw key, equal canonical key).
 	PrunedByDominance uint64
-	// LandmarkHits counts heuristic evaluations where the precomputed
-	// landmark bound strictly exceeded the per-state fetch-work bounds.
-	LandmarkHits uint64
 	// PeakTable is the largest node-table size seen in any single search.
 	PeakTable uint64
 }
@@ -39,7 +36,7 @@ type Counters struct {
 // may share one.  PeakTable is a running maximum, every other field a sum.
 // The zero value is an empty sink.
 type Stats struct {
-	searches, expanded, generated, pruned, dup, dom, landmark, peak atomic.Uint64
+	searches, expanded, generated, pruned, dup, dom, peak atomic.Uint64
 }
 
 // Add folds c into the sink: the sums add, PeakTable raises the running
@@ -55,7 +52,6 @@ func (s *Stats) Add(c Counters) {
 	s.pruned.Add(c.PrunedByBound)
 	s.dup.Add(c.DuplicateHits)
 	s.dom.Add(c.PrunedByDominance)
-	s.landmark.Add(c.LandmarkHits)
 	casMax(&s.peak, c.PeakTable)
 }
 
@@ -68,7 +64,6 @@ func (s *Stats) Snapshot() Counters {
 		PrunedByBound:     s.pruned.Load(),
 		DuplicateHits:     s.dup.Load(),
 		PrunedByDominance: s.dom.Load(),
-		LandmarkHits:      s.landmark.Load(),
 		PeakTable:         s.peak.Load(),
 	}
 }
@@ -92,7 +87,6 @@ func (s *searcher) recordStats() {
 		PrunedByBound:     uint64(s.pruned),
 		DuplicateHits:     uint64(s.dupHits),
 		PrunedByDominance: uint64(s.prunedDom),
-		LandmarkHits:      uint64(s.landmarkHits),
 		PeakTable:         uint64(s.table.count),
 	})
 }

@@ -14,14 +14,7 @@ import (
 // stall time and extra cache usage, and the fractional lower bound on
 // sOPT(sigma, k) that the schedule is measured against.
 func LPOptimal(in *core.Instance) (*lpmodel.PlanResult, error) {
-	return LPOptimalWith(in, lp.Options{})
-}
-
-// LPOptimalWith is LPOptimal with explicit solver options, so callers (the
-// experiment driver's -solver flag in particular) can select the simplex
-// implementation or tune its tolerances.
-func LPOptimalWith(in *core.Instance, opts lp.Options) (*lpmodel.PlanResult, error) {
-	return lpmodel.Plan(in, opts)
+	return lpmodel.Plan(in, lp.Options{})
 }
 
 // Func is a parallel-disk prefetching/caching algorithm.
@@ -37,15 +30,9 @@ type Algorithm struct {
 // harness: the Theorem 4 LP algorithm, parallel Aggressive, parallel
 // Conservative, and the demand-paging baseline.
 func Algorithms() []Algorithm {
-	return AlgorithmsWith(lp.Options{})
-}
-
-// AlgorithmsWith is Algorithms with explicit solver options applied to the
-// lp-optimal entry (the other algorithms solve no LPs).
-func AlgorithmsWith(opts lp.Options) []Algorithm {
 	return []Algorithm{
 		{Name: "lp-optimal", Run: func(in *core.Instance) (*core.Schedule, error) {
-			res, err := LPOptimalWith(in, opts)
+			res, err := LPOptimal(in)
 			if err != nil {
 				return nil, err
 			}

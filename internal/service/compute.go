@@ -50,7 +50,6 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 			PrunedByBound:     res.PrunedByBound,
 			DuplicateHits:     res.DuplicateHits,
 			PrunedByDominance: res.PrunedByDominance,
-			LandmarkHits:      res.LandmarkHits,
 			PeakTable:         res.PeakTableSize,
 			SeedAlgorithm:     res.SeedAlgorithm,
 			SeedStall:         res.SeedStall,

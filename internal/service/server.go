@@ -32,13 +32,11 @@ type Options struct {
 	// Solver is the simplex implementation for schedule and session
 	// requests (zero value = lp.MethodRevised).  Sweeps name their own.
 	Solver lp.Method
-	// Pricing is the revised simplex's entering-column rule for schedule
-	// and session requests (zero value = lp.PricingSteepestEdge).  Sweeps
-	// pin their own rule — see experiments.Config.
+	// Pricing and Basis are ignored: the revised simplex has one engine,
+	// steepest-edge pricing over the sparse LU basis.  The fields stay
+	// because the serving benchmark sets them.
 	Pricing lp.Pricing
-	// Basis is the revised simplex's basis representation for schedule and
-	// session requests (zero value = lp.BasisLU).
-	Basis lp.BasisMethod
+	Basis   lp.BasisMethod
 	// Workers is the experiment pool size of sweeps whose request leaves
 	// workers at 0 (0 = one worker per CPU).
 	Workers int
@@ -296,8 +294,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			// miss after eviction) is served the bytes of its first answer.
 			var cerr error
 			resp, cerr = ComputeSchedule(tctx, in, req.Strategy, req.IncludeSchedule, sh.batch,
-				lp.Options{Method: s.opts.Solver, Pricing: s.opts.Pricing,
-					Basis: s.opts.Basis, Stats: &sh.lp},
+				lp.Options{Method: s.opts.Solver, Stats: &sh.lp},
 				opt.Options{Stats: &sh.opt})
 			if cerr != nil {
 				// A numerical failure taints the batch even though the request

@@ -239,8 +239,7 @@ func newSessionID() (string, error) {
 // server's engines under the verification cascade, like any served solve,
 // counted in the sinks of the shard the session lives on.
 func (s *Server) sessionLPOptions(sh *shard) lp.Options {
-	return lp.Options{Method: s.opts.Solver, Pricing: s.opts.Pricing,
-		Basis: s.opts.Basis, Cascade: true, Stats: &sh.lp}
+	return lp.Options{Method: s.opts.Solver, Cascade: true, Stats: &sh.lp}
 }
 
 // sessionCtx applies the server-side schedule deadline to a session request.

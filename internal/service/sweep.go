@@ -63,8 +63,6 @@ func RunSweepWith(base experiments.Config, req *SweepRequest) (*SweepResponse, e
 
 	resp := &SweepResponse{
 		Solver:  cfg.Method.String(),
-		Pricing: cfg.SolverPricing().String(),
-		Basis:   cfg.SolverBasis().String(),
 		Results: make([]TableWire, 0, len(results)),
 		LP:      lpCountersWire(cfg.LPStats.Snapshot()),
 		Opt:     optCountersWire(cfg.OptStats.Snapshot()),
@@ -90,27 +88,13 @@ func RunSweepWith(base experiments.Config, req *SweepRequest) (*SweepResponse, e
 	return resp, runErr
 }
 
-// SweepConfig applies a sweep request's solver, pricing and basis choices to
-// base, and its worker count when nonzero.
+// SweepConfig applies a sweep request's solver choice to base, and its
+// worker count when nonzero.
 func SweepConfig(base experiments.Config, req *SweepRequest) (experiments.Config, error) {
 	cfg := base
 	var err error
 	if cfg.Method, err = lp.ParseMethod(solverName(req.Solver)); err != nil {
 		return cfg, err
-	}
-	if req.Pricing != "" {
-		pricing, err := lp.ParsePricing(req.Pricing)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Pricing = &pricing
-	}
-	if req.Basis != "" {
-		basis, err := lp.ParseBasis(req.Basis)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Basis = &basis
 	}
 	if req.Workers != 0 {
 		cfg.Workers = req.Workers

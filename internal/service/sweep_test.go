@@ -202,8 +202,8 @@ func sweepsBesideLPLoad(t *testing.T, sweeps ...*service.SweepRequest) {
 			t.Fatal(errs[i])
 		}
 		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("sweep %d (pricing %q, basis %q) served beside other work differs from the quiet run:\nserved: %s\nquiet:  %s",
-				i, sweeps[i].Pricing, sweeps[i].Basis, got[i], want[i])
+			t.Errorf("sweep %d (solver %q) served beside other work differs from the quiet run:\nserved: %s\nquiet:  %s",
+				i, sweeps[i].Solver, got[i], want[i])
 		}
 	}
 }
@@ -214,15 +214,13 @@ func TestSweepBodyUnchangedBesideSchedules(t *testing.T) {
 	sweepsBesideLPLoad(t, &service.SweepRequest{IDs: []string{"E2", "E8", "A1"}, Stable: true, Workers: 1})
 }
 
-// TestSweepsSideBySideUnchanged: two sweeps on different engines, run at
-// once beside schedule traffic, each report exactly their own tables and
-// counters.
+// TestSweepsSideBySideUnchanged: two sweeps on different simplex
+// implementations, run at once beside schedule traffic, each report exactly
+// their own counters (their tables agree: the suite's LPs are tie-broken).
 func TestSweepsSideBySideUnchanged(t *testing.T) {
 	sweepsBesideLPLoad(t,
-		&service.SweepRequest{IDs: []string{"E2", "E8", "A1"}, Stable: true, Workers: 1,
-			Pricing: "steepest-edge", Basis: "lu"},
-		&service.SweepRequest{IDs: []string{"E2", "E8", "A1"}, Stable: true, Workers: 1,
-			Pricing: "dantzig", Basis: "eta"})
+		&service.SweepRequest{IDs: []string{"E2", "E8", "A1"}, Stable: true, Workers: 1, Solver: "revised"},
+		&service.SweepRequest{IDs: []string{"E2", "E8", "A1"}, Stable: true, Workers: 1, Solver: "flat"})
 }
 
 // TestSweepUsesServerWorkers: a server built with Workers: 1 runs a sweep

@@ -98,16 +98,18 @@ type LPInfo struct {
 
 // OptInfo reports the exact-search work behind an opt schedule.
 type OptInfo struct {
-	Expanded          int    `json:"expanded"`
-	Generated         int    `json:"generated"`
-	PrunedByBound     int    `json:"pruned_by_bound"`
-	DuplicateHits     int    `json:"duplicate_hits"`
-	PrunedByDominance int    `json:"pruned_by_dominance"`
-	LandmarkHits      int    `json:"landmark_hits"`
-	PeakTable         int    `json:"peak_table"`
-	SeedAlgorithm     string `json:"seed_algorithm,omitempty"`
-	SeedStall         int    `json:"seed_stall"`
-	SeedOptimal       bool   `json:"seed_optimal"`
+	Expanded          int `json:"expanded"`
+	Generated         int `json:"generated"`
+	PrunedByBound     int `json:"pruned_by_bound"`
+	DuplicateHits     int `json:"duplicate_hits"`
+	PrunedByDominance int `json:"pruned_by_dominance"`
+	// LandmarkHits is always 0 (the landmark bound is gone); it stays for
+	// the wire format.
+	LandmarkHits  int    `json:"landmark_hits"`
+	PeakTable     int    `json:"peak_table"`
+	SeedAlgorithm string `json:"seed_algorithm,omitempty"`
+	SeedStall     int    `json:"seed_stall"`
+	SeedOptimal   bool   `json:"seed_optimal"`
 }
 
 // ScheduleResponse is the outcome of one schedule request.  Responses are
@@ -266,7 +268,6 @@ func optCountersWire(c opt.Counters) OptCountersWire {
 		PrunedByBound:     c.PrunedByBound,
 		DuplicateHits:     c.DuplicateHits,
 		PrunedByDominance: c.PrunedByDominance,
-		LandmarkHits:      c.LandmarkHits,
 		PeakTable:         c.PeakTable,
 	}
 	if c.Searches > 0 {
@@ -284,8 +285,10 @@ type OptCountersWire struct {
 	PrunedByBound     uint64 `json:"pruned_by_bound"`
 	DuplicateHits     uint64 `json:"duplicate_hits"`
 	PrunedByDominance uint64 `json:"pruned_by_dominance"`
-	LandmarkHits      uint64 `json:"landmark_hits"`
-	PeakTable         uint64 `json:"peak_table"`
+	// LandmarkHits is always 0 (the landmark bound is gone); it stays until
+	// the trajectory format drops it.
+	LandmarkHits uint64 `json:"landmark_hits"`
+	PeakTable    uint64 `json:"peak_table"`
 	// Workers is 1 when the block counted any search, else 0, and
 	// WorkerExpanded is always 0: every search runs on one goroutine.  Both
 	// stay until the trajectory format drops them.
@@ -305,22 +308,12 @@ type SweepRequest struct {
 	// Solver selects the simplex implementation ("revised" or "flat";
 	// default "revised").
 	Solver string `json:"solver,omitempty"`
-	// Pricing overrides the revised simplex's entering-column rule
-	// ("steepest-edge" or "dantzig"); empty keeps the suite's pinned
-	// reproduction rule (dantzig — see experiments.Config).
-	Pricing string `json:"pricing,omitempty"`
-	// Basis overrides the revised simplex's basis representation ("lu" or
-	// "eta"); empty keeps the suite's pinned reproduction representation
-	// (eta — see experiments.Config).
-	Basis string `json:"basis,omitempty"`
 }
 
 // SweepResponse is the result of a sweep.  Its encoding (see EncodeSweep) is
 // byte-identical to `pcbench -json` output for the same configuration.
 type SweepResponse struct {
 	Solver  string      `json:"solver"`
-	Pricing string      `json:"pricing"`
-	Basis   string      `json:"basis"`
 	Results []TableWire `json:"results"`
 	// Timings carries ns/op wall-clock figures for the named Go benchmarks
 	// of this revision (scripts/bench.sh fills it via `pcbench -timings`).

@@ -4,9 +4,9 @@
 #  * The pooled LP solve paths (reused Solver, see BenchmarkLPSolveRevised /
 #    BenchmarkLPSolveFlat) must stay O(1) allocs per solve — that property is
 #    what keeps the E7/E8 sweeps allocation-free in steady state.
-#  * The revised solver's inner engines (internal/lp's
-#    BenchmarkRevisedSolve{,SteepestEdge,DantzigEta,Verified}E7Size) must
-#    keep their working state — steepest-edge weight arrays, the sparse
+#  * The revised solver's engine (internal/lp's
+#    BenchmarkRevisedSolve{,SteepestEdge,Verified}E7Size) must
+#    keep its working state — steepest-edge weight arrays, the sparse
 #    pivot-row accumulator, and the LU factorization workspace — on the
 #    reusable Solver: a cold solve on warmed buffers allocates only the
 #    Solution, its X vector and the certificate's dual copy, so the same
@@ -31,10 +31,10 @@
 #    (~270) on the E7-sized workload.  A regression to rebuilding or
 #    re-factorizing per step would scale with the whole program (tens of
 #    thousands), so the 512 bound has margin without masking one.
-#  * The exact-search engine (BenchmarkOptSearchAStar*, plus the Landmark
-#    and Matching layer variants) must keep its flat arena + open-addressing
+#  * The exact-search engine (BenchmarkOptSearchAStar*, plus the Matching
+#    layer variant) must keep its flat arena + open-addressing
 #    memory layer: its allocs/op on a fixed instance is a small constant
-#    (seed schedules, arena growth doublings, the landmark table), while a
+#    (seed schedules, arena growth doublings), while a
 #    regression to per-node allocation would scale with the ~50k states of
 #    the E7-sized search and blow far past the limit.
 #
@@ -47,8 +47,8 @@ MAX_OPT_ALLOCS="${MAX_OPT_ALLOCS:-2000}"
 MAX_BATCH_ALLOCS="${MAX_BATCH_ALLOCS:-24}"
 MAX_BATCH_BUILD_ALLOCS="${MAX_BATCH_BUILD_ALLOCS:-64}"
 MAX_EXTEND_ALLOCS="${MAX_EXTEND_ALLOCS:-512}"
-out=$(go test -run '^$' -bench 'BenchmarkLPSolve(Revised|Flat)$|BenchmarkOptSearch(AStar|Landmark|Matching)|BenchmarkModelBatchBuild$' -benchmem -benchtime 1x .)
-lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolve(SteepestEdge|DantzigEta|Verified)?E7Size$|BenchmarkRevisedSolveServeSize$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
+out=$(go test -run '^$' -bench 'BenchmarkLPSolve(Revised|Flat)$|BenchmarkOptSearch(AStar|Matching)|BenchmarkModelBatchBuild$' -benchmem -benchtime 1x .)
+lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolve(SteepestEdge|Verified)?E7Size$|BenchmarkRevisedSolveServeSize$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
 extout=$(go test -run '^$' -bench 'BenchmarkModelExtendResolve$' -benchmem -benchtime 16x ./internal/lpmodel)
 out=$(printf '%s\n%s\n%s' "$out" "$lpout" "$extout")
 echo "$out"
@@ -83,7 +83,7 @@ echo "$out" | awk -v max="$MAX_ALLOCS" -v optmax="$MAX_OPT_ALLOCS" \
 			bad = 1
 		}
 	}
-	/^BenchmarkOptSearchAStar|^BenchmarkOptSearchLandmark|^BenchmarkOptSearchMatching/ {
+	/^BenchmarkOptSearchAStar|^BenchmarkOptSearchMatching/ {
 		allocs = $(NF-1)
 		if (allocs + 0 > optmax + 0) {
 			printf "FAIL: %s allocates %s allocs/op (max %s)\n", $1, allocs, optmax

@@ -4,9 +4,12 @@
 # that records a new point would otherwise be compared only against itself).
 # Fails on unexplained row changes — engine-effort columns (expansions,
 # pivots) may move and new columns/rows may appear, but historical schedule
-# values may not change (see cmd/benchdiff for the exact policy).
+# values may not change unless REBASELINE.json records the change, and every
+# entry of that record must be used by some baseline (see cmd/benchdiff for
+# the exact policy).
 #
-# Usage: scripts/benchdiff.sh [baseline.json ...]   (default: all BENCH_N.json)
+# Usage: scripts/benchdiff.sh [baseline.json ...]   (default: all BENCH_N.json;
+# the record's entries must all be used by the baselines given)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,8 +27,4 @@ trap 'rm -f "$current"' EXIT
 echo "regenerating experiment tables (sequential, stable) ..."
 go run ./cmd/pcbench -json -stable -workers 1 > "$current"
 go build -o /tmp/benchdiff-bin ./cmd/benchdiff
-status=0
-for baseline in "${baselines[@]}"; do
-	/tmp/benchdiff-bin "$baseline" "$current" || status=1
-done
-exit $status
+/tmp/benchdiff-bin REBASELINE.json "${baselines[@]}" "$current"
