@@ -14,7 +14,8 @@
 // the pairs and its median clears the parent's IQR.  It then prints each
 // side's failed and attempted operations and runs with a wrong answer.
 //
-// Exit status: 0 after printing, 2 on usage or parse errors.
+// Exit status: 0 after printing, 2 on usage or parse errors, including a
+// run line that lacks a value for a metric BENCHMARK.json declares.
 package main
 
 import (
@@ -39,7 +40,7 @@ type run struct {
 	Attempted int  `json:"attempted"`
 	Failed    int  `json:"failed"`
 	Metrics   map[string]struct {
-		Value float64 `json:"value"`
+		Value *float64 `json:"value"` // nil when the line gives none
 	} `json:"metrics"`
 }
 
@@ -65,12 +66,12 @@ func mainErr(args []string, w io.Writer) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	parent, err := loadRuns(args[1])
+	parent, err := loadRuns(args[1], defs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	change, err := loadRuns(args[2])
+	change, err := loadRuns(args[2], defs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -141,10 +142,12 @@ func summarize(xs []float64) stats {
 	return stats{q1: at(0.25), median: at(0.5), q3: at(0.75)}
 }
 
+// values returns one metric of every run; loadRuns has checked that each
+// run has it.
 func values(runs []run, name string) []float64 {
 	out := make([]float64, len(runs))
 	for i, r := range runs {
-		out[i] = r.Metrics[name].Value
+		out[i] = *r.Metrics[name].Value
 	}
 	return out
 }
@@ -163,7 +166,10 @@ func loadDefs(path string) ([]metricDef, error) {
 	return doc.EndToEnd, nil
 }
 
-func loadRuns(path string) ([]run, error) {
+// loadRuns reads one run per line and fails on a line that lacks a value
+// for any of defs' metrics: read as 0, it would win every pair of a
+// lower-is-better metric.
+func loadRuns(path string, defs []metricDef) ([]run, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -175,6 +181,11 @@ func loadRuns(path string) ([]run, error) {
 		var r run
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+		}
+		for _, d := range defs {
+			if r.Metrics[d.Name].Value == nil {
+				return nil, fmt.Errorf("%s:%d: no value for metric %q", path, line, d.Name)
+			}
 		}
 		runs = append(runs, r)
 	}

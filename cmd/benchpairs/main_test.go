@@ -42,15 +42,21 @@ func TestCompareVerdict(t *testing.T) {
 	}
 }
 
-func TestMainPrintsEveryMetric(t *testing.T) {
+// tempWriter returns a function that writes a file into a fresh temporary
+// directory and returns its path.
+func tempWriter(t *testing.T) func(name, body string) string {
 	dir := t.TempDir()
-	write := func(name, body string) string {
+	return func(name, body string) string {
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
+}
+
+func TestMainPrintsEveryMetric(t *testing.T) {
+	write := tempWriter(t)
 	bench := write("bench.json", `{"end_to_end":[{"name":"rps","unit":"1/s","better":"higher"},{"name":"p50_ms","unit":"ms","better":"lower"}]}`)
 	line := func(rps, p50 string, failed int, correct bool) string {
 		c := "true"
@@ -73,5 +79,33 @@ func TestMainPrintsEveryMetric(t *testing.T) {
 	}
 	if code := mainErr([]string{bench, parent, write("short.jsonl", line("1", "1", 0, true))}, &out); code != 2 {
 		t.Fatalf("unpaired runs: exit %d, want 2", code)
+	}
+}
+
+// TestMissingMetricFails pins that a run line without a declared metric
+// stops the summary, naming the file, the line and the metric, instead of
+// reading the metric as 0 (a win for every lower-is-better metric).
+func TestMissingMetricFails(t *testing.T) {
+	write := tempWriter(t)
+	bench := write("bench.json", `{"end_to_end":[{"name":"rps","unit":"1/s","better":"higher"},{"name":"cpu_ms_per_op","unit":"ms","better":"lower"}]}`)
+	full := `{"correct":true,"attempted":10,"failed":0,"metrics":{"rps":{"value":10},"cpu_ms_per_op":{"value":5}}}` + "\n"
+	parent := write("parent.jsonl", full+full)
+	for _, tc := range []struct{ name, second string }{
+		{"absent", `{"correct":true,"attempted":10,"failed":0,"metrics":{"rps":{"value":12}}}` + "\n"},
+		{"no value", `{"correct":true,"attempted":10,"failed":0,"metrics":{"rps":{"value":12},"cpu_ms_per_op":{}}}` + "\n"},
+	} {
+		change := write("change.jsonl", full+tc.second)
+		var out strings.Builder
+		if code := mainErr([]string{bench, parent, change}, &out); code != 2 {
+			t.Errorf("%s: exit %d, want 2", tc.name, code)
+		}
+		defs, err := loadDefs(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = loadRuns(change, defs)
+		if err == nil || !strings.Contains(err.Error(), change+":2:") || !strings.Contains(err.Error(), `"cpu_ms_per_op"`) {
+			t.Errorf("%s: error %v, want it to name %s:2 and cpu_ms_per_op", tc.name, err, change)
+		}
 	}
 }

@@ -184,9 +184,7 @@ func (r *revisedSolver) optimizeDual(maxIter int) (Status, error) {
 			return StatusIterLimit, nil
 		}
 		// Row leave of B^-1 A, via one BTRAN of the unit vector.
-		clear(r.rho)
-		r.rho[leave] = 1
-		r.btranB(r.rho)
+		r.btranRow(leave)
 		r.fullPasses++
 		enter := -1
 		bestRatio, bestA := math.Inf(1), 0.0

@@ -22,7 +22,7 @@ type etaFile struct {
 	val    []float64 // off-pivot alpha values
 
 	// rowBits holds one bitset of words uint64s per eta marking its
-	// off-pivot rows (revisedSolver.pivot writes it), so btranUnit can tell
+	// off-pivot rows (revisedSolver.pivot writes it), so btranSparse can tell
 	// which etas cannot read a sparse vector's nonzeros.
 	rowBits []uint64
 	words   int
@@ -51,10 +51,6 @@ func (e *etaFile) reset() {
 // count returns the number of eta columns in the file.
 func (e *etaFile) count() int { return len(e.pivRow) }
 
-// nonzeros returns the total number of stored off-pivot entries, the quantity
-// ftran/btran cost is proportional to.
-func (e *etaFile) nonzeros() int { return len(e.idx) }
-
 // markRows writes the row bitset of the newest eta (see rowBits).
 func (e *etaFile) markRows(allocs *int) {
 	n, w := len(e.rowBits), e.words
@@ -70,11 +66,12 @@ func (e *etaFile) markRows(allocs *int) {
 	}
 }
 
-// ftran applies the basis inverse to v in place: each eta, oldest first,
-// scales its pivot row and subtracts the off-pivot column.  Etas whose pivot
-// entry of v is zero are skipped entirely, which keeps FTRANs of sparse
-// columns cheap early in the eta file.
-func (e *etaFile) ftran(v []float64) {
+// ftran applies the update etas to v in place, oldest first: each eta
+// scales its pivot row and subtracts the off-pivot column.  Etas whose
+// pivot entry of v is zero are skipped entirely, which keeps FTRANs of
+// sparse columns cheap early in the eta file.  Every row it writes is
+// marked in the row bitset nz.
+func (e *etaFile) ftran(v []float64, nz []uint64) {
 	for k := range e.pivRow {
 		r := e.pivRow[k]
 		t := v[r]
@@ -84,12 +81,14 @@ func (e *etaFile) ftran(v []float64) {
 		t *= e.pivInv[k]
 		v[r] = t
 		for s := e.start[k]; s < e.start[k+1]; s++ {
-			v[e.idx[s]] -= e.val[s] * t
+			i := e.idx[s]
+			v[i] -= e.val[s] * t
+			nz[i>>6] |= 1 << (i & 63)
 		}
 	}
 }
 
-// btran applies the transposed basis inverse to v in place: each eta, newest
+// btran applies the transposed update etas to v in place: each eta, newest
 // first, replaces its pivot entry by (v_r - alpha_offpivot · v) / alpha_r.
 func (e *etaFile) btran(v []float64) {
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
@@ -102,38 +101,35 @@ func (e *etaFile) btran(v []float64) {
 	}
 }
 
-// btranUnit is btran for v = e_row.  It keeps nz, the rows where v may
-// be nonzero, starting with row; an eta none of whose off-pivot rows is in
-// nz reads only zeros in btran's dot, so its dot is skipped and its pivot
-// entry only scaled, and each eta whose dot turns its pivot entry nonzero
-// adds that row to nz.  For finite etas the result equals btran's bit for
-// bit, up to the sign of zero entries.  nz is scratch capacity, returned
-// for reuse.
-func (e *etaFile) btranUnit(v []float64, row int, nz []int32) []int32 {
-	nz = append(nz[:0], int32(row))
+// btranSparse is btran for a v that is zero outside the rows marked in the
+// row bitset nz, as the unit vector of a leaving row is.  An eta none of
+// whose off-pivot rows is marked reads only zeros in btran's dot, so its dot
+// is skipped and its pivot entry only scaled, or left at zero when unmarked;
+// each eta whose dot runs marks its pivot row.  For finite etas the result
+// equals btran's bit for bit, up to the sign of zero entries, and every row
+// outside nz still holds +0.
+func (e *etaFile) btranSparse(v []float64, nz []uint64) {
 	w := e.words
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
 		r := e.pivRow[k]
-		bits := e.rowBits[k*w : k*w+w]
 		hit := false
-		for _, i := range nz {
-			if bits[i>>6]&(1<<(i&63)) != 0 {
+		for i, b := range e.rowBits[k*w : k*w+w] {
+			if b&nz[i] != 0 {
 				hit = true
 				break
 			}
 		}
 		if !hit {
-			v[r] *= e.pivInv[k]
+			if nz[r>>6]&(1<<(r&63)) != 0 {
+				v[r] *= e.pivInv[k]
+			}
 			continue
 		}
 		t := v[r]
 		for s := e.start[k]; s < e.start[k+1]; s++ {
 			t -= e.val[s] * v[e.idx[s]]
 		}
-		if v[r] == 0 && t != 0 {
-			nz = append(nz, r)
-		}
 		v[r] = t * e.pivInv[k]
+		nz[r>>6] |= 1 << (r & 63)
 	}
-	return nz
 }

@@ -32,10 +32,12 @@ import (
 // B^-T v = L^-T U^-T v, both in place on a dense physical-row vector.  Most
 // steps of a serving basis are identities (slack, artificial and unit crash
 // columns: no multipliers, no off-diagonal U entries, diagonal 1), so the
-// solves walk only the step lists lSteps and uSteps, which skip exactly the
-// steps that leave every vector bit for bit unchanged.
+// dense solves walk only the step lists lSteps and uSteps, which skip
+// exactly the steps that leave every vector bit for bit unchanged, and the
+// solves of sparse vectors (ftranLive, btranLive) only the steps their
+// nonzeros reach.
 // Between refactorizations the basis inverse is LU composed with the update
-// eta file (see revisedSolver.ftranB/btranB): each pivot appends the
+// eta file (see revisedSolver.ftranColumn/btranB): each pivot appends the
 // FTRAN'd entering column as a product-form update in U-space — the
 // untriangularised form of the Forrest–Tomlin column update, which keeps the
 // factors frozen and the update cost proportional to the entering column's
@@ -59,11 +61,12 @@ type luFactor struct {
 	lSteps []int32
 	uSteps []int32
 
-	// The factors' dependencies, transposed for btranUnit (listDeps):
+	// The factors' dependencies, transposed for btranLive (listDeps):
 	// uDep[uDepStart[i]:uDepStart[i+1]] lists the steps whose U column has
 	// an entry at elimination index i, lDep[lDepStart[i]:lDepStart[i+1]]
 	// the steps whose L column has a multiplier in step i's pivot row.
-	// liveU and liveL are btranUnit's step bitsets, all zero between calls.
+	// liveU and liveL are the step bitsets of ftranLive and btranLive, all
+	// zero between calls.
 	uDepStart, uDep []int32
 	lDepStart, lDep []int32
 	liveU, liveL    []uint64
@@ -132,10 +135,6 @@ func (lu *luFactor) reset() {
 	lu.uSteps = lu.uSteps[:0]
 	lu.fills = 0
 }
-
-// nonzeros returns the entry count of both factors, the quantity ftran/btran
-// cost is proportional to.
-func (lu *luFactor) nonzeros() int { return len(lu.lIdx) + len(lu.uIdx) + len(lu.uDiagInv) }
 
 // grow readies the workspace for an m-row factorization.
 func (lu *luFactor) grow(m int, allocs *int) {
@@ -548,23 +547,87 @@ func (lu *luFactor) btran(v []float64) {
 	}
 }
 
-// btranUnit is btran for a v that is zero outside the physical rows listed
-// in nz, as rho is after the update etas (etaFile.btranUnit).  It runs only
-// the live steps: those whose pivot row is in nz, and those a nonzero
-// result of an earlier-run step feeds (uDep in the U pass, lDep in the L
-// pass).  Every other step reads only zeros, so btran would leave a zero
-// there.  A live step computes what btran computes, summing in the same
+// ftranLive is ftran for a v that is zero outside the rows marked in the
+// row bitset nz, as a scattered column is.  It runs only the live steps: in
+// the L pass, ascending, the steps whose pivot row is marked or written by
+// an earlier L step; in the U pass, descending, the steps whose pivot row
+// the L pass reached or a later U step writes.  Every other step finds a
+// zero pivot entry, which ftran skips too.  Live steps run in ftran's order
+// and sum in its order, so the result equals ftran's bit for bit.  Every
+// row it writes is marked in nz, so rows outside nz still hold +0.
+func (lu *luFactor) ftranLive(v []float64, nz []uint64) {
+	if len(lu.pivRow) == 0 {
+		return // the identity basis of load
+	}
+	liveL, liveU := lu.liveL, lu.liveU
+	for w, word := range nz {
+		for ; word != 0; word &= word - 1 {
+			k := lu.rowOrder[w<<6|bits.TrailingZeros64(word)]
+			liveL[k>>6] |= 1 << (k & 63)
+		}
+	}
+	for w := range liveL {
+		for liveL[w] != 0 {
+			b := bits.TrailingZeros64(liveL[w])
+			liveL[w] &^= 1 << b
+			liveU[w] |= 1 << b
+			k := int32(w<<6 | b)
+			t := v[lu.pivRow[k]]
+			if t == 0 {
+				continue
+			}
+			for s := lu.lStart[k]; s < lu.lStart[k+1]; s++ {
+				i := lu.lIdx[s]
+				v[i] -= lu.lVal[s] * t
+				nz[i>>6] |= 1 << (i & 63)
+				d := lu.rowOrder[i]
+				liveL[d>>6] |= 1 << (d & 63)
+			}
+		}
+	}
+	for w := len(liveU) - 1; w >= 0; w-- {
+		for liveU[w] != 0 {
+			b := 63 - bits.LeadingZeros64(liveU[w])
+			liveU[w] &^= 1 << b
+			k := int32(w<<6 | b)
+			r := lu.pivRow[k]
+			t := v[r]
+			if t == 0 {
+				continue
+			}
+			t *= lu.uDiagInv[k]
+			v[r] = t
+			for s := lu.uStart[k]; s < lu.uStart[k+1]; s++ {
+				d := lu.uIdx[s]
+				i := lu.pivRow[d]
+				v[i] -= lu.uVal[s] * t
+				nz[i>>6] |= 1 << (i & 63)
+				liveU[d>>6] |= 1 << (d & 63)
+			}
+		}
+	}
+}
+
+// btranLive is btran for a v that is zero outside the rows marked in the
+// row bitset nz, as rho is after the update etas (etaFile.btranSparse).
+// It runs only the live steps: those whose pivot row is marked, and those a
+// nonzero result of an earlier-run step feeds (uDep in the U pass, lDep in
+// the L pass).  Every other step reads only zeros, so btran would leave a
+// zero there.  A live step computes what btran computes, summing in the same
 // order, so for finite factors the result equals btran's bit for bit up to
 // the sign of zero entries.  The bitsets visit the U steps in ascending and
-// the L steps in descending order, as btran does.
-func (lu *luFactor) btranUnit(v []float64, nz []int32) {
+// the L steps in descending order, as btran does.  Every row it writes is
+// marked in nz, so rows outside nz still hold +0.
+func (lu *luFactor) btranLive(v []float64, nz []uint64) {
 	if len(lu.pivRow) == 0 {
 		return // the identity basis of load
 	}
 	liveU, liveL := lu.liveU, lu.liveL
-	for _, p := range nz {
-		k := lu.rowOrder[p]
-		liveU[k>>6] |= 1 << (k & 63)
+	for w, word := range nz {
+		for ; word != 0; word &= word - 1 {
+			k := lu.rowOrder[w<<6|bits.TrailingZeros64(word)]
+			liveU[k>>6] |= 1 << (k & 63)
+		}
 	}
 	for w := range liveU {
 		for liveU[w] != 0 {
@@ -578,6 +641,7 @@ func (lu *luFactor) btranUnit(v []float64, nz []int32) {
 			}
 			t *= lu.uDiagInv[k]
 			v[r] = t
+			nz[r>>6] |= 1 << (r & 63)
 			if t == 0 {
 				continue
 			}
@@ -598,6 +662,7 @@ func (lu *luFactor) btranUnit(v []float64, nz []int32) {
 				t -= lu.lVal[s] * v[lu.lIdx[s]]
 			}
 			v[r] = t
+			nz[r>>6] |= 1 << (r & 63)
 			if t == 0 {
 				continue
 			}
@@ -613,6 +678,15 @@ func grabInt32s(buf []int32, n int, allocs *int) []int32 {
 	if cap(buf) < n {
 		*allocs++
 		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+// grabUint64s is grabInts for bitset words.
+func grabUint64s(buf []uint64, n int, allocs *int) []uint64 {
+	if cap(buf) < n {
+		*allocs++
+		return make([]uint64, n)
 	}
 	return buf[:n]
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Pricing names the revised simplex's entering-column rule.  There is one,
@@ -77,9 +78,10 @@ func (r *revisedSolver) priceSteepest() int {
 // refillSE rebuilds the candidate list with the (up to seCandListSize)
 // best steepest-edge scores over the maintained reduced costs and returns
 // the best column, or -1 when every reduced cost is within tolerance.  The
-// scan reads rc alone: the engine keeps every basic column's rc at exactly
-// 0 (fullPrice pins it, seUpdate zeroes the entering column's and skips
-// basic columns), so rc < -tol already excludes them.
+// scan visits only the columns of r.attractive below priceLimit, in
+// ascending order: those with rc < -tol.  The engine keeps every basic
+// column's rc at exactly 0 (fullPrice pins it, seUpdate zeroes the entering
+// column's and skips basic columns), so no basic column is among them.
 func (r *revisedSolver) refillSE() int {
 	if r.probe != nil {
 		r.probe(probeRefill, -1)
@@ -88,34 +90,38 @@ func (r *revisedSolver) refillSE() int {
 	best, bestScore := -1, 0.0
 	worst := 0.0 // smallest score currently in a full list
 	limit := r.priceLimit()
-	for j := 0; j < limit; j++ {
-		if r.rc[j] >= -r.tol {
-			continue
-		}
-		s := r.rc[j] * r.rc[j] / r.gamma[j]
-		if s > bestScore {
-			bestScore, best = s, j
-		}
-		if len(cand) < seCandListSize {
-			cand = append(cand, j)
-			if len(cand) == seCandListSize {
-				worst = scoreMin(r, cand)
+scan:
+	for w, word := range r.attractive {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			if j >= limit {
+				break scan
 			}
-			continue
-		}
-		if s <= worst {
-			continue
-		}
-		// Replace the current worst candidate.
-		wi := 0
-		wv := math.Inf(1)
-		for k, cj := range cand {
-			if v := r.rc[cj] * r.rc[cj] / r.gamma[cj]; v < wv {
-				wv, wi = v, k
+			s := r.rc[j] * r.rc[j] / r.gamma[j]
+			if s > bestScore {
+				bestScore, best = s, j
 			}
+			if len(cand) < seCandListSize {
+				cand = append(cand, j)
+				if len(cand) == seCandListSize {
+					worst = scoreMin(r, cand)
+				}
+				continue
+			}
+			if s <= worst {
+				continue
+			}
+			// Replace the current worst candidate.
+			wi := 0
+			wv := math.Inf(1)
+			for k, cj := range cand {
+				if v := r.rc[cj] * r.rc[cj] / r.gamma[cj]; v < wv {
+					wv, wi = v, k
+				}
+			}
+			cand[wi] = j
+			worst = scoreMin(r, cand)
 		}
-		cand[wi] = j
-		worst = scoreMin(r, cand)
 	}
 	r.cand = cand
 	return best
@@ -175,6 +181,8 @@ func (r *revisedSolver) priceBlandSE() int {
 // an epoch-stamped accumulator — and only the columns it actually touches
 // get the reduced-cost recurrence (rc_j -= (rc_q/alpha_rq) * alpha_rj) and
 // the Devex weight update (w_j = max(w_j, (alpha_rj/alpha_rq)^2 * w_q)).
+// The support rows are those of r.rhoRows, walked in ascending order, and
+// every reduced cost written also sets its column's bit of r.attractive.
 // This one sparse pass replaces a per-pivot duals BTRAN and candidate
 // repricing, and costs O(pivot-row fill), not O(matrix nonzeros).  gq is
 // the entering column's exact weight from enterWeight.
@@ -187,9 +195,6 @@ func (r *revisedSolver) seUpdate(enter, leave int, gq float64) {
 		r.gamma[leaving] = 1
 	}
 	r.btranRow(leave)
-	if r.probe != nil {
-		r.probe(probeRho, leave)
-	}
 	mult := r.rc[enter] / alphaR
 	inv := 1 / alphaR
 	phase1 := r.phase == 1
@@ -197,59 +202,84 @@ func (r *revisedSolver) seUpdate(enter, leave int, gq float64) {
 	r.accEpoch++
 	epoch := r.accEpoch
 	touched := r.touched[:0]
-	for i, v := range r.rho {
-		if v == 0 {
-			continue
-		}
-		// Structural columns accumulate across support rows.
-		for s := cm.rowPtr[i]; s < cm.rowPtr[i+1]; s++ {
-			j := cm.colIdxR[s]
-			if r.accMark[j] == epoch {
-				r.accVal[j] += v * cm.valR[s]
+	for w, word := range r.rhoRows {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			v := r.rho[i]
+			if v == 0 {
 				continue
 			}
-			r.accMark[j] = epoch
-			r.accVal[j] = v * cm.valR[s]
-			touched = append(touched, j)
-		}
-		// Slack and artificial columns are row singletons: their pivot-row
-		// entry comes from this support row alone.
-		if sj := r.rowSlack[i]; sj >= 0 {
-			if j := r.numVars + int(sj); !r.inBasis[j] {
-				ab := r.slackSign[sj] * v
-				r.rc[j] -= mult * ab
-				ab *= inv
-				if w := ab * ab * gq; w > r.gamma[j] {
-					r.gamma[j] = w
+			// Structural columns accumulate across support rows.
+			for s := cm.rowPtr[i]; s < cm.rowPtr[i+1]; s++ {
+				j := cm.colIdxR[s]
+				if r.accMark[j] == epoch {
+					r.accVal[j] += v * cm.valR[s]
+					continue
+				}
+				r.accMark[j] = epoch
+				r.accVal[j] = v * cm.valR[s]
+				touched = append(touched, j)
+			}
+			// Slack and artificial columns are row singletons: their
+			// pivot-row entry comes from this support row alone.
+			if sj := r.rowSlack[i]; sj >= 0 {
+				if j := r.numVars + int(sj); !r.inBasis[j] {
+					ab := r.slackSign[sj] * v
+					r.setRC(j, r.rc[j]-mult*ab)
+					ab *= inv
+					if w := ab * ab * gq; w > r.gamma[j] {
+						r.gamma[j] = w
+					}
 				}
 			}
-		}
-		if aj := r.rowArt[i]; phase1 && aj >= 0 {
-			if j := r.artLo + int(aj); !r.inBasis[j] {
-				ab := v
-				r.rc[j] -= mult * ab
-				ab *= inv
-				if w := ab * ab * gq; w > r.gamma[j] {
-					r.gamma[j] = w
+			if aj := r.rowArt[i]; phase1 && aj >= 0 {
+				if j := r.artLo + int(aj); !r.inBasis[j] {
+					ab := v
+					r.setRC(j, r.rc[j]-mult*ab)
+					ab *= inv
+					if w := ab * ab * gq; w > r.gamma[j] {
+						r.gamma[j] = w
+					}
 				}
 			}
 		}
 	}
 	r.touched = touched
+	inBasis, acc, rc, gamma, att := r.inBasis, r.accVal, r.rc, r.gamma, r.attractive
+	negTol := -r.tol
 	for _, j := range touched {
-		if r.inBasis[j] {
+		if inBasis[j] {
 			continue
 		}
-		ab := r.accVal[j]
-		r.rc[j] -= mult * ab
+		ab := acc[j]
+		v := rc[j] - mult*ab
+		rc[j] = v
+		setBit(att, int(j), v < negTol)
 		ab *= inv
-		if w := ab * ab * gq; w > r.gamma[j] {
-			r.gamma[j] = w
+		if w := ab * ab * gq; w > gamma[j] {
+			gamma[j] = w
 		}
 	}
 	// The entering column turns basic (its rc is pinned to zero by the basic
 	// skip above on later sweeps); the leaving column turns nonbasic with the
 	// textbook post-pivot reduced cost -rc_q/alpha_rq.
-	r.rc[enter] = 0
-	r.rc[leaving] = -mult
+	r.setRC(enter, 0)
+	r.setRC(leaving, -mult)
+}
+
+// setRC stores column j's reduced cost and sets its bit of r.attractive to
+// rc < -tol.
+func (r *revisedSolver) setRC(j int, rc float64) {
+	r.rc[j] = rc
+	setBit(r.attractive, j, rc < -r.tol)
+}
+
+// setBit sets bit j of bits to on, without a branch.
+func setBit(bits []uint64, j int, on bool) {
+	var b uint64
+	if on {
+		b = 1
+	}
+	w, s := j>>6, uint(j&63)
+	bits[w] = bits[w]&^(1<<s) | b<<s
 }

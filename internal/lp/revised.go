@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // errSingularBasis reports a (re)factorization that could not complete
@@ -26,8 +27,11 @@ const driftTol = 1e-7
 // between refactorizations, and every pivot is a steepest-edge price over
 // the maintained reduced costs (pricing.go), an FTRAN solve of the entering
 // column, a BTRAN of the leaving row that updates the reduced costs and
-// weights, and an O(rows) update of the basic values — no dense tableau
-// anywhere.
+// weights, and an update of the basic values — no dense tableau anywhere.
+// The FTRAN'd column alpha and the BTRAN'd row rho each keep a row bitset
+// of the rows their solves wrote, and the reduced costs a column bitset of
+// the attractive columns, so the loops of a pivot visit those rows and
+// columns only.
 type revisedSolver struct {
 	p   *Problem
 	tol float64
@@ -50,12 +54,19 @@ type revisedSolver struct {
 	y       []float64 // dual scratch: BTRAN of the basic costs
 	alpha   []float64 // primal scratch: FTRAN of the entering column
 	work    []float64 // refactorization / drift-check scratch
-	rc      []float64 // reduced-cost scratch for full pricing passes
+	rc      []float64 // reduced costs of the current phase, kept current by seUpdate
 	gamma   []float64 // steepest-edge reference weights, per column
 	rho     []float64 // dual scratch: BTRAN of the leaving row's unit vector
-	rhoNZ   []int32   // rows where rho may be nonzero (etaFile.btranUnit)
 	cand    []int
 	colBuf  []int // basis snapshot during refactorization
+
+	// Row bitsets of the rows alpha's and rho's solves wrote: every row
+	// outside them holds +0, so the next solve zeroes only the marked rows.
+	// attractive is the column bitset of rc_j < -tol, rebuilt by fullPrice
+	// and kept current by seUpdate; bits at or above priceLimit are ignored.
+	alphaRows  []uint64
+	rhoRows    []uint64
+	attractive []uint64
 
 	// Sparse pivot-row assembly state for the steepest-edge engine: per-row
 	// singleton lookups and an epoch-stamped structural-column accumulator.
@@ -92,9 +103,9 @@ type revisedSolver struct {
 	warmStarted bool
 
 	// probe, when non-nil, is called at the engine's checkpoints (see
-	// probeSite), so tests can check its state mid-solve.  Production
-	// solves leave it nil.
-	probe func(site probeSite, row int)
+	// probeSite, which says what arg is), so tests can check its state
+	// mid-solve.  Production solves leave it nil.
+	probe func(site probeSite, arg int)
 
 	// unitCrashOnly disables the triangular crash pass, so tests can
 	// compare the crash start against the unit pass alone.
@@ -116,9 +127,11 @@ type probeSite int
 const (
 	// probeFactor: refactorize has factored the basis.
 	probeFactor probeSite = iota
-	// probeRho: seUpdate has computed rho for the leaving row (the probe's
-	// row argument).
+	// probeRho: btranRow has computed rho for the leaving row arg.
 	probeRho
+	// probeAlpha: ftranColumn has computed alpha for the entering column
+	// arg.
+	probeAlpha
 	// probeRefill: refillSE is about to rebuild the candidate list.
 	probeRefill
 )
@@ -281,7 +294,13 @@ func (r *revisedSolver) load(p *Problem) {
 	r.rc = grabFloats(r.rc, r.cols, &r.allocs)
 	r.gamma = grabFloats(r.gamma, r.cols, &r.allocs)
 	r.rho = grabFloats(r.rho, rows, &r.allocs)
-	r.rhoNZ = grabInt32s(r.rhoNZ, rows, &r.allocs)[:0]
+	clear(r.rho)
+	words := (rows + 63) >> 6
+	r.alphaRows = grabUint64s(r.alphaRows, words, &r.allocs)
+	clear(r.alphaRows)
+	r.rhoRows = grabUint64s(r.rhoRows, words, &r.allocs)
+	clear(r.rhoRows)
+	r.attractive = grabUint64s(r.attractive, (r.cols+63)>>6, &r.allocs)
 	if cap(r.cand) < seCandListSize {
 		r.allocs++
 		r.cand = make([]int, 0, seCandListSize)
@@ -300,7 +319,7 @@ func (r *revisedSolver) load(p *Problem) {
 	}
 	r.touched = r.touched[:0]
 	r.eta.reset()
-	r.eta.words = (rows + 63) >> 6
+	r.eta.words = words
 	r.lu.reset()
 	r.sinceRefactor = 0
 	r.sincePivot = 0
@@ -378,23 +397,31 @@ func (r *revisedSolver) colDot(v []float64, j int) float64 {
 	}
 }
 
-// scatterCol adds A_j into the dense vector out.
-func (r *revisedSolver) scatterCol(j int, out []float64) {
+// scatterCol adds A_j into the dense vector out and marks its rows in the
+// row bitset nz.
+func (r *revisedSolver) scatterCol(j int, out []float64, nz []uint64) {
 	switch {
 	case j < r.numVars:
-		r.m.scatterCol(j, out)
+		r.m.scatterCol(j, out, nz)
 	case j < r.artLo:
-		out[r.slackRow[j-r.numVars]] += r.slackSign[j-r.numVars]
+		i := r.slackRow[j-r.numVars]
+		out[i] += r.slackSign[j-r.numVars]
+		nz[i>>6] |= 1 << (i & 63)
 	default:
-		out[r.artRow[j-r.artLo]] += 1
+		i := r.artRow[j-r.artLo]
+		out[i] += 1
+		nz[i>>6] |= 1 << (i & 63)
 	}
 }
 
-// ftranB applies the current basis inverse to v in place: the LU factors
-// followed by the (oldest-first) update etas.
-func (r *revisedSolver) ftranB(v []float64) {
-	r.lu.ftran(v)
-	r.eta.ftran(v)
+// clearRows zeroes the rows of v marked in the row bitset nz and clears nz.
+func clearRows(v []float64, nz []uint64) {
+	for w, word := range nz {
+		for ; word != 0; word &= word - 1 {
+			v[w<<6|bits.TrailingZeros64(word)] = 0
+		}
+		nz[w] = 0
+	}
 }
 
 // btranB applies the transposed basis inverse to v in place: the update etas
@@ -405,19 +432,21 @@ func (r *revisedSolver) btranB(v []float64) {
 }
 
 // btranRow sets r.rho to B^-T e_row, the BTRAN'd unit vector of a leaving
-// row.  The update etas run through etaFile.btranUnit, which skips the eta
-// dots that would read only zeros, and the LU factors through
-// luFactor.btranUnit, which runs only the steps the rows it leaves nonzero
-// can reach; the result equals btranB's up to the sign of zero entries.
+// row, for the primal pivot (seUpdate) and the dual one (optimizeDual)
+// alike.  The update etas run through etaFile.btranSparse, which skips the
+// eta dots that would read only zeros, and the LU factors through
+// luFactor.btranLive, which runs only the steps the marked rows can reach;
+// both mark the rows they write in r.rhoRows.  The result equals btranB's
+// up to the sign of zero entries.
 func (r *revisedSolver) btranRow(row int) {
-	clear(r.rho)
+	clearRows(r.rho, r.rhoRows)
 	r.rho[row] = 1
-	c := cap(r.rhoNZ)
-	r.rhoNZ = r.eta.btranUnit(r.rho, row, r.rhoNZ)
-	if cap(r.rhoNZ) != c {
-		r.allocs++
+	r.rhoRows[row>>6] |= 1 << (row & 63)
+	r.eta.btranSparse(r.rho, r.rhoRows)
+	r.lu.btranLive(r.rho, r.rhoRows)
+	if r.probe != nil {
+		r.probe(probeRho, row)
 	}
-	r.lu.btranUnit(r.rho, r.rhoNZ)
 }
 
 // setPhase installs the cost vector of the given phase (see flatSolver).
@@ -455,7 +484,9 @@ func (r *revisedSolver) priceLimit() int {
 }
 
 // computeDuals fills r.y with the simplex multipliers of the current basis:
-// y = (B^-T) c_B, one BTRAN per pivot.
+// y = (B^-T) c_B, one dense BTRAN.  The primal pivots keep rc current
+// without it, so it runs only when the reduced costs are recomputed from
+// scratch (refreshRC, the dual phase's reprice) and for the certificate.
 func (r *revisedSolver) computeDuals() {
 	for i := 0; i < r.rows; i++ {
 		r.y[i] = r.costs[r.basis[i]]
@@ -464,17 +495,23 @@ func (r *revisedSolver) computeDuals() {
 }
 
 // fullPrice computes the reduced cost of every eligible column into r.rc
-// from the current duals.  Basic columns are pinned to zero so round-off
-// never re-selects them.  Cost: one CSC sweep, O(nonzeros + cols).
+// from the current duals and rebuilds r.attractive from them.  Basic
+// columns are pinned to zero so round-off never re-selects them.  Cost: one
+// CSC sweep, O(nonzeros + cols).
 func (r *revisedSolver) fullPrice() {
 	r.fullPasses++
 	limit := r.priceLimit()
+	clear(r.attractive)
 	for j := 0; j < limit; j++ {
 		if r.inBasis[j] {
 			r.rc[j] = 0
 			continue
 		}
-		r.rc[j] = r.costs[j] - r.colDot(r.y, j)
+		rc := r.costs[j] - r.colDot(r.y, j)
+		r.rc[j] = rc
+		if rc < -r.tol {
+			r.attractive[j>>6] |= 1 << (j & 63)
+		}
 	}
 }
 
@@ -545,12 +582,19 @@ func (r *revisedSolver) optimize(maxIter int) (Status, error) {
 	}
 }
 
-// ftranColumn fills r.alpha with B^-1 A_enter.  r.alpha is kept zeroed
-// between calls.
+// ftranColumn fills r.alpha with B^-1 A_enter: the scattered column runs
+// through the LU factors' live steps (luFactor.ftranLive), then the update
+// etas oldest first.  Both mark the rows they write in r.alphaRows, and only
+// the previous alpha's marked rows are zeroed first.  The result equals a
+// dense FTRAN's bit for bit.
 func (r *revisedSolver) ftranColumn(enter int) {
-	clear(r.alpha)
-	r.scatterCol(enter, r.alpha)
-	r.ftranB(r.alpha)
+	clearRows(r.alpha, r.alphaRows)
+	r.scatterCol(enter, r.alpha, r.alphaRows)
+	r.lu.ftranLive(r.alpha, r.alphaRows)
+	r.eta.ftran(r.alpha, r.alphaRows)
+	if r.probe != nil {
+		r.probe(probeAlpha, enter)
+	}
 }
 
 // ratioTest picks the leaving row for the FTRAN'd entering column in
@@ -563,17 +607,20 @@ func (r *revisedSolver) ratioTest() int {
 	leave := -1
 	bestRatio := math.Inf(1)
 	norm := 0.0
-	for i := 0; i < r.rows; i++ {
-		aij := r.alpha[i]
-		norm += aij * aij
-		if aij <= r.tol {
-			continue
-		}
-		ratio := r.xB[i] / aij
-		if ratio < bestRatio-r.tol ||
-			(math.Abs(ratio-bestRatio) <= r.tol && (leave < 0 || r.basis[i] < r.basis[leave])) {
-			bestRatio = ratio
-			leave = i
+	for w, word := range r.alphaRows {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			aij := r.alpha[i]
+			norm += aij * aij
+			if aij <= r.tol {
+				continue
+			}
+			ratio := r.xB[i] / aij
+			if ratio < bestRatio-r.tol ||
+				(math.Abs(ratio-bestRatio) <= r.tol && (leave < 0 || r.basis[i] < r.basis[leave])) {
+				bestRatio = ratio
+				leave = i
+			}
 		}
 	}
 	r.alphaNorm = norm
@@ -592,31 +639,34 @@ func (r *revisedSolver) ratioTestSE() int {
 	bestArt := false
 	bestAbs := 0.0
 	norm := 0.0
-	for i := 0; i < r.rows; i++ {
-		aij := r.alpha[i]
-		norm += aij * aij
-		if aij <= r.tol {
-			continue
-		}
-		ratio := r.xB[i] / aij
-		if ratio < bestRatio-r.tol {
-			bestRatio, leave = ratio, i
-			bestArt = r.basis[i] >= r.artLo
-			bestAbs = aij
-			continue
-		}
-		if math.Abs(ratio-bestRatio) > r.tol {
-			continue
-		}
-		art := r.basis[i] >= r.artLo
-		if art != bestArt {
-			if art {
-				bestRatio, leave, bestArt, bestAbs = ratio, i, true, aij
+	for w, word := range r.alphaRows {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			aij := r.alpha[i]
+			norm += aij * aij
+			if aij <= r.tol {
+				continue
 			}
-			continue
-		}
-		if aij > bestAbs {
-			bestRatio, leave, bestAbs = ratio, i, aij
+			ratio := r.xB[i] / aij
+			if ratio < bestRatio-r.tol {
+				bestRatio, leave = ratio, i
+				bestArt = r.basis[i] >= r.artLo
+				bestAbs = aij
+				continue
+			}
+			if math.Abs(ratio-bestRatio) > r.tol {
+				continue
+			}
+			art := r.basis[i] >= r.artLo
+			if art != bestArt {
+				if art {
+					bestRatio, leave, bestArt, bestAbs = ratio, i, true, aij
+				}
+				continue
+			}
+			if aij > bestAbs {
+				bestRatio, leave, bestAbs = ratio, i, aij
+			}
 		}
 	}
 	r.alphaNorm = norm
@@ -631,27 +681,29 @@ func (r *revisedSolver) pivot(leave, enter int) error {
 		r.alpha[leave] *= 1 + f.PerturbPivot
 	}
 	theta := r.xB[leave] / r.alpha[leave]
-	// One fused sweep over the FTRAN'd column updates the basic values and
-	// writes the update eta's off-pivot entries (what etaFile.push would do
-	// in a second pass).
+	// One fused sweep over the FTRAN'd column's marked rows updates the basic
+	// values and writes the update eta's off-pivot entries.
 	e := &r.eta
 	if len(e.pivRow) == cap(e.pivRow) {
 		r.allocs++
 	}
 	e.pivRow = append(e.pivRow, int32(leave))
 	e.pivInv = append(e.pivInv, 1/r.alpha[leave])
-	for i := 0; i < r.rows; i++ {
-		a := r.alpha[i]
-		if a == 0 || i == leave {
-			continue
-		}
-		r.xB[i] -= theta * a
-		if a > etaDrop || a < -etaDrop {
-			if len(e.idx) == cap(e.idx) {
-				r.allocs++
+	for w, word := range r.alphaRows {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			a := r.alpha[i]
+			if a == 0 || i == leave {
+				continue
 			}
-			e.idx = append(e.idx, int32(i))
-			e.val = append(e.val, a)
+			r.xB[i] -= theta * a
+			if a > etaDrop || a < -etaDrop {
+				if len(e.idx) == cap(e.idx) {
+					r.allocs++
+				}
+				e.idx = append(e.idx, int32(i))
+				e.val = append(e.val, a)
+			}
 		}
 	}
 	e.start = append(e.start, int32(len(e.idx)))

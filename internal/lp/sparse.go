@@ -185,9 +185,12 @@ func (m *cscMatrix) colDot(v []float64, j int) float64 {
 	return dot
 }
 
-// scatterCol adds structural column j into the dense vector out.
-func (m *cscMatrix) scatterCol(j int, out []float64) {
+// scatterCol adds structural column j into the dense vector out and marks
+// its rows in the row bitset nz.
+func (m *cscMatrix) scatterCol(j int, out []float64, nz []uint64) {
 	for s := m.colPtr[j]; s < m.colPtr[j+1]; s++ {
-		out[m.rowIdx[s]] += m.val[s]
+		i := m.rowIdx[s]
+		out[i] += m.val[s]
+		nz[i>>6] |= 1 << (i & 63)
 	}
 }

@@ -10,12 +10,15 @@ import (
 )
 
 // TestSparseSolvesMatchFullWalks solves random LPs and paper models on each
-// row of the engine grid under lp.AttachSparseCheck: every step-list
-// FTRAN and BTRAN of every factorization (crash bases and mid-solve
-// refactorizations) must equal the full walk bit for bit, every
-// steepest-edge rho must equal the plain eta BTRAN over its update-eta file,
-// and every refill must see each basic column at rc exactly 0.  The
-// counters make sure each case was reached.
+// row of the engine grid under lp.AttachSparseCheck, then re-solves an
+// extended E7-sized model from its optimal basis through the dual simplex:
+// every step-list FTRAN and BTRAN of every factorization (crash bases and
+// mid-solve refactorizations) must equal the full walk bit for bit, every
+// rho (primal and dual) must equal the plain BTRAN and every alpha the full
+// FTRAN over their update-eta files, both holding +0 outside their row
+// bitsets, and every refill must see each basic column at rc exactly 0 and
+// the attractive-column bitset exactly where rc < -tol.  The counters make
+// sure each case was reached.
 func TestSparseSolvesMatchFullWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1919))
 	var problems []*lp.Problem
@@ -56,13 +59,38 @@ func TestSparseSolvesMatchFullWalks(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d crash and %d mid-solve factorizations (%d with a -1 diagonal step), %d rho BTRANs (%d over update etas), %d refills",
-			combo.name, chk.CrashFactors, chk.MidFactors, chk.MinusOne, chk.Rho, chk.RhoWithEtas, chk.Refills)
+		// Every pivot of a transplanted dual re-solve, dual or primal,
+		// BTRANs its leaving row once, so the check must see one rho per
+		// pivot.
+		p := buildE7SizedProblem(t)
+		opts := combo.opts
+		opts.CaptureBasis = true
+		base, err := s.Solve(p, opts)
+		if err != nil || base.Status != lp.StatusOptimal {
+			t.Fatalf("%s: E7 base solve: %v, %v", combo.name, base.Status, err)
+		}
+		extendProblem(p, base.X, 3, 2, 2, rand.New(rand.NewSource(7)))
+		rhoBefore := chk.Rho
+		warm, err := s.SolveDualFrom(p, combo.opts, base.Basis)
+		if err != nil || chk.Err != nil {
+			t.Fatalf("%s: dual re-solve: %v, %v", combo.name, err, chk.Err)
+		}
+		if !warm.WarmStarted || warm.DualIterations == 0 {
+			t.Fatalf("%s: dual re-solve warm %v with %d dual pivots", combo.name, warm.WarmStarted, warm.DualIterations)
+		}
+		if got := chk.Rho - rhoBefore; got != warm.Iterations {
+			t.Fatalf("%s: dual re-solve checked %d rho BTRANs over %d pivots", combo.name, got, warm.Iterations)
+		}
+		t.Logf("%s: %d crash and %d mid-solve factorizations (%d with a -1 diagonal step), %d rho BTRANs (%d over update etas), %d alpha FTRANs (%d over update etas), %d refills",
+			combo.name, chk.CrashFactors, chk.MidFactors, chk.MinusOne, chk.Rho, chk.RhoWithEtas, chk.Alpha, chk.AlphaWithEtas, chk.Refills)
 		if chk.CrashFactors == 0 || chk.MidFactors == 0 || chk.MinusOne == 0 {
 			t.Fatalf("%s: factorizations not covered", combo.name)
 		}
 		if chk.RhoWithEtas == 0 || chk.Rho == chk.RhoWithEtas || chk.Refills == 0 {
 			t.Fatalf("%s: rho BTRANs or refills not covered", combo.name)
+		}
+		if chk.AlphaWithEtas == 0 || chk.Alpha == chk.AlphaWithEtas {
+			t.Fatalf("%s: alpha FTRANs not covered", combo.name)
 		}
 	}
 }

@@ -54,6 +54,20 @@ func btranFull(lu *luFactor, v []float64) {
 	}
 }
 
+// etaFtranFull applies the update etas to v oldest first, walking every
+// eta, those whose pivot entry is zero included: the reference the marking
+// eta FTRAN must equal up to the sign of zero entries.
+func etaFtranFull(e *etaFile, v []float64) {
+	for k := range e.pivRow {
+		r := e.pivRow[k]
+		t := v[r] * e.pivInv[k]
+		v[r] = t
+		for s := e.start[k]; s < e.start[k+1]; s++ {
+			v[e.idx[s]] -= e.val[s] * t
+		}
+	}
+}
+
 // diffBits returns the first index where a and b differ bit for bit, with
 // +0 and -0 taken as equal, or -1 when they agree.
 func diffBits(a, b []float64) int {
@@ -68,24 +82,31 @@ func diffBits(a, b []float64) int {
 // SparseCheck compares, while a Solver solves, the sparse solves of its
 // revised engine with full walks: every factorization's step-list FTRAN and
 // BTRAN against ftranFull and btranFull (on every unit vector and two
-// random ones), and every steepest-edge rho against the plain eta BTRAN
-// followed by btranFull.  At every steepest-edge candidate refill it checks
-// that each basic column's maintained reduced cost is exactly 0.  Err holds
-// the first difference; the counters say what was covered.
+// random ones), every rho (primal and dual pivots alike) against the plain
+// eta BTRAN followed by btranFull, and every entering column's alpha against
+// scatterCol, ftranFull and etaFtranFull.  At every rho and alpha it checks
+// that each row outside the vector's row bitset holds +0.  At every
+// steepest-edge candidate refill it checks that each basic column's
+// maintained reduced cost is exactly 0 and that the attractive-column
+// bitset below priceLimit is exactly {j : rc_j < -tol}.  Err holds the
+// first difference; the counters say what was covered.
 type SparseCheck struct {
-	CrashFactors int // factorizations before the first pivot (crash bases)
-	MidFactors   int // refactorizations after pivots
-	MinusOne     int // factorizations with an entry-free U step of diagonal -1
-	Rho          int // rho BTRANs compared
-	RhoWithEtas  int // of them, with a nonempty update-eta file
-	Refills      int // refills whose basic reduced costs were checked
-	Err          error
+	CrashFactors  int // factorizations before the first pivot (crash bases)
+	MidFactors    int // refactorizations after pivots
+	MinusOne      int // factorizations with an entry-free U step of diagonal -1
+	Rho           int // rho BTRANs compared
+	RhoWithEtas   int // of them, with a nonempty update-eta file
+	Alpha         int // alpha FTRANs compared
+	AlphaWithEtas int // of them, with a nonempty update-eta file
+	Refills       int // refills whose reduced costs and column bitset were checked
+	Err           error
 
 	r         *revisedSolver
 	rng       *rand.Rand
 	got, want []float64
 	randVec   [2][]float64
-	allocs    int // grabFloats' counter, unused
+	rows      []uint64 // scatterCol's row bitset for the alpha reference
+	allocs    int      // grabFloats' counter, unused
 }
 
 // AttachSparseCheck installs a SparseCheck on s's revised engine.
@@ -101,7 +122,7 @@ func (c *SparseCheck) fail(format string, args ...any) {
 	}
 }
 
-func (c *SparseCheck) probe(site probeSite, row int) {
+func (c *SparseCheck) probe(site probeSite, arg int) {
 	r := c.r
 	c.got = grabFloats(c.got, r.rows, &c.allocs)
 	c.want = grabFloats(c.want, r.rows, &c.allocs)
@@ -119,19 +140,51 @@ func (c *SparseCheck) probe(site probeSite, row int) {
 			c.RhoWithEtas++
 		}
 		clear(c.want)
-		c.want[row] = 1
+		c.want[arg] = 1
 		r.eta.btran(c.want)
 		btranFull(&r.lu, c.want)
 		if i := diffBits(r.rho, c.want); i >= 0 {
 			c.fail("pivot %d: rho of row %d has %v at row %d, the full BTRAN %v",
-				r.iterations, row, r.rho[i], i, c.want[i])
+				r.iterations, arg, r.rho[i], i, c.want[i])
 		}
+		c.checkOutside("rho", arg, r.rho, r.rhoRows)
+	case probeAlpha:
+		c.Alpha++
+		if r.eta.count() > 0 {
+			c.AlphaWithEtas++
+		}
+		c.rows = grabUint64s(c.rows, len(r.alphaRows), &c.allocs)
+		clear(c.rows)
+		clear(c.want)
+		r.scatterCol(arg, c.want, c.rows)
+		ftranFull(&r.lu, c.want)
+		etaFtranFull(&r.eta, c.want)
+		if i := diffBits(r.alpha, c.want); i >= 0 {
+			c.fail("pivot %d: alpha of column %d has %v at row %d, the full FTRAN %v",
+				r.iterations, arg, r.alpha[i], i, c.want[i])
+		}
+		c.checkOutside("alpha", arg, r.alpha, r.alphaRows)
 	case probeRefill:
 		c.Refills++
 		for j := 0; j < r.priceLimit(); j++ {
 			if r.inBasis[j] && r.rc[j] != 0 {
 				c.fail("pivot %d: refill with basic column %d at rc %v", r.iterations, j, r.rc[j])
 			}
+			marked := r.attractive[j>>6]&(1<<(j&63)) != 0
+			if marked != (r.rc[j] < -r.tol) {
+				c.fail("pivot %d: refill with column %d marked %v at rc %v", r.iterations, j, marked, r.rc[j])
+			}
+		}
+	}
+}
+
+// checkOutside fails unless every row of v outside the row bitset nz holds
+// +0.  arg names the vector's row (rho) or column (alpha).
+func (c *SparseCheck) checkOutside(name string, arg int, v []float64, nz []uint64) {
+	for i, x := range v {
+		if nz[i>>6]&(1<<(i&63)) == 0 && math.Float64bits(x) != 0 {
+			c.fail("pivot %d: %s of %d has %v at unmarked row %d", c.r.iterations, name, arg, x, i)
+			return
 		}
 	}
 }

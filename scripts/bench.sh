@@ -7,9 +7,10 @@
 # BenchmarkModelBatch*, BenchmarkOptSearch*) plus the incremental-path pairs
 # (BenchmarkDualResolve*, BenchmarkModelExtendResolve/BenchmarkModelColdResolve,
 # BenchmarkReplayIncrementalStep/BenchmarkReplayColdStep — the last pair's
-# ratio is the trace-replay speedup pcbench -replay reports) so the perf
-# trajectory is tracked alongside the counters.  Timings are informational:
-# cmd/benchdiff never compares them.
+# ratio is the trace-replay speedup pcbench -replay reports), plus the
+# serving benchmark's own solves (BenchmarkLPColdCensus: lp-cold's 126
+# instances, once per op), so the perf trajectory is tracked alongside the
+# counters.  Timings are informational: cmd/benchdiff never compares them.
 #
 # Usage: scripts/bench.sh [output-file]
 #
@@ -29,6 +30,6 @@ fi
 bench=$(mktemp /tmp/bench-timings.XXXXXX)
 trap 'rm -f "$bench"' EXIT
 echo "running solver/search benchmarks for the timings block ..."
-go test -run '^$' -bench 'BenchmarkRevisedSolve|BenchmarkBatchSolve|BenchmarkModelBatch|BenchmarkOptSearch|BenchmarkDualResolve|BenchmarkModelExtendResolve|BenchmarkModelColdResolve|BenchmarkReplay' ./... > "$bench"
+go test -run '^$' -bench 'BenchmarkRevisedSolve|BenchmarkBatchSolve|BenchmarkModelBatch|BenchmarkOptSearch|BenchmarkDualResolve|BenchmarkModelExtendResolve|BenchmarkModelColdResolve|BenchmarkReplay|BenchmarkLPColdCensus' ./... > "$bench"
 go run ./cmd/pcbench -json -stable -workers 1 -timings "$bench" > "$out"
 echo "wrote $out"
