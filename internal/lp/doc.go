@@ -67,33 +67,34 @@
 // revised simplex method", 2005).  The dense solves (the duals, the basic
 // values after a refactorization) walk only the LU's step lists
 // (luFactor.listSteps): the steps with L multipliers, and those with
-// off-diagonal U entries or a diagonal other than 1.  On lp-cold about 338
-// of the U factor's ~666 steps and 515 of the L factor's are identities
+// off-diagonal U entries or a diagonal other than 1.  On lp-cold about 327
+// of the U factor's ~646 steps and 507 of the L factor's are identities
 // (slack, artificial and unit crash columns), and skipping them leaves every
 // vector bit for bit as the full walk leaves it.
 //
 // A pivot's own solves are hyper-sparse.  On the 126 census instances of
-// lp-cold (about 666 rows per basis and 5,903 priced columns), the FTRAN'd
-// entering column alpha holds 33.9 nonzeros and the BTRAN'd leaving row rho
-// 37.4.  Each keeps a row bitset of the rows its solve wrote (47.8 and 46.2 of
+// lp-cold (about 646 rows per basis and 3,951 priced columns), the FTRAN'd
+// entering column alpha holds 30.8 nonzeros and the BTRAN'd leaving row rho
+// 30.1.  Each keeps a row bitset of the rows its solve wrote (43.3 and 37.8 of
 // them); every other row holds +0, and the next solve zeroes only the marked
 // rows.  The ratio test, the basic-value update and the pivot-row assembly
 // walk those bits in ascending row order, so they sum in the order a full
 // sweep does.  ftranColumn runs the scattered column through the LU's live
 // steps (luFactor.ftranLive): the L steps ascending from the column's rows,
-// then the U steps descending from every row the L pass reached.  Of the 462
-// steps listed at an average FTRAN, about 14 do work (1.2 L and 12.6 U steps).
+// then the U steps descending from every row the L pass reached.  Of the 442
+// steps listed at an average FTRAN, about 13 do work (1.1 L and 11.8 U steps).
 // btranRow starts rho from the unit vector and runs the update etas
 // newest-first, skipping the dot of any eta whose off-pivot rows (a row bitset
-// per eta, written by pivot) hold no marked row: about 8 of 46 etas are
-// dotted.  Its LU part (luFactor.btranLive) runs only the live steps, those
+// per eta, written by pivot) hold no marked row: about 7 of 46 etas are
+// dotted.  The test ANDs an eta's bitset with rho's only at the words that
+// hold a marked row, which the pass lists as it marks them.  Its LU part (luFactor.btranLive) runs only the live steps, those
 // whose pivot row is marked or which a nonzero result of an earlier step feeds
 // (the factors' patterns, transposed at each factorization, say which), in the
 // order btran runs them.  Alpha equals the dense FTRAN's bit for bit; rho
 // equals the plain BTRAN's up to the sign of zero entries, which the pivot-row
 // assembly skips either way.  The candidate refill visits only the columns of
 // a column bitset of rc_j < -tol, which fullPrice rebuilds and seUpdate keeps
-// current at every reduced cost it writes: 827 of the 5,903 columns, at 0.25
+// current at every reduced cost it writes: 442 of the 3,951 columns, at 0.20
 // refills per pivot.  No basic column is among them, because the engine keeps
 // every basic column's rc at exactly 0.  TestSparseSolvesMatchFullWalks
 // compares every such solve with the full walks, checks that the rows outside
@@ -148,7 +149,10 @@
 // basis is factored before the first pivot, so every solve walked all of
 // the factor's steps, identities included.  The sparse solves of Basis took
 // its time from a median of 17.8 ms to 13.0 ms with the same 359 pivots
-// (five alternating runs on 2 vCPUs).
+// (five alternating runs on 2 vCPUs).  These figures predate lpmodel's
+// single dummy, which carries all of S_init's dummies in one fetch and one
+// evict column per interval; on that smaller program the benchmark takes
+// 338 pivots, 127 of them in phase one.
 //
 // The triangular pass runs on the cold path only.  A dual transplant keeps
 // load's columns in the appended rows (see Dual re-optimization), and

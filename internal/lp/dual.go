@@ -117,26 +117,32 @@ func (r *revisedSolver) installBasisDual(from *WarmBasis) bool {
 // largest pivot element |row_j|, as the primal ratioTestSE does.  The paper's
 // LPs are full of such ties, among zero-cost columns; on
 // TestDualResolveE7Extension's extension the steepest-edge/LU re-solve
-// takes 26 pivots this way and 57 when ties go to the smallest index,
-// Bland-style (its cold solve takes 103).  Columns that are already dual
+// takes 12 pivots this way and 21 when ties go to the smallest index,
+// Bland-style (its cold solve takes 52).  Columns that are already dual
 // infeasible (fresh extension columns priced below zero) are left for the
 // primal clean-up phase that follows.
 //
-// Reduced costs are maintained across pivots instead of re-priced: the dual
-// step moves y by t·rho, so rc_j shifts by -t·row_j using the pivot row the
-// entering scan computed anyway, and the file is re-priced from fresh duals
-// only when a pivot triggered a refactorization.  Maintenance drift is
+// The entering scan computes the pivot row as one column dot of rho per
+// nonbasic column, not from rho's support rows as seUpdate does for a
+// primal pivot: on a session's extensions rho is dense in most dual pivots
+// (its support rows hold over half of the matrix's nonzeros on average), and
+// a row-wise assembly measured no faster.  Reduced costs are maintained
+// across pivots instead of re-priced: the dual step moves y by t·rho, so
+// rc_j shifts by -t·row_j at the row's nonzero entries, which the scan lists
+// in dualCols, and the file is re-priced from fresh duals (a full pricing
+// pass) only when a pivot triggered a refactorization.  Maintenance drift is
 // harmless — termination is decided by primal feasibility alone, and the
 // primal clean-up phase re-prices every column from scratch — it can only
 // cost extra clean-up pivots, never a wrong optimum.
 //
 // The pivot budget bounds the transplant's cost at a fraction of a cold
 // solve: a warm basis that needs that many repairs has lost its locality
-// advantage (each dual pivot carries a full pricing scan), so the solve is
-// handed back to the cold primal path instead of grinding on.
+// advantage (each dual pivot carries a scan of every column), so the solve
+// is handed back to the cold primal path instead of grinding on.
 func (r *revisedSolver) optimizeDual(maxIter int) (Status, error) {
 	r.dualRC = grabFloats(r.dualRC, r.artLo, &r.allocs)
 	r.dualRow = grabFloats(r.dualRow, r.artLo, &r.allocs)
+	r.dualCols = grabInt32s(r.dualCols, r.artLo, &r.allocs)
 	reprice := func() {
 		r.computeDuals()
 		r.fullPasses++
@@ -185,16 +191,19 @@ func (r *revisedSolver) optimizeDual(maxIter int) (Status, error) {
 		}
 		// Row leave of B^-1 A, via one BTRAN of the unit vector.
 		r.btranRow(leave)
-		r.fullPasses++
+		cols := r.dualCols[:0]
 		enter := -1
 		bestRatio, bestA := math.Inf(1), 0.0
 		for j := 0; j < r.artLo; j++ {
 			if r.inBasis[j] {
-				r.dualRow[j] = 0
 				continue
 			}
 			row := r.colDot(r.rho, j)
+			if row == 0 {
+				continue
+			}
 			r.dualRow[j] = row
+			cols = append(cols, int32(j))
 			a := dir * row
 			if a <= r.tol {
 				continue
@@ -237,10 +246,8 @@ func (r *revisedSolver) optimizeDual(maxIter int) (Status, error) {
 		}
 		t := dir * bestRatio
 		if t != 0 {
-			for j := 0; j < r.artLo; j++ {
-				if v := r.dualRow[j]; v != 0 {
-					r.dualRC[j] -= t * v
-				}
+			for _, j := range cols {
+				r.dualRC[j] -= t * r.dualRow[j]
 			}
 			if leaveCol < r.artLo {
 				// The leaving column re-enters the nonbasic file at rc = -t

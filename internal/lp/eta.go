@@ -26,6 +26,9 @@ type etaFile struct {
 	// which etas cannot read a sparse vector's nonzeros.
 	rowBits []uint64
 	words   int
+	// nzWords is btranSparse's list of the nonzero words of its row bitset
+	// (capacity words, sized by revisedSolver.load).
+	nzWords []int32
 }
 
 // etaDrop is the absolute magnitude below which off-pivot entries are not
@@ -105,16 +108,24 @@ func (e *etaFile) btran(v []float64) {
 // row bitset nz, as the unit vector of a leaving row is.  An eta none of
 // whose off-pivot rows is marked reads only zeros in btran's dot, so its dot
 // is skipped and its pivot entry only scaled, or left at zero when unmarked;
-// each eta whose dot runs marks its pivot row.  For finite etas the result
-// equals btran's bit for bit, up to the sign of zero entries, and every row
-// outside nz still holds +0.
+// each eta whose dot runs marks its pivot row.  The hit test ANDs an eta's
+// row bitset with nz only at nz's nonzero words, listed in nzWords as the
+// pass marks them.  For finite etas the result equals btran's bit for bit,
+// up to the sign of zero entries, and every row outside nz still holds +0.
 func (e *etaFile) btranSparse(v []float64, nz []uint64) {
 	w := e.words
+	list := e.nzWords[:0]
+	for i, b := range nz {
+		if b != 0 {
+			list = append(list, int32(i))
+		}
+	}
 	for k := len(e.pivRow) - 1; k >= 0; k-- {
 		r := e.pivRow[k]
+		bits := e.rowBits[k*w : k*w+w]
 		hit := false
-		for i, b := range e.rowBits[k*w : k*w+w] {
-			if b&nz[i] != 0 {
+		for _, i := range list {
+			if bits[i]&nz[i] != 0 {
 				hit = true
 				break
 			}
@@ -130,6 +141,9 @@ func (e *etaFile) btranSparse(v []float64, nz []uint64) {
 			t -= e.val[s] * v[e.idx[s]]
 		}
 		v[r] = t * e.pivInv[k]
+		if nz[r>>6] == 0 {
+			list = append(list, r>>6)
+		}
 		nz[r>>6] |= 1 << (r & 63)
 	}
 }

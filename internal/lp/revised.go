@@ -82,7 +82,8 @@ type revisedSolver struct {
 	dualMode      bool      // Options.Dual: widen warm starts to prefix bases
 	capture       bool      // Options.CaptureBasis
 	dualRC        []float64 // maintained phase-2 reduced costs of the dual phase
-	dualRow       []float64 // pivot row of B^-1 A, cached for the rc update
+	dualRow       []float64 // pivot row of B^-1 A at dualCols, cached for the rc update
+	dualCols      []int32   // nonbasic columns where the dual pivot row is nonzero
 	refactorEvery int
 	sinceRefactor int // pivot etas appended since the last refactorization
 	sincePivot    int // pivots since the last drift check
@@ -320,6 +321,7 @@ func (r *revisedSolver) load(p *Problem) {
 	r.touched = r.touched[:0]
 	r.eta.reset()
 	r.eta.words = words
+	r.eta.nzWords = grabInt32s(r.eta.nzWords, words, &r.allocs)
 	r.lu.reset()
 	r.sinceRefactor = 0
 	r.sincePivot = 0

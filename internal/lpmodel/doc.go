@@ -23,9 +23,25 @@
 //     in I; every block is in cache when referenced (first-reference and
 //     between-references flow constraints); blocks are not fetched or evicted
 //     in intervals containing their own references; initially cached blocks
-//     (including k+D-1 dummy blocks that are never requested, standing in for
-//     the initially irrelevant cache contents) are evicted at most once
-//     before their next use.
+//     are evicted at most once before their next use.
+//
+// The paper fills the initial cache S_init up to k+D-1 locations with dummy
+// blocks that are never requested, standing in for the initially irrelevant
+// cache contents.  The d = k+D-1-|S_init| dummies are interchangeable: their
+// fetch columns are identical, and their evict columns differ only in which
+// dummy's "evicted at most once" row they sit in.  Build therefore emits one
+// dummy block on disk 0 (none when d = 0) with one fetch and one evict
+// column per interval, and its row reads sum_I e(I) <= d.  The optimum is
+// unchanged.  Summing the d dummies' columns maps every solution of the
+// paper's program to one of this program with the same objective, since the
+// dummies cost nothing and meet the same balance rows.  Conversely, given
+// e(I) >= 0 with sum_I e(I) <= d, lay the e(I) end to end on [0, d) and cut
+// it at the integers: dummy c takes the part of each e(I) that falls in
+// [c, c+1), which sums to at most 1, and the fetches f(I) split any way,
+// say evenly.  Every balance row sees the same totals, so the split is a
+// solution of the paper's program with the same objective.  On the
+// serving benchmark's lp-cold instances, which start with an empty cache,
+// this removes 37% of the program's columns.
 //
 // The relaxation is solved with the simplex solver of package lp; its
 // optimal value is a lower bound on sOPT(sigma, k).  Build assembles the
@@ -56,10 +72,21 @@
 // exactly the rules of properties (1) and (2), with a cache budget of
 // k + (D-1) during planning (matching the fractional program), then again
 // with the k + 2(D-1) Theorem 4 allows, and eviction only when the budget is
-// exhausted.  Every candidate's schedule, for each offset and budget, is
-// then executed on the real instance (cache size k, extra locations
-// measured) and the best feasible one over all of them is returned (see
-// Extract); the result records the fractional
+// exhausted.  The fetched blocks are derived by two roundings.  The first
+// fetches, on each disk, the missing block whose next request is earliest.
+// The second applies the program's own rule as well: it passes over the
+// blocks requested strictly inside the sampled interval, for which the
+// program has no fetch variable.  Neither is enough alone.  When a sampled
+// interval is a pure scratch fetch and a shorter interval nested inside it
+// fetches a block in time for its request, the first rounding fills the
+// outer interval with that block, whose fetch then ends after the request,
+// and stalls above OPT(k); the second rounding, alone, breaks Theorem 4 on
+// other vertices.  Every candidate's schedule, for each offset, budget and
+// rounding, is then executed on the real instance (cache size k, extra
+// locations measured) and the best feasible one over all of them is
+// returned: the lowest stall, then the least extra cache, then the first
+// found, with every candidate of the first rounding tried before the
+// second's (see Extract).  The result records the fractional
 // lower bound so callers can check the Theorem 4 guarantee (stall equal to
 // the lower bound, at most 2(D-1) extra locations), and the test suite
 // asserts it against the exhaustive optimum of package opt on small

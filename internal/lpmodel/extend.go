@@ -11,7 +11,7 @@ import (
 
 // ErrExtendRebuild reports that a trace extension is not expressible as an
 // in-place append: the request names a block the built program has never
-// seen (or one of the synthetic dummy blocks), so the interval and variable
+// seen (or the synthetic dummy block), so the interval and variable
 // layout would have to change retroactively.  Callers handle it by rebuilding
 // the model from the extended instance and solving cold — the two paths
 // produce the same optimum, Extend is purely an acceleration.
@@ -59,12 +59,15 @@ func (m *Model) SolveIncremental(s *lp.Solver, opts lp.Options) (*Fractional, er
 }
 
 // blockPos returns the position of block b in m.Blocks, or -1 when b is not
-// one of the instance's real blocks (dummies are excluded: a request for a
-// dummy would change its never-referenced role).  m.Blocks is ascending —
-// the instance's sorted block set followed by the strictly larger dummy IDs —
-// so the lookup is a binary search.
+// one of the instance's real blocks (the dummy is excluded: a request for it
+// would change its never-referenced role).  m.Blocks is ascending — the
+// instance's sorted block set followed by the strictly larger dummy ID — so
+// the lookup is a binary search.
 func (m *Model) blockPos(b core.BlockID) int {
-	real := len(m.Blocks) - len(m.Dummies)
+	real := len(m.Blocks)
+	if m.DummyCopies > 0 {
+		real--
+	}
 	i := sort.Search(real, func(i int) bool { return m.Blocks[i] >= b })
 	if i < real && m.Blocks[i] == b {
 		return i
@@ -191,7 +194,7 @@ func (m *Model) extendOne(b core.BlockID, bi int) {
 			if row := m.tailRow[bj]; row >= 0 {
 				prob.ExtendConstraint(row, ec)
 			} else {
-				m.tailRow[bj] = prob.AddConstraint(ec, lp.LE, 1)
+				m.tailRow[bj] = prob.AddConstraint(ec, lp.LE, m.evictCap(bj))
 			}
 		}
 		m.coefBuf = ec

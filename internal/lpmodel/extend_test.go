@@ -265,8 +265,9 @@ func TestExtendVerifiedCascade(t *testing.T) {
 }
 
 // TestExtendRejectsUnknownBlocks covers the rebuild sentinel: requests for
-// blocks the program has never seen (or its synthetic dummies) must fail
-// with ErrExtendRebuild before mutating anything.
+// blocks the program has never seen (or its synthetic dummy, or the ID a
+// second dummy would take) must fail with ErrExtendRebuild before mutating
+// anything.
 func TestExtendRejectsUnknownBlocks(t *testing.T) {
 	in := introParallelInstance()
 	m, err := Build(in.Clone())
@@ -274,7 +275,7 @@ func TestExtendRejectsUnknownBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	vars, cons, n := m.Problem.NumVars(), m.Problem.NumConstraints(), m.In.N()
-	bad := []core.BlockID{core.NoBlock, 99, m.Dummies[0]}
+	bad := []core.BlockID{core.NoBlock, 99, m.Dummy, m.Dummy + 1}
 	for _, b := range bad {
 		if err := m.Extend(b); !errors.Is(err, ErrExtendRebuild) {
 			t.Errorf("Extend(%v) = %v, want ErrExtendRebuild", b, err)

@@ -38,18 +38,20 @@ type PlanResult struct {
 }
 
 // NoFeasibleOffsetError reports that no candidate offset of a fractional
-// optimum rounds to a feasible schedule, at the k+(D-1) planning budget or at
-// Theorem 4's k+2(D-1).  The rounding treats each sampled interval as one
-// synchronized batch with one fetch slot per disk; in each batch a disk
-// fetches its earliest-needed missing block, and a full plan evicts the
-// resident block referenced furthest in the future, on whichever disk it
-// lives.  That rule does not count fetch slots per disk.  When it evicts a
-// block whose disk has fewer slots left in the remaining batches, before the
-// block's next request, than that disk has other blocks to fetch first, the
-// block is never fetched back and the replay fails at that request.  A wider
-// budget does not help once the remaining batches are that short: the wider
-// plan fills up and evicts the same way.  Another optimal vertex of the
-// same program, with batches placed elsewhere, may round without trouble.
+// optimum rounds to a feasible schedule, under either rounding, at the
+// k+(D-1) planning budget or at Theorem 4's k+2(D-1).  The rounding treats
+// each sampled interval as one synchronized batch with one fetch slot per
+// disk; in each batch a disk fetches its earliest-needed missing block (the
+// second rounding skips those requested inside the interval), and a full
+// plan evicts the resident block referenced furthest in the future, on
+// whichever disk it lives.  That rule does not count fetch slots per disk.
+// When it evicts a block whose disk has fewer slots left in the remaining
+// batches, before the block's next request, than that disk has other blocks
+// to fetch first, the block is never fetched back and the replay fails at
+// that request.  A wider budget does not help once the remaining batches
+// are that short: the wider plan fills up and evicts the same way.  Another
+// optimal vertex of the same program, with batches placed elsewhere, may
+// round without trouble.
 type NoFeasibleOffsetError struct {
 	// Last is the replay failure of the last candidate tried.
 	Last error
@@ -115,21 +117,24 @@ func sample(m *Model, frac *Fractional, idxs []int, dist []float64, total, t flo
 	return out
 }
 
-// extractSchedule turns a sampled interval multiset into a concrete schedule:
-// every sampled interval performs, on each disk, a fetch of the missing block
-// with the earliest next reference (property (1) of the paper), evicting a
-// resident block whose next reference is furthest in the future (property
-// (2)) only when the planning cache budget is full.  A fetch is skipped when
+// extractSchedule turns a sampled interval multiset into a concrete schedule
+// (ix indexes in.Seq): every sampled interval performs, on each disk, a
+// fetch of the missing block with the earliest next reference (property (1)
+// of the paper), evicting a resident block whose next reference is furthest
+// in the future (property (2)) only when the planning cache budget is full.  A fetch is skipped when
 // even the furthest-referenced resident block is requested before the block
 // to be fetched - evicting it would only create an earlier miss; a later
-// sampled interval handles the block instead.
-func extractSchedule(in *core.Instance, samples []sampledInterval, budget int) *core.Schedule {
-	ix := core.NewIndex(in.Seq)
+// sampled interval handles the block instead.  With skipInside, the second
+// rounding, a disk passes over the blocks requested strictly inside the
+// sampled interval, as the program does: it has no fetch variable for such
+// a pair (see earliestMissingOnDisk).  passed reports whether it ever did;
+// when it did not, the schedule is the first rounding's.
+func extractSchedule(in *core.Instance, ix *core.Index, samples []sampledInterval, budget int, skipInside bool) (sched *core.Schedule, passed bool) {
 	planned := make(map[core.BlockID]bool, in.K)
 	for _, b := range in.InitialCache {
 		planned[b] = true
 	}
-	sched := &core.Schedule{}
+	sched = &core.Schedule{}
 	for _, s := range samples {
 		pos := s.iv.Start // 0-based position of the first request after the interval opens
 		// Collect the per-disk fetch candidates and handle the most urgent
@@ -143,7 +148,8 @@ func extractSchedule(in *core.Instance, samples []sampledInterval, budget int) *
 		}
 		var cands []cand
 		for d := 0; d < in.Disks; d++ {
-			b := earliestMissingOnDisk(in, ix, planned, d, pos)
+			b, skipped := earliestMissingOnDisk(in, ix, planned, d, s.iv, skipInside)
+			passed = passed || skipped
 			if b == core.NoBlock {
 				continue
 			}
@@ -180,21 +186,33 @@ func extractSchedule(in *core.Instance, samples []sampledInterval, budget int) *
 			sched.Append(core.NewFetch(c.disk, s.iv.Start, c.block, evict))
 		}
 	}
-	return sched
+	return sched, passed
 }
 
 // earliestMissingOnDisk returns the block on disk d, not yet planned to be
-// resident, whose next reference at or after pos is earliest; NoBlock if
-// every future request on disk d is covered.
-func earliestMissingOnDisk(in *core.Instance, ix *core.Index, planned map[core.BlockID]bool, d, pos int) core.BlockID {
+// resident, whose next reference after the sampled interval iv opens is
+// earliest; NoBlock if every future request on disk d is covered.  With
+// skipInside it passes over every block requested strictly inside iv, and
+// skipped reports whether it passed over any.  A fetch of such a block in
+// iv completes only after that request, which stalls for it; the program
+// has no fetch variable for the pair, and an interval nested inside iv (one
+// the LP may also use, say when iv is a pure scratch fetch) may be where
+// the block belongs.
+func earliestMissingOnDisk(in *core.Instance, ix *core.Index, planned map[core.BlockID]bool, d int, iv Interval, skipInside bool) (core.BlockID, bool) {
+	pos := iv.Start // 0-based position of the first request after iv opens
+	skipped := false
 	for p := pos; p < in.N(); p++ {
 		b := in.Seq[p]
 		if in.Disk(b) != d || planned[b] {
 			continue
 		}
-		return b
+		if skipInside && iv.ContainsRequest(ix.NextAt(b, pos)+1) {
+			skipped = true
+			continue
+		}
+		return b, skipped
 	}
-	return core.NoBlock
+	return core.NoBlock, skipped
 }
 
 // furthestResidentRef returns the planned-resident block, not in the excluded
@@ -288,19 +306,32 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 	// never comes, or to one that comes too late, while the full allowance
 	// keeps such blocks resident (the resulting schedules still respect the
 	// theorem's extra-cache bound).  A narrower tier's feasible schedule can
-	// stall longer than OPT(k) where a wider tier's does not, so the best
-	// schedule is kept over all of them: the lowest stall, then the least
-	// extra cache, then the first found in this order.
+	// stall longer than OPT(k) where a wider tier's does not.
+	//
+	// Every tier then runs again under the second rounding, which passes
+	// over the blocks requested inside a sampled interval (skipInside).
+	// Neither rounding is enough alone: the first fills a scratch-fetch
+	// interval with a block that a nested interval fetches in time, and
+	// stalls above OPT(k); the second, used alone, breaks the theorem on
+	// other vertices.  The best schedule is kept over both roundings and
+	// all tiers: the lowest stall, then the least extra cache, then the
+	// first found in this order, so the first rounding keeps its ties.  A
+	// second-rounding candidate that passed over no block is the first
+	// rounding's schedule again and is not run.
 	starts, ends := candidateOffsets(idxs, dist, total)
+	ix := core.NewIndex(in.Seq)
 
 	var best *sim.Result
 	var bestSched *core.Schedule
 	var bestT float64
 	var lastErr error
-	try := func(candidates []float64, budget int) {
+	try := func(candidates []float64, budget int, skipInside bool) {
 		for _, t := range candidates {
 			samples := sample(m, frac, idxs, dist, total, t)
-			sched := extractSchedule(in, samples, budget)
+			sched, passed := extractSchedule(in, ix, samples, budget, skipInside)
+			if skipInside && !passed {
+				continue
+			}
 			res, clean, err := evaluate(in, sched)
 			if err != nil {
 				lastErr = err
@@ -315,11 +346,13 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 	}
 	narrow := in.K + in.Disks - 1
 	wide := in.K + 2*(in.Disks-1)
-	try(starts, narrow)
-	try(ends, narrow)
-	if wide > narrow {
-		try(starts, wide)
-		try(ends, wide)
+	for _, skipInside := range []bool{false, true} {
+		try(starts, narrow, skipInside)
+		try(ends, narrow, skipInside)
+		if wide > narrow {
+			try(starts, wide, skipInside)
+			try(ends, wide, skipInside)
+		}
 	}
 	if best == nil {
 		return nil, &NoFeasibleOffsetError{Last: lastErr}

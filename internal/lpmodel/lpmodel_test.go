@@ -44,9 +44,9 @@ func TestBuildBasicStructure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	// Dummy blocks fill the cache from 4 to k + D - 1 = 5 locations.
-	if len(m.Dummies) != 1 {
-		t.Fatalf("dummies = %d, want 1", len(m.Dummies))
+	// The dummy fills the cache from 4 to k + D - 1 = 5 locations.
+	if m.DummyCopies != 1 || m.Blocks[len(m.Blocks)-1] != m.Dummy {
+		t.Fatalf("dummy %v carrying %d, want the last block carrying 1", m.Dummy, m.DummyCopies)
 	}
 	// Interval count: for each start i in [0,n-1], ends i+1..min(n, i+F+1).
 	n, f := in.N(), in.F
@@ -66,9 +66,9 @@ func TestBuildBasicStructure(t *testing.T) {
 	if m.Problem.NumConstraints() == 0 {
 		t.Fatalf("no constraints generated")
 	}
-	// Dummy blocks live on disk 0.
-	if m.blockDisk(m.Dummies[0]) != 0 {
-		t.Fatalf("dummy on disk %d, want 0", m.blockDisk(m.Dummies[0]))
+	// The dummy lives on disk 0.
+	if m.blockDisk(m.Dummy) != 0 {
+		t.Fatalf("dummy on disk %d, want 0", m.blockDisk(m.Dummy))
 	}
 }
 

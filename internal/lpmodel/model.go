@@ -39,11 +39,16 @@ type Model struct {
 	In *core.Instance
 	// Intervals enumerates every candidate fetch interval.
 	Intervals []Interval
-	// Dummies are the never-requested blocks added (on disk 0) to fill the
-	// initial cache to k+D-1 locations, as in the paper's S_init.
-	Dummies []core.BlockID
-	// Blocks is every block of the program: the instance's blocks plus the
-	// dummies.
+	// Dummy is the never-requested block (on disk 0) that fills the initial
+	// cache to k+D-1 locations, standing in for all DummyCopies of the
+	// paper's interchangeable S_init dummies (see doc.go); core.NoBlock when
+	// DummyCopies is 0.
+	Dummy core.BlockID
+	// DummyCopies is d = k+D-1-|S_init|, the number of dummies Dummy
+	// carries: its "evicted at most once" row reads sum_I e(I) <= d.
+	DummyCopies int
+	// Blocks is every block of the program: the instance's blocks, then the
+	// dummy when there is one.
 	Blocks []core.BlockID
 	// Problem is the LP relaxation.
 	Problem *lp.Problem
@@ -151,7 +156,6 @@ func BuildInto(m *Model, in *core.Instance) error {
 	} else {
 		clear(m.initial)
 	}
-	m.Dummies = m.Dummies[:0]
 	m.Blocks = m.Blocks[:0]
 	m.Intervals = m.Intervals[:0]
 	m.warm = nil
@@ -160,21 +164,21 @@ func BuildInto(m *Model, in *core.Instance) error {
 		m.initial[b] = true
 	}
 
-	// Dummy blocks on disk 0 fill the initial cache to k + D - 1 locations.
-	nextID := in.Seq.MaxBlock() + 1
-	for _, b := range in.InitialCache {
-		if b >= nextID {
-			nextID = b + 1
-		}
-	}
-	need := in.K + in.Disks - 1 - len(in.InitialCache)
-	for i := 0; i < need; i++ {
-		d := nextID + core.BlockID(i)
-		m.Dummies = append(m.Dummies, d)
-		m.initial[d] = true
-	}
+	// One dummy block on disk 0 fills the initial cache to k + D - 1
+	// locations, carrying all d of the paper's dummies.
 	m.Blocks = append(m.Blocks, in.Blocks()...)
-	m.Blocks = append(m.Blocks, m.Dummies...)
+	m.Dummy = core.NoBlock
+	m.DummyCopies = in.K + in.Disks - 1 - len(in.InitialCache)
+	if m.DummyCopies > 0 {
+		m.Dummy = in.Seq.MaxBlock() + 1
+		for _, b := range in.InitialCache {
+			if b >= m.Dummy {
+				m.Dummy = b + 1
+			}
+		}
+		m.initial[m.Dummy] = true
+		m.Blocks = append(m.Blocks, m.Dummy)
+	}
 
 	// Enumerate intervals: Start in [0, n-1], End in [Start+1, min(n, Start+F+1)].
 	if cap(m.startOff) < n+1 {
@@ -263,14 +267,22 @@ func (m *Model) fetchVar(idx, bi int) int { return m.fVar[idx*len(m.Blocks)+bi] 
 // bi), or noVar when the pair has none.
 func (m *Model) evictVar(idx, bi int) int { return m.eVar[idx*len(m.Blocks)+bi] }
 
-// blockDisk returns the disk a block resides on; dummy blocks live on disk 0.
+// blockDisk returns the disk a block resides on; the dummy lives on disk 0.
 func (m *Model) blockDisk(b core.BlockID) int {
-	for _, d := range m.Dummies {
-		if d == b {
-			return 0
-		}
+	if b == m.Dummy {
+		return 0
 	}
 	return m.In.Disk(b)
+}
+
+// evictCap is the right-hand side of the trailing "evicted at most once" row
+// of the block at position bi: 1, or d for the dummy, which may be evicted
+// once per dummy it carries.
+func (m *Model) evictCap(bi int) float64 {
+	if m.Blocks[bi] == m.Dummy {
+		return float64(m.DummyCopies)
+	}
+	return 1
 }
 
 // blockReferencedInside reports whether block b has a reference strictly
@@ -400,8 +412,8 @@ func (m *Model) gapIntervals(lo, hi int) []int {
 
 // addBlockFlowConstraints adds the per-block presence constraints: a block
 // must be in cache whenever it is referenced, evictions between consecutive
-// references are matched by re-fetches, and initially cached blocks (real or
-// dummy) are evicted at most once before their next use.
+// references are matched by re-fetches, and initially cached real blocks are
+// evicted at most once before their next use, the dummy at most d times.
 func (m *Model) addBlockFlowConstraints() {
 	n := m.In.N()
 	for bi, b := range m.Blocks {
@@ -409,8 +421,9 @@ func (m *Model) addBlockFlowConstraints() {
 		m.lastRef[bi] = 0
 		m.tailRow[bi] = -1
 		if len(occ) == 0 {
-			// Never-referenced block (a dummy or an unused initial block):
-			// it may be evicted at most once over the whole sequence.
+			// Never-referenced block (the dummy or an unused initial
+			// block): it may be evicted at most once over the whole
+			// sequence, the dummy once per dummy it carries.
 			if !m.initial[b] {
 				continue
 			}
@@ -421,7 +434,7 @@ func (m *Model) addBlockFlowConstraints() {
 				}
 			}
 			if len(coeffs) > 0 {
-				m.tailRow[bi] = m.Problem.AddConstraint(coeffs, lp.LE, 1)
+				m.tailRow[bi] = m.Problem.AddConstraint(coeffs, lp.LE, m.evictCap(bi))
 			}
 			m.coefBuf = coeffs
 			continue

@@ -89,8 +89,9 @@ func replays(t *testing.T, what string, in *core.Instance, sched *core.Schedule,
 // instances (seeds 900-903, D = 2 and 3), solved on the served engine: the
 // schedule Extract returns, and every feasible candidate of every extraction
 // tier (start and end offsets, at the k+(D-1) and k+2(D-1) planning
-// budgets), replays through sim.Run to exactly the stall and extra cache it
-// was costed at, unpinned and with every fetch pinned to its start.  The end
+// budgets) under both roundings, replays through sim.Run to exactly the
+// stall and extra cache it was costed at, unpinned and with every fetch
+// pinned to its start.  The end
 // offsets add at most one candidate, the fractional part of the timeline's
 // length, since every other interval ends where the next one starts; no
 // lp-cold instance has one, so E7's instances cover that tier.
@@ -102,7 +103,7 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 		}
 	}
 	disks := map[int]int{}
-	tiers := make([]int, 4)
+	tiers := make([]int, 8) // the four tiers under the first rounding, then the second
 	pinned := 0
 	for i, in := range instances {
 		m, err := Build(in)
@@ -126,20 +127,23 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 			continue
 		}
 		starts, ends := candidateOffsets(idxs, dist, total)
+		ix := core.NewIndex(in.Seq)
 		narrow, wide := in.K+in.Disks-1, in.K+2*(in.Disks-1)
-		for ti, tier := range []struct {
-			offsets []float64
-			budget  int
-		}{{starts, narrow}, {ends, narrow}, {starts, wide}, {ends, wide}} {
-			for _, off := range tier.offsets {
-				sched := extractSchedule(in, sample(m, frac, idxs, dist, total, off), tier.budget)
-				r, clean, err := evaluate(in, sched)
-				if err != nil {
-					continue // Extract rejects infeasible candidates too
-				}
-				tiers[ti]++
-				if replays(t, "candidate", in, clean, r.Stall, r.ExtraCache) {
-					pinned++
+		for ri, skipInside := range []bool{false, true} {
+			for ti, tier := range []struct {
+				offsets []float64
+				budget  int
+			}{{starts, narrow}, {ends, narrow}, {starts, wide}, {ends, wide}} {
+				for _, off := range tier.offsets {
+					sched, _ := extractSchedule(in, ix, sample(m, frac, idxs, dist, total, off), tier.budget, skipInside)
+					r, clean, err := evaluate(in, sched)
+					if err != nil {
+						continue // Extract rejects infeasible candidates too
+					}
+					tiers[4*ri+ti]++
+					if replays(t, "candidate", in, clean, r.Stall, r.ExtraCache) {
+						pinned++
+					}
 				}
 			}
 		}
@@ -157,6 +161,6 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 	if pinned == 0 {
 		t.Fatal("no pinned replay carried a pin")
 	}
-	t.Logf("instances per D %v; feasible candidates per tier (starts/narrow, ends/narrow, starts/wide, ends/wide) %v; %d pinned replays",
+	t.Logf("instances per D %v; feasible candidates per tier (starts/narrow, ends/narrow, starts/wide, ends/wide, under each rounding) %v; %d pinned replays",
 		disks, tiers, pinned)
 }

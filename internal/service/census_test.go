@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"pfcache/internal/core"
 	"pfcache/internal/lp"
 	"pfcache/internal/lpmodel"
+	"pfcache/internal/opt"
 )
 
 // censusSeed is the serving benchmark's fixed seed (servebench's
@@ -53,14 +55,38 @@ func lpColdCensus(tb testing.TB, first, last int) []*core.Instance {
 	return out
 }
 
+// TestCensusTheorem4 checks Theorem 4 on every lp-optimal answer of the
+// census (lp-cold's blocks 1-3, served like a shard): the answer stalls at
+// most OPT(k), the exact search's stall without extra locations, and uses
+// at most 2(D-1) extra cache locations.  The exact searches are cheap on
+// these shapes (about 0.1 s for all 126); the LP solves take the time.
+func TestCensusTheorem4(t *testing.T) {
+	mb := lpmodel.NewModelBatch()
+	for i, in := range lpColdCensus(t, 1, 3) {
+		resp, err := ComputeSchedule(context.Background(), in, "lp-optimal", false, mb, lp.Options{}, opt.Options{})
+		if err != nil {
+			t.Fatalf("census %d: %v", i, err)
+		}
+		want, err := opt.OptimalStall(in, opt.Options{})
+		if err != nil {
+			t.Fatalf("census %d: exact search: %v", i, err)
+		}
+		if resp.Stall > want || resp.ExtraCache > 2*(in.Disks-1) {
+			t.Errorf("census %d (D=%d, n=%d, k=%d, F=%d): stall %d (OPT %d, LP bound %v), extra cache %d (budget %d)",
+				i, in.Disks, in.N(), in.K, in.F, resp.Stall, want, resp.LP.LowerBound, resp.ExtraCache, 2*(in.Disks-1))
+		}
+	}
+}
+
 // BenchmarkLPColdCensus solves the 126 instances of lp-cold's blocks 1-3 the
 // way a pcserve shard does: one ModelBatch, the served engine (steepest
 // edge over LU) under the verification cascade, then extraction and
-// simulation.  Per solve it reports pivots, phase-one pivots, Bland pivots,
-// refactorizations and LU fill; over the census the solve time at p50, p90
-// and max, the solve time per pivot (us/pivot: total solve time over total
-// pivots, so a per-pivot change reads apart from the pivot count) and the
-// total served stall.  The counters and the stall are deterministic, so a
+// simulation.  Per solve it reports the program's size (columns, rows and
+// nonzeros of m.Problem, so a model change shows the way a pivot change
+// does), pivots, phase-one pivots, Bland pivots, refactorizations and LU
+// fill; over the census the solve time at p50, p90 and max, the solve time
+// per pivot (us/pivot: total solve time over total pivots, so a per-pivot
+// change reads apart from the pivot count) and the total served stall.  The counters and the stall are deterministic, so a
 // change that moves pivots or a served stall shows it here before a
 // serving-benchmark run does.
 func BenchmarkLPColdCensus(b *testing.B) {
@@ -71,6 +97,7 @@ func BenchmarkLPColdCensus(b *testing.B) {
 	times := make([]time.Duration, 0, len(ins))
 	var total time.Duration
 	stall := 0
+	var cols, rows, nnz int
 	b.ResetTimer()
 	for op := 0; op < b.N; op++ {
 		stall = 0
@@ -80,6 +107,9 @@ func BenchmarkLPColdCensus(b *testing.B) {
 			if err != nil {
 				b.Fatalf("instance %d: %v", i, err)
 			}
+			cols += m.Problem.NumVars()
+			rows += m.Problem.NumConstraints()
+			nnz += m.Problem.NumNonzeros()
 			start := time.Now()
 			frac, err := m.SolveBatch(mb.LP(), opts)
 			d := time.Since(start)
@@ -102,6 +132,9 @@ func BenchmarkLPColdCensus(b *testing.B) {
 	b.StopTimer()
 	c := sink.Snapshot()
 	solves := float64(c.Solves)
+	b.ReportMetric(float64(cols)/solves, "cols/solve")
+	b.ReportMetric(float64(rows)/solves, "rows/solve")
+	b.ReportMetric(float64(nnz)/solves, "nnz/solve")
 	b.ReportMetric(float64(c.Iterations)/solves, "pivots/solve")
 	b.ReportMetric(float64(c.Phase1Pivots)/solves, "phase1-pivots/solve")
 	b.ReportMetric(float64(c.BlandPivots)/solves, "bland-pivots/solve")
