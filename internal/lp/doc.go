@@ -67,25 +67,25 @@
 // revised simplex method", 2005).  The dense solves (the duals, the basic
 // values after a refactorization) walk only the LU's step lists
 // (luFactor.listSteps): the steps with L multipliers, and those with
-// off-diagonal U entries or a diagonal other than 1.  On lp-cold about 327
-// of the U factor's ~646 steps and 507 of the L factor's are identities
+// off-diagonal U entries or a diagonal other than 1.  On lp-cold about 326
+// of the U factor's ~638 steps and 510 of the L factor's are identities
 // (slack, artificial and unit crash columns), and skipping them leaves every
 // vector bit for bit as the full walk leaves it.
 //
 // A pivot's own solves are hyper-sparse.  On the 126 census instances of
-// lp-cold (about 646 rows per basis and 3,951 priced columns), the FTRAN'd
-// entering column alpha holds 30.8 nonzeros and the BTRAN'd leaving row rho
-// 30.1.  Each keeps a row bitset of the rows its solve wrote (43.3 and 37.8 of
+// lp-cold (about 638 rows per basis and 2,945 priced columns), the FTRAN'd
+// entering column alpha holds 30.0 nonzeros and the BTRAN'd leaving row rho
+// 29.4.  Each keeps a row bitset of the rows its solve wrote (42.8 and 37.3 of
 // them); every other row holds +0, and the next solve zeroes only the marked
 // rows.  The ratio test, the basic-value update and the pivot-row assembly
 // walk those bits in ascending row order, so they sum in the order a full
 // sweep does.  ftranColumn runs the scattered column through the LU's live
 // steps (luFactor.ftranLive): the L steps ascending from the column's rows,
-// then the U steps descending from every row the L pass reached.  Of the 442
-// steps listed at an average FTRAN, about 13 do work (1.1 L and 11.8 U steps).
+// then the U steps descending from every row the L pass reached.  Of the 428
+// steps listed at an average FTRAN, about 13 do work (1.0 L and 11.7 U steps).
 // btranRow starts rho from the unit vector and runs the update etas
 // newest-first, skipping the dot of any eta whose off-pivot rows (a row bitset
-// per eta, written by pivot) hold no marked row: about 7 of 46 etas are
+// per eta, written by pivot) hold no marked row: about 7 of 45 etas are
 // dotted.  The test ANDs an eta's bitset with rho's only at the words that
 // hold a marked row, which the pass lists as it marks them.  Its LU part (luFactor.btranLive) runs only the live steps, those
 // whose pivot row is marked or which a nonzero result of an earlier step feeds
@@ -94,7 +94,7 @@
 // equals the plain BTRAN's up to the sign of zero entries, which the pivot-row
 // assembly skips either way.  The candidate refill visits only the columns of
 // a column bitset of rc_j < -tol, which fullPrice rebuilds and seUpdate keeps
-// current at every reduced cost it writes: 442 of the 3,951 columns, at 0.20
+// current at every reduced cost it writes: 351 of the 2,945 columns, at 0.20
 // refills per pivot.  No basic column is among them, because the engine keeps
 // every basic column's rc at exactly 0.  TestSparseSolvesMatchFullWalks
 // compares every such solve with the full walks, checks that the rows outside
@@ -125,7 +125,7 @@
 //
 // A cold start then runs a second, triangular pass (after Bixby's crash
 // basis), for the zero-RHS balance rows the unit pass leaves on their
-// artificial (Σf − Σe = 0, Σe = 0).  In row order, each = row with b_i = 0
+// artificial (Σf − Σe = 0).  In row order, each = row with b_i = 0
 // that still holds its artificial takes the lowest-index nonbasic
 // structural column with a ±1 entry in the row and no entry in a row this
 // pass claimed before it (Problem.TriangularCrashColumn; the table is built
@@ -135,7 +135,7 @@
 // row's b_i is 0 each claimed column is basic at exactly 0: the basic values
 // are those of the unit crash, feasible and unchanged.  The basis is no
 // longer the identity, so one factorization replaces the empty LU.  On
-// lp-cold's 126 instances the unit pass leaves about 206 zero-valued
+// lp-cold's 126 instances the unit pass leaves about 198 zero-valued
 // artificials per solve (and 9 positive ones); the triangular pass claims
 // about 172 of them, which phase one would otherwise swap out one
 // degenerate pivot at a time.  With the crash,

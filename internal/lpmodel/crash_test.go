@@ -82,7 +82,7 @@ func TestFetchBalanceRowsCrashOnScratch(t *testing.T) {
 
 // TestBalanceRowsTriangularCrash pins the LU engine's triangular crash pass
 // on the same models: it claims some of the zero-RHS balance rows
-// (Σf − Σe = 0, Σe = 0) that still hold their artificial after the unit
+// (Σf − Σe = 0) that still hold their artificial after the unit
 // pass, and no other row.  internal/lp's TestTriangularCrashShortensPhaseOne
 // solves these models with and without the pass.
 func TestBalanceRowsTriangularCrash(t *testing.T) {

@@ -12,11 +12,14 @@ import (
 
 // expandDummy is the equivalence oracle of the single dummy: the program m
 // would be with the dummy's d copies spelled out, one per dummy of the
-// paper's S_init.  It is read from Problem.Constraint: every fetch and
-// evict column of the dummy gets d-1 duplicates sitting in the same rows
-// with the same coefficients, except that the dummy's own row, the one
-// whose every column is a dummy evict column, sum_I e(I) <= d, becomes d
-// rows sum_I e_c(I) <= 1, one per copy c.
+// paper's S_init.  It is read from Problem.Constraint: every evict column
+// of the dummy (a never-requested block has no fetch column, see columns)
+// gets d-1 duplicates sitting in the same rows with the same coefficients,
+// except that the dummy's own row, the <= row whose every column is a
+// dummy evict column, sum_I e(I) <= d, becomes d rows sum_I e_c(I) <= 1, one
+// per copy c.  (An interval whose every real block is requested inside it
+// has a fetch/evict row holding the dummy's evict column alone; that row is
+// an equality and is duplicated like any other.)
 func expandDummy(t *testing.T, m *Model) *lp.Problem {
 	t.Helper()
 	p := m.Problem
@@ -33,21 +36,21 @@ func expandDummy(t *testing.T, m *Model) *lp.Problem {
 			t.Fatalf("the last block is %v, the dummy %v", m.Blocks[bi], m.Dummy)
 		}
 		for idx := range m.Intervals {
-			for _, v := range []int{m.fetchVar(idx, bi), m.evictVar(idx, bi)} {
-				if v == noVar {
-					t.Fatalf("the dummy has no column in interval %v", m.Intervals[idx])
-				}
-				for c := 1; c < d; c++ {
-					dups[v] = append(dups[v], out.AddVariable(p.Objective(v)))
-				}
+			v := m.evictVar(idx, bi)
+			if v == noVar || m.fetchVar(idx, bi) != noVar {
+				t.Fatalf("interval %v: the dummy has evict column %d and fetch column %d, want an evict column alone",
+					m.Intervals[idx], v, m.fetchVar(idx, bi))
 			}
-			evict[m.evictVar(idx, bi)] = true
+			for c := 1; c < d; c++ {
+				dups[v] = append(dups[v], out.AddVariable(p.Objective(v)))
+			}
+			evict[v] = true
 		}
 	}
 	dummyRows := 0
 	for i := 0; i < p.NumConstraints(); i++ {
 		c := p.Constraint(i)
-		own := d > 0
+		own := d > 0 && c.Sense == lp.LE
 		for _, co := range c.Coeffs {
 			own = own && evict[co.Var]
 		}

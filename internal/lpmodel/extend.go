@@ -20,12 +20,12 @@ var ErrExtendRebuild = errors.New("lpmodel: extension requires a rebuild")
 // Extend appends the given requests to the model's instance and grows the
 // linear program in place: new fetch intervals ending at each new request,
 // their variables and per-interval rows, coefficient extensions of the
-// boundary and trailing-eviction rows the new intervals fall into, and the
-// gap-balance row closed by each re-reference.  Every pre-existing row keeps
-// its index, sense and old-column coefficients, so a warm basis captured from
-// the pre-extension solve transfers through lp.Options.Dual and the next
-// solve re-optimises in a handful of dual pivots instead of from scratch
-// (see SolveIncremental).
+// boundary and trailing-eviction rows the new intervals fall into, and for
+// each re-reference the fetch columns of the gap it closes and that gap's
+// balance row.  Every pre-existing row keeps its index, sense and old-column
+// coefficients, so a warm basis captured from the pre-extension solve
+// transfers through lp.Options.Dual and the next solve re-optimises in a
+// handful of dual pivots instead of from scratch (see SolveIncremental).
 //
 // The extended program is equivalent to Build of the extended instance: same
 // variables and constraints up to ordering, hence the same optimal value and
@@ -82,17 +82,23 @@ func (m *Model) blockPos(b core.BlockID) int {
 //
 //   - the intervals (s, n+1) for s in [max(0, n-F), n] — every other
 //     interval has End <= n and was already enumerated;
-//   - their x / fetch / evict / scratch variables and per-interval rows;
+//   - their x / evict / scratch variables, fetch variables for b alone (the
+//     new intervals lie in every other block's trailing gap) and their
+//     per-interval rows;
 //   - x(s, n+1) entering the boundary rows q = s+1 .. n (q = n is new);
 //   - evict(I, b') entering each block's trailing "evicted at most once"
 //     row for the new intervals I inside that block's trailing gap;
 //   - for b itself, the trailing gap (lastRef, n+1) closing into a full
-//     fetch/evict gap balance: its eviction row is the trailing row just
-//     extended, and the balance equality over the whole gap is appended.
+//     fetch/evict gap balance: the gap's old intervals gain the fetch
+//     columns of b that a trailing gap lacks, each entering its interval's
+//     disk row and fetch/evict row, the gap's eviction row is the trailing
+//     row just extended, and the balance equality over the whole gap is
+//     appended.
 //
-// New coefficients in old rows only name new variables, so the old basis
-// stays dual-feasible after the append — the contract lp's warm dual path
-// relies on.
+// New coefficients in old rows only name new variables, the contract lp's
+// warm dual path relies on.  The old basis keeps every old column's reduced
+// cost, but a re-opened fetch column of b may price below zero; the dual
+// path's primal clean-up prices it in.
 func (m *Model) extendOne(b core.BlockID, bi int) {
 	n := m.In.N()
 	prob := m.Problem
@@ -116,16 +122,12 @@ func (m *Model) extendOne(b core.BlockID, bi int) {
 		m.xVar = append(m.xVar, prob.AddVariable(float64(iv.Stall(m.In.F))))
 	}
 	for idx := firstNew; idx < len(m.Intervals); idx++ {
-		iv := m.Intervals[idx]
-		for _, b2 := range m.Blocks {
-			if m.blockReferencedInside(b2, iv) {
-				m.fVar = append(m.fVar, noVar)
-				m.eVar = append(m.eVar, noVar)
-				continue
-			}
-			m.fVar = append(m.fVar, prob.AddVariable(0))
-			m.eVar = append(m.eVar, prob.AddVariable(0))
+		base := len(m.fVar)
+		for range m.Blocks {
+			m.fVar = append(m.fVar, noVar)
+			m.eVar = append(m.eVar, noVar)
 		}
+		m.addBlockColumns(base, m.Intervals[idx])
 	}
 	for idx := firstNew; idx < len(m.Intervals); idx++ {
 		for d := 0; d < m.In.Disks; d++ {
@@ -200,13 +202,24 @@ func (m *Model) extendOne(b core.BlockID, bi int) {
 		m.coefBuf = ec
 	}
 
-	// The requested block's trailing gap closes into a proper gap balance:
-	// the trailing eviction row, extended with the new intervals, becomes
-	// the gap's "evicted at most once" half, and the fetch/evict equality
-	// over the whole gap (old and new intervals) is appended.  This is also
-	// the first-reference path for an initially cached block: its trailing
-	// gap is (0, n+1) and the same two rows are what Build would emit.
+	// The requested block's trailing gap closes into a proper gap balance.
+	// Its old intervals, which lacked b's fetch columns, gain them in their
+	// disk row and fetch/evict row; the trailing eviction row, extended with
+	// the new intervals, becomes the gap's "evicted at most once" half; and
+	// the fetch/evict equality over the whole gap (old and new intervals)
+	// is appended.  This is also the first-reference path for an initially
+	// cached block: its trailing gap is (0, n+1) and the same columns and
+	// rows are what Build would emit.
 	lo := m.lastRef[bi]
+	disk := m.blockDisk(b)
+	for _, idx := range m.gapIntervals(lo, n) {
+		v := prob.AddVariable(0)
+		m.fVar[idx*len(m.Blocks)+bi] = v
+		fc := append(m.coefBuf[:0], lp.Coef{Var: v, Value: 1})
+		prob.ExtendConstraint(m.firstRow[idx]+disk, fc)
+		prob.ExtendConstraint(m.firstRow[idx]+m.In.Disks, fc)
+		m.coefBuf = fc
+	}
 	ec := m.coefBuf[:0]
 	for idx := firstNew; idx < len(m.Intervals); idx++ {
 		if m.Intervals[idx].Start < lo {

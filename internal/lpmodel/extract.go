@@ -3,6 +3,7 @@ package lpmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pfcache/internal/core"
@@ -117,11 +118,55 @@ func sample(m *Model, frac *Fractional, idxs []int, dist []float64, total, t flo
 	return out
 }
 
-// extractSchedule turns a sampled interval multiset into a concrete schedule
-// (ix indexes in.Seq): every sampled interval performs, on each disk, a
-// fetch of the missing block with the earliest next reference (property (1)
-// of the paper), evicting a resident block whose next reference is furthest
-// in the future (property (2)) only when the planning cache budget is full.  A fetch is skipped when
+// rounding is the working state extractSchedule reuses across every
+// candidate of one Extract: the instance, its request index, and buffers
+// indexed by a block's position in blocks (the model's Blocks, ascending).
+type rounding struct {
+	in      *core.Instance
+	ix      *core.Index
+	blocks  []core.BlockID
+	seqPos  []int  // position in blocks of each request's block
+	planned []bool // planned to be resident
+	fetched []bool // fetched by the batch being planned
+	cands   []fetchCand
+	victims []core.BlockID // furthestResidentRef's candidates
+}
+
+// fetchCand is one disk's fetch candidate in a sampled batch.
+type fetchCand struct {
+	disk  int
+	block core.BlockID
+	ref   int
+}
+
+// newRounding returns the rounding state of m's instance.
+func newRounding(m *Model) *rounding {
+	in := m.In
+	r := &rounding{
+		in:      in,
+		ix:      core.NewIndex(in.Seq),
+		blocks:  m.Blocks,
+		seqPos:  make([]int, len(in.Seq)),
+		planned: make([]bool, len(m.Blocks)),
+		fetched: make([]bool, len(m.Blocks)),
+	}
+	for p, b := range in.Seq {
+		r.seqPos[p] = r.pos(b)
+	}
+	return r
+}
+
+// pos returns the position of block b in r.blocks.
+func (r *rounding) pos(b core.BlockID) int {
+	i, _ := slices.BinarySearch(r.blocks, b)
+	return i
+}
+
+// extractSchedule turns a sampled interval multiset into a concrete schedule:
+// every sampled interval performs, on each disk, a fetch of the missing block
+// with the earliest next reference (property (1) of the paper), evicting a
+// resident block whose next reference is furthest in the future (property
+// (2)) only when the planning cache budget is full.  A fetch is skipped when
 // even the furthest-referenced resident block is requested before the block
 // to be fetched - evicting it would only create an earlier miss; a later
 // sampled interval handles the block instead.  With skipInside, the second
@@ -129,11 +174,13 @@ func sample(m *Model, frac *Fractional, idxs []int, dist []float64, total, t flo
 // sampled interval, as the program does: it has no fetch variable for such
 // a pair (see earliestMissingOnDisk).  passed reports whether it ever did;
 // when it did not, the schedule is the first rounding's.
-func extractSchedule(in *core.Instance, ix *core.Index, samples []sampledInterval, budget int, skipInside bool) (sched *core.Schedule, passed bool) {
-	planned := make(map[core.BlockID]bool, in.K)
+func (r *rounding) extractSchedule(samples []sampledInterval, budget int, skipInside bool) (sched *core.Schedule, passed bool) {
+	in, ix := r.in, r.ix
+	clear(r.planned)
 	for _, b := range in.InitialCache {
-		planned[b] = true
+		r.planned[r.pos(b)] = true
 	}
+	resident := len(in.InitialCache)
 	sched = &core.Schedule{}
 	for _, s := range samples {
 		pos := s.iv.Start // 0-based position of the first request after the interval opens
@@ -141,34 +188,29 @@ func extractSchedule(in *core.Instance, ix *core.Index, samples []sampledInterva
 		// one first, so that blocks needed soon claim free cache locations
 		// and safe victims before blocks that could wait for a later
 		// interval.
-		type cand struct {
-			disk  int
-			block core.BlockID
-			ref   int
-		}
-		var cands []cand
+		cands := r.cands[:0]
 		for d := 0; d < in.Disks; d++ {
-			b, skipped := earliestMissingOnDisk(in, ix, planned, d, s.iv, skipInside)
+			b, skipped := r.earliestMissingOnDisk(d, s.iv, skipInside)
 			passed = passed || skipped
 			if b == core.NoBlock {
 				continue
 			}
-			cands = append(cands, cand{disk: d, block: b, ref: ix.NextAt(b, pos)})
+			cands = append(cands, fetchCand{disk: d, block: b, ref: ix.NextAt(b, pos)})
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].ref != cands[b].ref {
-				return cands[a].ref < cands[b].ref
+		r.cands = cands
+		slices.SortFunc(cands, func(a, b fetchCand) int {
+			if a.ref != b.ref {
+				return a.ref - b.ref
 			}
-			return cands[a].disk < cands[b].disk
+			return a.disk - b.disk
 		})
 		// Blocks fetched within this sample are still in flight while the
 		// synchronized batch executes, so they must not be chosen as
 		// eviction victims for the batch's other fetches.
-		justFetched := make(map[core.BlockID]bool, len(cands))
 		for _, c := range cands {
 			evict := core.NoBlock
-			if len(planned) >= budget {
-				victim, victimRef := furthestResidentRef(ix, planned, justFetched, pos)
+			if resident >= budget {
+				victim, victimRef := r.furthestResidentRef(pos)
 				if victim == core.NoBlock {
 					continue
 				}
@@ -179,11 +221,17 @@ func extractSchedule(in *core.Instance, ix *core.Index, samples []sampledInterva
 					continue
 				}
 				evict = victim
-				delete(planned, evict)
+				r.planned[r.pos(evict)] = false
+				resident--
 			}
-			planned[c.block] = true
-			justFetched[c.block] = true
+			bp := r.pos(c.block)
+			r.planned[bp] = true
+			r.fetched[bp] = true
+			resident++
 			sched.Append(core.NewFetch(c.disk, s.iv.Start, c.block, evict))
+		}
+		for _, c := range cands {
+			r.fetched[r.pos(c.block)] = false
 		}
 	}
 	return sched, passed
@@ -198,15 +246,15 @@ func extractSchedule(in *core.Instance, ix *core.Index, samples []sampledInterva
 // has no fetch variable for the pair, and an interval nested inside iv (one
 // the LP may also use, say when iv is a pure scratch fetch) may be where
 // the block belongs.
-func earliestMissingOnDisk(in *core.Instance, ix *core.Index, planned map[core.BlockID]bool, d int, iv Interval, skipInside bool) (core.BlockID, bool) {
+func (r *rounding) earliestMissingOnDisk(d int, iv Interval, skipInside bool) (core.BlockID, bool) {
 	pos := iv.Start // 0-based position of the first request after iv opens
 	skipped := false
-	for p := pos; p < in.N(); p++ {
-		b := in.Seq[p]
-		if in.Disk(b) != d || planned[b] {
+	for p := pos; p < r.in.N(); p++ {
+		b := r.in.Seq[p]
+		if r.in.Disk(b) != d || r.planned[r.seqPos[p]] {
 			continue
 		}
-		if skipInside && iv.ContainsRequest(ix.NextAt(b, pos)+1) {
+		if skipInside && iv.ContainsRequest(r.ix.NextAt(b, pos)+1) {
 			skipped = true
 			continue
 		}
@@ -215,18 +263,18 @@ func earliestMissingOnDisk(in *core.Instance, ix *core.Index, planned map[core.B
 	return core.NoBlock, skipped
 }
 
-// furthestResidentRef returns the planned-resident block, not in the excluded
-// set, whose next reference at or after pos is furthest in the future,
-// together with that reference.
-func furthestResidentRef(ix *core.Index, planned, excluded map[core.BlockID]bool, pos int) (core.BlockID, int) {
-	cands := make([]core.BlockID, 0, len(planned))
-	for b := range planned {
-		if excluded[b] {
-			continue
+// furthestResidentRef returns the planned-resident block, not fetched by the
+// batch being planned, whose next reference at or after pos is furthest in
+// the future, together with that reference.
+func (r *rounding) furthestResidentRef(pos int) (core.BlockID, int) {
+	cands := r.victims[:0]
+	for p, b := range r.blocks {
+		if r.planned[p] && !r.fetched[p] {
+			cands = append(cands, b)
 		}
-		cands = append(cands, b)
 	}
-	return ix.FurthestNext(cands, pos)
+	r.victims = cands
+	return r.ix.FurthestNext(cands, pos)
 }
 
 // evaluate runs the schedule on the real instance.  The evictions planned
@@ -319,7 +367,7 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 	// second-rounding candidate that passed over no block is the first
 	// rounding's schedule again and is not run.
 	starts, ends := candidateOffsets(idxs, dist, total)
-	ix := core.NewIndex(in.Seq)
+	r := newRounding(m)
 
 	var best *sim.Result
 	var bestSched *core.Schedule
@@ -328,7 +376,7 @@ func Extract(m *Model, frac *Fractional) (*PlanResult, error) {
 	try := func(candidates []float64, budget int, skipInside bool) {
 		for _, t := range candidates {
 			samples := sample(m, frac, idxs, dist, total, t)
-			sched, passed := extractSchedule(in, ix, samples, budget, skipInside)
+			sched, passed := r.extractSchedule(samples, budget, skipInside)
 			if skipInside && !passed {
 				continue
 			}

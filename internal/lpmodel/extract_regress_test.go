@@ -157,9 +157,10 @@ func TestExtractRef50ScratchVertex(t *testing.T) {
 	idxs, dist, total := support(m, frac)
 	starts, ends := candidateOffsets(idxs, dist, total)
 	firstBest := -1
+	rnd := newRounding(m)
 	for _, budget := range []int{in.K + in.Disks - 1, in.K + 2*(in.Disks-1)} {
 		for _, off := range append(starts, ends...) {
-			sched, _ := extractSchedule(in, core.NewIndex(in.Seq), sample(m, frac, idxs, dist, total, off), budget, false)
+			sched, _ := rnd.extractSchedule(sample(m, frac, idxs, dist, total, off), budget, false)
 			r, _, err := evaluate(in, sched)
 			if err == nil && (firstBest < 0 || r.Stall < firstBest) {
 				firstBest = r.Stall
@@ -175,5 +176,35 @@ func TestExtractRef50ScratchVertex(t *testing.T) {
 	}
 	if res.Stall != 36 || res.ExtraCache != 0 {
 		t.Fatalf("Extract: stall %d, extra cache %d; want 36 and 0 (OPT(k) = LP bound = 36)", res.Stall, res.ExtraCache)
+	}
+}
+
+// BenchmarkExtractSessionShape runs Extract on the served vertices of eight
+// instances of the serving benchmark's session shape after its twelve
+// extends (Uniform(72, 8), k=4, F=3, D=2, striped), one instance per op.
+func BenchmarkExtractSessionShape(b *testing.B) {
+	type solved struct {
+		m    *Model
+		frac *Fractional
+	}
+	var set []solved
+	for seed := int64(1); seed <= 8; seed++ {
+		m, err := Build(workload.Instance(workload.Uniform(72, 8, seed), 4, 3, 2, workload.AssignStripe, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		frac, err := m.Solve(lp.Options{Cascade: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		set = append(set, solved{m, frac})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := set[i%len(set)]
+		if _, err := Extract(s.m, s.frac); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

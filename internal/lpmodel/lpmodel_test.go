@@ -59,9 +59,19 @@ func TestBuildBasicStructure(t *testing.T) {
 	if len(m.Intervals) != want {
 		t.Fatalf("intervals = %d, want %d", len(m.Intervals), want)
 	}
+	// Every block is requested once: 0, 1, 4, 5, 2, 6, 3 at requests 1..7.
+	// With n=7 and F=4, A(q) = sum_{e=1..q} min(e, 5) intervals end by
+	// request q and B(q) = sum_{s=q..6} min(7-s, 5) start at or after it:
+	// A = 1, 3, 6, 10, 15, 20, 25 and B = 20, 15, 10, 6, 3, 1, 0 for
+	// q = 1..7.  A block requested at q gets a fetch column in the A(q)
+	// intervals its request closes and none in its trailing gap: 80 in all.
+	// It gets an evict column in those A(q) intervals only when it starts in
+	// cache, and in all B(q) of its trailing gap: 71 for the initial blocks
+	// 0, 1, 4 and 5, 4 for blocks 2, 6 and 3.  The never-requested dummy
+	// gets an evict column in all 25 intervals and no fetch column: 100.
 	x, fv, ev := m.VariableCounts()
-	if x != len(m.Intervals) || fv == 0 || ev != fv {
-		t.Fatalf("variable counts x=%d f=%d e=%d", x, fv, ev)
+	if x != 25 || fv != 80 || ev != 100 {
+		t.Fatalf("variable counts x=%d f=%d e=%d, want 25, 80 and 100", x, fv, ev)
 	}
 	if m.Problem.NumConstraints() == 0 {
 		t.Fatalf("no constraints generated")

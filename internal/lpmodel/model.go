@@ -83,14 +83,17 @@ type Model struct {
 	// Trace-extension bookkeeping (see extend.go).  Build records, per block
 	// position, the 1-based request number of the block's last reference
 	// (0 = never referenced) and the index of its trailing "evicted at most
-	// once" row (-1 when the build emitted none), plus per boundary q the
-	// index of its "at most one interval spans q" row.  Extensions append
-	// intervals outside the start-major runs startOff describes; extStart[s]
-	// lists them per start, ordered by increasing End, so gapIntervals stays
-	// exact on an extended model.
+	// once" row (-1 when the build emitted none), per boundary q the index
+	// of its "at most one interval spans q" row, and per interval the index
+	// of the first of its rows (the per-disk fetch balances, then the
+	// fetch/evict balance).  Extensions append intervals outside the
+	// start-major runs startOff describes; extStart[s] lists them per start,
+	// ordered by increasing End, so gapIntervals stays exact on an extended
+	// model.
 	lastRef     []int
 	tailRow     []int
 	boundaryRow []int
+	firstRow    []int
 	extStart    [][]int32
 
 	// warm is the optimal basis of this model's last SolveWith or
@@ -210,23 +213,12 @@ func BuildInto(m *Model, in *core.Instance) error {
 	for idx, iv := range m.Intervals {
 		m.xVar[idx] = prob.AddVariable(float64(iv.Stall(in.F)))
 	}
-	// Fetch and eviction variables exist only for (interval, block) pairs
-	// where the block is not referenced strictly inside the interval (the
-	// paper's constraint that a block may not be fetched or evicted while it
-	// is being referenced).
+	// Fetch and eviction variables exist only for the (interval, block)
+	// pairs a schedule can use (see columns and doc.go).
 	m.fVar = resizeInts(m.fVar, len(m.Intervals)*len(m.Blocks))
 	m.eVar = resizeInts(m.eVar, len(m.Intervals)*len(m.Blocks))
 	for idx, iv := range m.Intervals {
-		base := idx * len(m.Blocks)
-		for bi, b := range m.Blocks {
-			if m.blockReferencedInside(b, iv) {
-				m.fVar[base+bi] = noVar
-				m.eVar[base+bi] = noVar
-				continue
-			}
-			m.fVar[base+bi] = prob.AddVariable(0)
-			m.eVar[base+bi] = prob.AddVariable(0)
-		}
+		m.addBlockColumns(idx*len(m.Blocks), iv)
 	}
 	// Scratch variables implement the idle-disk fetches of Lemma 3: a disk
 	// that has nothing useful to fetch during a synchronized interval loads
@@ -244,6 +236,7 @@ func BuildInto(m *Model, in *core.Instance) error {
 	m.boundaryRow = resizeInts(m.boundaryRow, n)
 	m.lastRef = resizeInts(m.lastRef, len(m.Blocks))
 	m.tailRow = resizeInts(m.tailRow, len(m.Blocks))
+	m.firstRow = m.firstRow[:0]
 	m.addBoundaryConstraints()
 	m.addPerIntervalConstraints()
 	m.addBlockFlowConstraints()
@@ -285,16 +278,36 @@ func (m *Model) evictCap(bi int) float64 {
 	return 1
 }
 
-// blockReferencedInside reports whether block b has a reference strictly
-// inside interval iv.
-func (m *Model) blockReferencedInside(b core.BlockID, iv Interval) bool {
+// columns reports which of block b's fetch and eviction columns interval iv
+// gets.  A block requested strictly inside iv gets neither (the paper's
+// constraint that a block is not fetched or evicted while it is being
+// referenced).  Otherwise iv lies in one gap between b's requests, and b
+// gets a fetch column only when a later request closes that gap, and an
+// eviction column unless the gap is the one before the first request of a
+// block that does not start in cache.  The columns left out carry no
+// schedule: doc.go shows that the feasible x-set stays the same.
+func (m *Model) columns(b core.BlockID, iv Interval) (fetch, evict bool) {
 	// References use 1-based request numbers: position p is request p+1.
-	pos := m.ix.NextAt(b, iv.Start) // first reference at 0-based position >= Start
-	if pos == core.NoRef {
-		return false
+	next := m.ix.NextAt(b, iv.Start) // first reference at 0-based position >= Start
+	if next != core.NoRef && iv.ContainsRequest(next+1) {
+		return false, false
 	}
-	q := pos + 1
-	return iv.ContainsRequest(q)
+	return next != core.NoRef, m.initial[b] || m.ix.First(b) < iv.Start
+}
+
+// addBlockColumns adds the fetch and eviction columns of interval iv, whose
+// per-block entries start at base in fVar and eVar.
+func (m *Model) addBlockColumns(base int, iv Interval) {
+	for bi, b := range m.Blocks {
+		fetch, evict := m.columns(b, iv)
+		m.fVar[base+bi], m.eVar[base+bi] = noVar, noVar
+		if fetch {
+			m.fVar[base+bi] = m.Problem.AddVariable(0)
+		}
+		if evict {
+			m.eVar[base+bi] = m.Problem.AddVariable(0)
+		}
+	}
 }
 
 // addBoundaryConstraints adds, for every request boundary q in [1, n-1], the
@@ -339,7 +352,10 @@ func (m *Model) addPerIntervalConstraints() {
 // addIntervalRows adds the per-disk fetch balance and the fetch/evict balance
 // of the single interval idx; it is shared by the full build and the
 // trace-extension path, which appends these rows for each new interval.
+// Both call it for every interval in index order, so firstRow[idx] is the
+// entry it appends.
 func (m *Model) addIntervalRows(idx int) {
+	m.firstRow = append(m.firstRow, m.Problem.NumConstraints())
 	x := m.xVar[idx]
 	for d := 0; d < m.In.Disks; d++ {
 		coeffs := append(m.coefBuf[:0],
@@ -446,23 +462,16 @@ func (m *Model) addBlockFlowConstraints() {
 		}
 		first := refs[0]
 		if !m.initial[b] {
-			// The block must be fetched, and not evicted, before its first
-			// reference.
+			// The block must be fetched before its first reference; it has
+			// no eviction column there to evict it again.
 			fc := m.coefBuf[:0]
-			ec := m.coefBuf2[:0]
 			for _, idx := range m.gapIntervals(0, first) {
 				if v := m.fetchVar(idx, bi); v != noVar {
 					fc = append(fc, lp.Coef{Var: v, Value: 1})
 				}
-				if v := m.evictVar(idx, bi); v != noVar {
-					ec = append(ec, lp.Coef{Var: v, Value: 1})
-				}
 			}
 			m.Problem.AddConstraint(fc, lp.EQ, 1)
-			if len(ec) > 0 {
-				m.Problem.AddConstraint(ec, lp.EQ, 0)
-			}
-			m.coefBuf, m.coefBuf2 = fc, ec
+			m.coefBuf = fc
 		} else {
 			// Initially cached: within the gap before the first reference the
 			// block may be evicted and fetched back, at most once.

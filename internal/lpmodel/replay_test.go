@@ -86,15 +86,16 @@ func replays(t *testing.T, what string, in *core.Instance, sched *core.Schedule,
 
 // TestExtractedSchedulesReplay is the replay property of the Theorem 4
 // pipeline over lp-cold's first block (D = 1, 2 and 3) and E7's n=22
-// instances (seeds 900-903, D = 2 and 3), solved on the served engine: the
-// schedule Extract returns, and every feasible candidate of every extraction
-// tier (start and end offsets, at the k+(D-1) and k+2(D-1) planning
-// budgets) under both roundings, replays through sim.Run to exactly the
-// stall and extra cache it was costed at, unpinned and with every fetch
-// pinned to its start.  The end
-// offsets add at most one candidate, the fractional part of the timeline's
-// length, since every other interval ends where the next one starts; no
-// lp-cold instance has one, so E7's instances cover that tier.
+// instances (seeds 900-903, D = 2 and 3, and seed 1005, D = 3), solved on
+// the served engine: the schedule Extract returns, and every feasible
+// candidate of every extraction tier (start and end offsets, at the k+(D-1)
+// and k+2(D-1) planning budgets) under both roundings, replays through
+// sim.Run to exactly the stall and extra cache it was costed at, unpinned
+// and with every fetch pinned to its start.  The end offsets add at most
+// one candidate, the fractional part of the timeline's length, since every
+// other interval ends where the next one starts.  No lp-cold instance has
+// one, nor does any vertex of seeds 900-903; seed 1005's at D = 3 gives a
+// feasible end-offset candidate in all four end tiers.
 func TestExtractedSchedulesReplay(t *testing.T) {
 	instances := lpColdBlock(1)
 	for seed := int64(900); seed <= 903; seed++ {
@@ -102,6 +103,7 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 			instances = append(instances, workload.Instance(workload.Uniform(22, 10, seed), 4, 4, d, workload.AssignStripe, 0))
 		}
 	}
+	instances = append(instances, workload.Instance(workload.Uniform(22, 10, 1005), 4, 4, 3, workload.AssignStripe, 0))
 	disks := map[int]int{}
 	tiers := make([]int, 8) // the four tiers under the first rounding, then the second
 	pinned := 0
@@ -127,7 +129,7 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 			continue
 		}
 		starts, ends := candidateOffsets(idxs, dist, total)
-		ix := core.NewIndex(in.Seq)
+		rnd := newRounding(m)
 		narrow, wide := in.K+in.Disks-1, in.K+2*(in.Disks-1)
 		for ri, skipInside := range []bool{false, true} {
 			for ti, tier := range []struct {
@@ -135,7 +137,7 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 				budget  int
 			}{{starts, narrow}, {ends, narrow}, {starts, wide}, {ends, wide}} {
 				for _, off := range tier.offsets {
-					sched, _ := extractSchedule(in, ix, sample(m, frac, idxs, dist, total, off), tier.budget, skipInside)
+					sched, _ := rnd.extractSchedule(sample(m, frac, idxs, dist, total, off), tier.budget, skipInside)
 					r, clean, err := evaluate(in, sched)
 					if err != nil {
 						continue // Extract rejects infeasible candidates too

@@ -86,10 +86,18 @@ func TestCensusTheorem4(t *testing.T) {
 // does), pivots, phase-one pivots, Bland pivots, refactorizations and LU
 // fill; over the census the solve time at p50, p90 and max, the solve time
 // per pivot (us/pivot: total solve time over total pivots, so a per-pivot
-// change reads apart from the pivot count) and the total served stall.  The counters and the stall are deterministic, so a
-// change that moves pivots or a served stall shows it here before a
-// serving-benchmark run does.
-func BenchmarkLPColdCensus(b *testing.B) {
+// change reads apart from the pivot count) and the total served stall.
+// The counters and the stall are deterministic, so a change that moves
+// pivots or a served stall shows it here before a serving-benchmark run
+// does.
+func BenchmarkLPColdCensus(b *testing.B) { benchCensus(b, false) }
+
+// BenchmarkLPColdCensusTied is the census solved under
+// TieBreakObjective(1e-5), the program whose vertex is unique, with the same
+// metrics: what serving would pay to tie-break every request.
+func BenchmarkLPColdCensusTied(b *testing.B) { benchCensus(b, true) }
+
+func benchCensus(b *testing.B, tied bool) {
 	ins := lpColdCensus(b, 1, 3)
 	mb := lpmodel.NewModelBatch()
 	var sink lp.Stats
@@ -106,6 +114,9 @@ func BenchmarkLPColdCensus(b *testing.B) {
 			m, err := mb.Model(in)
 			if err != nil {
 				b.Fatalf("instance %d: %v", i, err)
+			}
+			if tied {
+				m.TieBreakObjective(1e-5)
 			}
 			cols += m.Problem.NumVars()
 			rows += m.Problem.NumConstraints()

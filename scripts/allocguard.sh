@@ -28,9 +28,10 @@
 #    BenchmarkModelExtendResolve: one appended request, one warm dual
 #    re-solve) allocates O(rows added by the extension) — growth appends on
 #    the Problem arenas plus the re-solve's Solution — a small constant
-#    (~270) on the E7-sized workload.  A regression to rebuilding or
-#    re-factorizing per step would scale with the whole program (tens of
-#    thousands), so the 512 bound has margin without masking one.
+#    (186 at the 16 iterations run here) on the E7-sized workload.  A
+#    regression to rebuilding or re-factorizing per step would scale with
+#    the whole program (tens of thousands), so the 512 bound has margin
+#    without masking one.
 #  * The exact-search engine (BenchmarkOptSearchAStar*, plus the Matching
 #    layer variant) must keep its flat arena + open-addressing
 #    memory layer: its allocs/op on a fixed instance is a small constant

@@ -9,8 +9,9 @@
 # BenchmarkReplayIncrementalStep/BenchmarkReplayColdStep — the last pair's
 # ratio is the trace-replay speedup pcbench -replay reports), plus the
 # serving benchmark's own solves (BenchmarkLPColdCensus: lp-cold's 126
-# instances, once per op), so the perf trajectory is tracked alongside the
-# counters.  Timings are informational: cmd/benchdiff never compares them.
+# instances, once per op; BenchmarkLPColdCensusTied: the same tie-broken),
+# so the perf trajectory is tracked alongside the counters.  Timings are
+# informational: cmd/benchdiff never compares them.
 #
 # Usage: scripts/bench.sh [output-file]
 #
