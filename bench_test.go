@@ -146,8 +146,8 @@ func BenchmarkExhaustiveOptimalSmall(b *testing.B) {
 
 // The BenchmarkOptSearch* group tracks the exact-search engine of
 // internal/opt on the instance sizes of experiment E7: the old size (n=11,
-// the pre-rewrite ceiling) and the new size (n=22, D=3, unlocked by the
-// A*/branch-and-bound rewrite).  The AStar/Dijkstra pairs keep the informed
+// the pre-rewrite ceiling) and the new size (n=22, D=3, unlocked by the A*
+// rewrite).  The AStar/Dijkstra pairs keep the informed
 // engine comparable with the blind uniform-cost reference; CI's bench smoke
 // runs the group and scripts/allocguard.sh bounds the AStar paths' allocs/op.
 
@@ -176,7 +176,7 @@ func BenchmarkOptSearchAStarOldSize(b *testing.B) {
 }
 
 func BenchmarkOptSearchDijkstraOldSize(b *testing.B) {
-	benchOptSearch(b, optSearchOldSizeInstance(), opt.Options{Bound: opt.BoundNone, NoHeuristic: true})
+	benchOptSearch(b, optSearchOldSizeInstance(), opt.Options{NoHeuristic: true})
 }
 
 func BenchmarkOptSearchAStarE7Size(b *testing.B) {
@@ -184,15 +184,7 @@ func BenchmarkOptSearchAStarE7Size(b *testing.B) {
 }
 
 func BenchmarkOptSearchDijkstraE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{Bound: opt.BoundNone, NoHeuristic: true})
-}
-
-// BenchmarkOptSearchMatchingE7Size is the E7-sized search on the per-state
-// matching and pair bounds alone, dominance merging off.  Compare with
-// AStarE7Size (the full engine) for what dominance saves and with
-// DijkstraE7Size for what the bounds save.
-func BenchmarkOptSearchMatchingE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoDominance: true})
+	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoHeuristic: true})
 }
 
 func BenchmarkLPRelaxation(b *testing.B) {

@@ -206,11 +206,9 @@ func TestE6CombinationNeverWorst(t *testing.T) {
 
 // TestE7Theorem4 checks the headline result: the LP schedule's stall never
 // exceeds the optimum (ratio at most 1.0) and the extra cache stays within
-// 2(D-1).  It also checks the bound-layer attribution the table carries: on
-// every row that every layer completes, dominance merging must not add
-// expansions to the matching-bound search (dom <= astar), and the bounds must
-// expand strictly fewer states than the blind Dijkstra reference
-// (astar < dijkstra).
+// 2(D-1).  It also checks the engine comparison the table carries: on every
+// row that both searches complete, the matching bound must expand strictly
+// fewer states than the blind Dijkstra reference (astar < dijkstra).
 func TestE7Theorem4(t *testing.T) {
 	tab, err := E7ParallelLPOptimal(Config{})
 	if err != nil {
@@ -221,19 +219,15 @@ func TestE7Theorem4(t *testing.T) {
 		extra, _ := strconv.Atoi(row[5])
 		budget, _ := strconv.Atoi(row[6])
 		astar, _ := strconv.Atoi(row[8])
-		dom, _ := strconv.Atoi(row[9])
-		dijkstra, _ := strconv.Atoi(row[10])
+		dijkstra, _ := strconv.Atoi(row[9])
 		if maxRatio > 1+1e-9 {
 			t.Errorf("row %v: LP stall ratio %f exceeds 1", row, maxRatio)
 		}
 		if extra > budget {
 			t.Errorf("row %v: extra cache %d exceeds budget %d", row, extra, budget)
 		}
-		if astar < 0 || dom < 0 || dijkstra < 0 {
-			continue // a layer exhausted its budget; nothing to compare
-		}
-		if dom > astar {
-			t.Errorf("row %v: expansions grew with dominance merging (astar %d, +dom %d)", row, astar, dom)
+		if astar < 0 || dijkstra < 0 {
+			continue // a search exhausted its budget; nothing to compare
 		}
 		if astar >= dijkstra {
 			t.Errorf("row %v: the bounded search expanded %d states, not fewer than dijkstra's %d", row, astar, dijkstra)

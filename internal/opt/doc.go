@@ -1,6 +1,5 @@
 // Package opt computes exactly optimal prefetching/caching schedules for
-// small instances by informed search (A* with branch-and-bound pruning) over
-// system states.
+// small instances by informed search (A*) over system states.
 //
 // The paper compares its algorithms against an information-theoretic optimum
 // OPT: the minimum stall time (equivalently elapsed time) over all feasible
@@ -23,25 +22,25 @@
 //
 // # Search
 //
-// The engine is A* with branch-and-bound pruning.  Node records live in a
-// flat arena addressed by int32 indices, reached states are looked up in an
-// open-addressing hash table, and the frontier is a monotone bucket queue
+// The engine is A* over the per-disk matching bound below.  Node records live
+// in a flat arena addressed by int32 indices, reached states are looked up in
+// an open-addressing hash table, and the frontier is a monotone bucket queue
 // over f = g + h (stall costs are small non-negative integers), so the search
-// performs no per-node heap allocations.  Options can disable every
-// refinement (NoHeuristic, NoDominance, BoundNone); NoHeuristic
-// plus BoundNone yields exactly the historical uniform-cost Dijkstra search
-// (dominance auto-disables there), and the property tests pin the informed
-// engine to the blind one on random instances.
+// performs no per-node heap allocations.  Two options switch the engine:
+// NoHeuristic drops the bound, which yields the blind uniform-cost
+// (Dijkstra) search, and Full branches over every choice (see Branching
+// modes).  The property tests pin the informed engine to the blind one, and
+// pruned branching to Full, on random instances.
 //
-// # The bound hierarchy and its admissibility
+// # The matching bound and its admissibility
 //
 // h lower-bounds the stall time still to be paid from a state s with r
 // unserved requests.  Let n be the request count, t(s) the wall-clock time
 // already spent and g(s) the stall already paid, so t(s) = (n - r) + g(s).
 // Any completion of s serves r more requests, so its remaining elapsed time E
 // satisfies remaining stall = E - r, and any lower bound T on E gives the
-// admissible h = max(0, T - r).  Two bound families are combined by max;
-// each lower-bounds E for every feasible completion.
+// admissible h = max(0, T - r).  T is the largest of the per-disk bounds
+// below, each a lower bound on E for every feasible completion.
 //
 // Per-disk slot/reference matching.  Let disk d carry an in-flight fetch with
 // rem_d time remaining (rem_d = 0 if idle) and let p_1 < p_2 < ... < p_m be
@@ -61,60 +60,12 @@
 // to ascending references is the order that minimises the max of the chain
 // bounds, so the max over j is a valid lower bound over all orders.  If the
 // in-flight block itself is still referenced, at position q, its delivery
-// completes rem_d from now and E >= rem_d + (n - q) joins the max.  The old
-// PR-3 bound rem_d + m*F + (n - maxRef_d) is exactly the j = m term, so the
-// matching bound dominates it.
-//
-// Disk-pair merged-slot relaxation.  For a pair of disks, merge their
-// completion slots (the multiset {rem_1 + j*F} union {rem_2 + j*F}, sorted
-// ascending) and their references (sorted ascending), and apply the same
-// matching.  This relaxes the block-to-disk binding — it pretends either disk
-// could fetch any of the pair's blocks — so it is weaker per block, but it
-// sees the pair's joint saturation: the j-th earliest completion across both
-// disks happens no earlier than the j-th smallest merged slot, which no
-// per-disk bound can state.  Relaxations only remove constraints, so the
-// bound remains admissible; it strictly wins when both disks are loaded and
-// their references interleave.
+// completes rem_d from now and E >= rem_d + (n - q) joins the max.
 //
 // h is admissible but not consistent (a delivery can drop a bound by more
 // than the transition's cost), so closed nodes are reopened when reached with
 // a smaller g; A* with reopening pops the goal with an optimal g.  At a goal
 // r = 0 and every bound is 0.
-//
-// # Branch-and-bound
-//
-// Before the search, the existing greedy algorithms (package single's
-// registry for one disk, package parallel's strategies otherwise) produce
-// feasible schedules; the cheapest executed stall time seeds the incumbent
-// upper bound, and every generated state with g + h >= incumbent is pruned.
-// On an optimal path g + h never exceeds the optimal stall, so pruning is
-// lossless while the incumbent is an upper bound; if the incumbent is itself
-// optimal the search prunes every path and returns the seed schedule, whose
-// optimality is thereby proved.  Seeds run on the nominal cache size k, so
-// their stall also upper-bounds searches granted ExtraCache locations (extra
-// cache never increases the optimum).
-//
-// # Dominance merging
-//
-// Two states can differ syntactically yet admit exactly the same completions
-// at the same costs.  canonicalize (opt.go) maps a state to its
-// dominance-class representative: resident blocks that are never referenced
-// again are dropped from the cache mask, and an in-flight block that is never
-// referenced again is renamed to the deadBlock sentinel (its remaining time
-// is kept — it still occupies the disk).  The canonical form is a
-// bisimulation quotient: a dead resident block never satisfies a future
-// request, and evicting it is always at least as good as evicting a live
-// block (any schedule that evicts a live block while a dead one is resident
-// can be repaired, move for move, to evict the dead one first — the repaired
-// schedule serves every request no later); a dead in-flight block's identity
-// is irrelevant once its delivery can never serve a request, only its
-// remaining occupancy matters.  Hence two states with equal canonical keys
-// have identical optimal remaining costs, and the node table keys on the
-// canonical form.  A hit with equal raw key counts as DuplicateHits (the
-// historical path); a hit whose raw keys differ counts as PrunedByDominance.
-// The free-slot direction is covered by the same repair: a state with a dead
-// block occupying a cache slot is bisimilar to the state with the slot free,
-// because the dead occupant can be evicted by the next fetch at no cost.
 //
 // # Branching modes
 //

@@ -11,20 +11,29 @@ import (
 )
 
 // dijkstraOptions is the configuration of the blind reference search: no
-// heuristic (uniform-cost order) and no incumbent pruning, i.e. exactly the
-// historical Dijkstra engine.
+// heuristic, i.e. uniform-cost (Dijkstra) order.
 func dijkstraOptions(base Options) Options {
-	base.Bound = BoundNone
 	base.NoHeuristic = true
 	return base
 }
 
 // TestAStarMatchesDijkstraProperty is the central engine property test: on
 // random single- and multi-disk instances — including extra cache locations
-// and full branching — the informed A*/branch-and-bound search must report
-// exactly the stall and elapsed time of the unpruned Dijkstra reference, and
-// both schedules must execute to the reported stall.
+// and full branching — the informed A* search must report exactly the stall
+// and elapsed time of the blind Dijkstra reference, and both schedules must
+// execute to the reported stall.  Two fixed instances ride along: a warm
+// single-disk scan and a two-disk striped scan, on which a greedy schedule
+// is already optimal.
 func TestAStarMatchesDijkstraProperty(t *testing.T) {
+	type trialCase struct {
+		in    *core.Instance
+		extra int
+		full  bool
+	}
+	cases := []trialCase{
+		{in: core.SingleDisk(workload.SequentialScan(16, 8), 4, 2).WithInitialCache(0, 1, 2, 3)},
+		{in: workload.Instance(workload.SequentialScan(12, 6), 4, 2, 2, workload.AssignStripe, 0)},
+	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 80; trial++ {
 		n := 6 + rng.Intn(12)
@@ -36,7 +45,11 @@ func TestAStarMatchesDijkstraProperty(t *testing.T) {
 		full := trial%5 == 0 && n <= 9 // full branching only on tiny instances
 		seq := workload.Uniform(n, blocks, int64(4000+trial))
 		in := workload.Instance(seq, k, f, disks, workload.AssignStripe, 0)
-		opts := Options{ExtraCache: extra, Full: full}
+		cases = append(cases, trialCase{in: in, extra: extra, full: full})
+	}
+	for trial, c := range cases {
+		in, extra := c.in, c.extra
+		opts := Options{ExtraCache: extra, Full: c.full}
 		astar, err := Optimal(in, opts)
 		if err != nil {
 			t.Fatalf("trial %d astar: %v", trial, err)
@@ -46,12 +59,12 @@ func TestAStarMatchesDijkstraProperty(t *testing.T) {
 			t.Fatalf("trial %d dijkstra: %v", trial, err)
 		}
 		if astar.Stall != dijk.Stall || astar.Elapsed != dijk.Elapsed {
-			t.Fatalf("trial %d: astar stall/elapsed %d/%d != dijkstra %d/%d (seq=%v k=%d F=%d D=%d extra=%d full=%v)",
-				trial, astar.Stall, astar.Elapsed, dijk.Stall, dijk.Elapsed, seq, k, f, disks, extra, full)
+			t.Fatalf("trial %d: astar stall/elapsed %d/%d != dijkstra %d/%d (%v extra=%d full=%v)",
+				trial, astar.Stall, astar.Elapsed, dijk.Stall, dijk.Elapsed, in, extra, c.full)
 		}
 		if astar.StatesExpanded > dijk.StatesExpanded {
-			t.Fatalf("trial %d: astar expanded %d states, more than dijkstra's %d (seq=%v k=%d F=%d D=%d)",
-				trial, astar.StatesExpanded, dijk.StatesExpanded, seq, k, f, disks)
+			t.Fatalf("trial %d: astar expanded %d states, more than dijkstra's %d (%v)",
+				trial, astar.StatesExpanded, dijk.StatesExpanded, in)
 		}
 		for name, res := range map[string]*Result{"astar": astar, "dijkstra": dijk} {
 			simRes, err := sim.Run(in, res.Schedule, sim.Options{})
@@ -97,41 +110,6 @@ func TestAStarExpandsFewerOnE7Size(t *testing.T) {
 	}
 }
 
-// TestSeedOptimalPath checks the branch-and-bound fast path: on an instance
-// where a greedy schedule is optimal, the search proves it without finding a
-// better goal and returns the seed schedule itself.
-func TestSeedOptimalPath(t *testing.T) {
-	// A sequential scan with a warm cache: Aggressive is optimal here.
-	seq := workload.SequentialScan(16, 8)
-	in := core.SingleDisk(seq, 4, 2).WithInitialCache(0, 1, 2, 3)
-	res, err := Optimal(in, Options{})
-	if err != nil {
-		t.Fatalf("Optimal: %v", err)
-	}
-	dijk, err := Optimal(in, dijkstraOptions(Options{}))
-	if err != nil {
-		t.Fatalf("dijkstra: %v", err)
-	}
-	if res.Stall != dijk.Stall {
-		t.Fatalf("stall %d != reference %d", res.Stall, dijk.Stall)
-	}
-	if res.SeedStall < 0 || res.SeedAlgorithm == "" {
-		t.Fatalf("no incumbent was seeded: %+v", res)
-	}
-	if res.SeedStall < res.Stall {
-		t.Fatalf("seed stall %d below the optimum %d: the incumbent was not an upper bound", res.SeedStall, res.Stall)
-	}
-	if res.SeedOptimal {
-		// The seed was proved optimal: its stall must equal the optimum.
-		if res.SeedStall != res.Stall {
-			t.Fatalf("seed proved optimal but seed stall %d != reported stall %d", res.SeedStall, res.Stall)
-		}
-	}
-	if _, err := sim.Run(in, res.Schedule, sim.Options{}); err != nil {
-		t.Fatalf("returned schedule infeasible: %v", err)
-	}
-}
-
 // TestFetchTimeEncodingLimit checks the satellite fix for the silent flight
 // packing overflow: an instance with F beyond the packed encoding's range is
 // rejected with a typed error instead of corrupting states.
@@ -152,62 +130,12 @@ func TestFetchTimeEncodingLimit(t *testing.T) {
 	}
 }
 
-// TestParseBound exercises the bound-mode parsing and naming.
-func TestParseBound(t *testing.T) {
-	for _, c := range []struct {
-		s    string
-		want BoundMode
-	}{{"greedy", BoundGreedy}, {"none", BoundNone}} {
-		got, err := ParseBound(c.s)
-		if err != nil || got != c.want {
-			t.Errorf("ParseBound(%q) = %v, %v", c.s, got, err)
-		}
-		if got.String() != c.s {
-			t.Errorf("BoundMode(%v).String() = %q, want %q", got, got.String(), c.s)
-		}
-	}
-	if _, err := ParseBound("nope"); err == nil {
-		t.Errorf("unknown bound mode accepted")
-	}
-	if BoundMode(42).String() == "" {
-		t.Errorf("out-of-range bound mode has empty name")
-	}
-}
-
-// TestParallelSeedOptimal is TestSeedOptimalPath on a parallel-disk
-// instance: on a two-disk sequential scan with ample cache the parallel
-// greedy seed is already optimal, so the engine must prove it at the root
-// and return the seed schedule.
-func TestParallelSeedOptimal(t *testing.T) {
-	seq := workload.SequentialScan(12, 6)
-	in := workload.Instance(seq, 4, 2, 2, workload.AssignStripe, 0)
-	res, err := Optimal(in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dijk, err := Optimal(in, dijkstraOptions(Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.SeedOptimal || res.SeedStall != res.Stall || res.Stall != dijk.Stall {
-		t.Fatalf("seed %s stall %d (proved optimal: %v), search stall %d, reference %d",
-			res.SeedAlgorithm, res.SeedStall, res.SeedOptimal, res.Stall, dijk.Stall)
-	}
-	got, err := sim.Run(in, res.Schedule, sim.Options{})
-	if err != nil {
-		t.Fatalf("seed schedule infeasible: %v", err)
-	}
-	if got.Stall != res.Stall {
-		t.Fatalf("seed schedule replays with stall %d, want %d", got.Stall, res.Stall)
-	}
-}
-
 // TestParallelMaxStatesExhaustion runs a three-disk search into a tiny state
 // budget mid-run and requires a TooLargeError that names the budget.
 func TestParallelMaxStatesExhaustion(t *testing.T) {
 	seq := workload.Uniform(24, 10, 55)
 	in := workload.Instance(seq, 3, 4, 3, workload.AssignStripe, 0)
-	_, err := Optimal(in, Options{MaxStates: 16, Bound: BoundNone})
+	_, err := Optimal(in, Options{MaxStates: 16})
 	var tle *TooLargeError
 	if !errors.As(err, &tle) {
 		t.Fatalf("err = %v, want *TooLargeError", err)
@@ -217,9 +145,9 @@ func TestParallelMaxStatesExhaustion(t *testing.T) {
 	}
 }
 
-// TestCountersConsistency checks the counter relationships the new Result
-// reports: every expansion comes from the table, generated covers duplicates
-// and pruned states, and the caller's sink accumulates them.
+// TestCountersConsistency checks the counter relationships the Result
+// reports: every expansion comes from the table, generated covers duplicates,
+// and the caller's sink accumulates them.
 func TestCountersConsistency(t *testing.T) {
 	var sink Stats
 	seq := workload.Uniform(16, 7, 12)
@@ -231,8 +159,8 @@ func TestCountersConsistency(t *testing.T) {
 	if res.StatesExpanded > res.PeakTableSize {
 		t.Errorf("expanded %d states but only %d were materialised", res.StatesExpanded, res.PeakTableSize)
 	}
-	if res.StatesGenerated < res.DuplicateHits+res.PrunedByBound {
-		t.Errorf("generated %d < duplicates %d + pruned %d", res.StatesGenerated, res.DuplicateHits, res.PrunedByBound)
+	if res.StatesGenerated < res.DuplicateHits {
+		t.Errorf("generated %d < duplicates %d", res.StatesGenerated, res.DuplicateHits)
 	}
 	snap := sink.Snapshot()
 	if snap.Searches != 1 || snap.Expanded != uint64(res.StatesExpanded) ||

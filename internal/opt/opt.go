@@ -18,42 +18,6 @@ const maxBlocks = 64
 // search may create before giving up.
 const DefaultMaxStates = 4_000_000
 
-// BoundMode selects how the branch-and-bound incumbent is seeded.
-type BoundMode int
-
-const (
-	// BoundGreedy (the default) seeds the incumbent with the cheapest of the
-	// greedy schedules (package single's registry for one disk, package
-	// parallel's strategies otherwise) before the search starts.
-	BoundGreedy BoundMode = iota
-	// BoundNone disables incumbent pruning.
-	BoundNone
-)
-
-// String names the bound mode as accepted by ParseBound.
-func (m BoundMode) String() string {
-	switch m {
-	case BoundGreedy:
-		return "greedy"
-	case BoundNone:
-		return "none"
-	default:
-		return fmt.Sprintf("bound(%d)", int(m))
-	}
-}
-
-// ParseBound parses a bound mode name ("greedy" or "none").
-func ParseBound(s string) (BoundMode, error) {
-	switch s {
-	case "greedy":
-		return BoundGreedy, nil
-	case "none":
-		return BoundNone, nil
-	default:
-		return 0, fmt.Errorf("opt: unknown bound mode %q (want greedy or none)", s)
-	}
-}
-
 // Options configures the exact search.
 type Options struct {
 	// ExtraCache is the number of cache locations available beyond the
@@ -67,18 +31,10 @@ type Options struct {
 	Full bool
 	// MaxStates caps the number of states (0 means DefaultMaxStates).
 	MaxStates int
-	// Bound selects the branch-and-bound incumbent seeding; the zero value
-	// BoundGreedy prunes against the cheapest greedy schedule.
-	Bound BoundMode
 	// NoHeuristic disables the admissible lower bound h, reducing A* to
-	// uniform-cost (Dijkstra) order.  Together with Bound: BoundNone this is
-	// exactly the historical blind search, kept as the reference the property
-	// tests pin the informed search against (dominance is auto-disabled in
-	// that configuration, see useDominance).
+	// uniform-cost (Dijkstra) order: the blind reference search the property
+	// tests pin the informed search against.
 	NoHeuristic bool
-	// NoDominance disables canonicalized dominance merging of states that
-	// differ only in never-again-referenced cache or in-flight content.
-	NoDominance bool
 	// Stats is the sink the search's work is counted in (see Counters); nil
 	// leaves the search uncounted.
 	Stats *Stats
@@ -96,36 +52,24 @@ type Result struct {
 	// expanded.
 	StatesExpanded int
 	// StatesGenerated counts the states produced for relaxation: the root
-	// plus every successor produced by an expansion (including duplicates
-	// and bound-pruned ones), so it is always at least DuplicateHits +
-	// PrunedByBound.
+	// plus every successor produced by an expansion (including duplicates),
+	// so it is always at least DuplicateHits.
 	StatesGenerated int
-	// PrunedByBound counts successors discarded because g + h reached the
-	// branch-and-bound incumbent.
-	PrunedByBound int
-	// DuplicateHits counts successors that already had a node in the table
-	// under the same raw state key.
+	// DuplicateHits counts successors that already had a node in the table.
 	DuplicateHits int
-	// PrunedByDominance counts successors merged into an existing node whose
-	// raw key differed but whose canonicalized key (dead cache and in-flight
-	// content removed) matched: the two states are equivalent, so only the
-	// cheaper path survives.
-	PrunedByDominance int
-	// LandmarkHits is always 0: the landmark bound it counted is gone.  The
-	// field stays because the serving benchmark reads it.
-	LandmarkHits int
 	// PeakTableSize is the number of distinct states materialised.
 	PeakTableSize int
-	// SeedAlgorithm names the greedy schedule seeding the incumbent ("" when
-	// no incumbent was available).
-	SeedAlgorithm string
-	// SeedStall is the incumbent's stall time, or -1 when no incumbent was
-	// available.
-	SeedStall int
-	// SeedOptimal reports that the search proved the incumbent optimal (every
-	// strictly better path was pruned away) and Schedule is the seed schedule
-	// itself.
-	SeedOptimal bool
+
+	// PrunedByBound, PrunedByDominance, LandmarkHits, SeedAlgorithm,
+	// SeedStall and SeedOptimal are never set, so each reads its zero value:
+	// the incumbent, dominance and landmark layers they reported on are
+	// gone.  The fields stay because the serving benchmark reads them.
+	PrunedByBound     int
+	PrunedByDominance int
+	LandmarkHits      int
+	SeedAlgorithm     string
+	SeedStall         int
+	SeedOptimal       bool
 }
 
 // TooLargeError reports that the search exceeded its state budget.
@@ -151,11 +95,10 @@ func (e *EncodingLimitError) Error() string {
 }
 
 // Optimal computes a minimum-stall schedule for the instance by A* search
-// with branch-and-bound pruning over system states: an admissible heuristic
-// orders the queue and an incumbent seeded from the greedy schedules prunes
-// provably non-improving states (see doc.go).  It is exact but exponential in
-// the worst case, so it is intended for the instances used to validate the
-// approximation algorithms and the linear-programming approach.
+// over system states, ordered by the admissible per-disk matching bound (see
+// doc.go).  It is exact but exponential in the worst case, so it is intended
+// for the instances used to validate the approximation algorithms and the
+// linear-programming approach.
 func Optimal(in *core.Instance, opts Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -209,19 +152,11 @@ type searcher struct {
 
 	// Heuristic tables (see heuristic.go), read-only after construction.
 	futureMask []uint64
-	diskMask   [maxDisks]uint64
 	nextRef    []int32
-	dominance  bool // canonicalized dominance merging active (useDominance)
 
 	// Heuristic scratch: per disk, the ascending first-reference positions
 	// of the missing blocks.
 	hrefs [maxDisks][]int32
-
-	// Branch-and-bound incumbent (see seed.go); incumbent < 0 means none.
-	incumbent int
-	seedName  string
-	seedStall int
-	seedSched *core.Schedule
 
 	// Memory layer (see table.go; run draws the arena and table from
 	// searchMemPool) and queue (see bucket.go).
@@ -233,9 +168,7 @@ type searcher struct {
 
 	expanded  int
 	generated int
-	pruned    int
 	dupHits   int
-	prunedDom int
 }
 
 // succRec is one staged successor of an expansion: the resulting state, the
@@ -275,15 +208,14 @@ func (b *succBuf) fetchesOf(r *succRec) []fetchAction {
 
 func newSearcher(in *core.Instance, opts Options, blocks []core.BlockID) *searcher {
 	s := &searcher{
-		in:        in,
-		opts:      opts,
-		blocks:    blocks,
-		idxOf:     make(map[core.BlockID]int, len(blocks)),
-		seqIdx:    make([]int32, in.N()),
-		diskOf:    make([]int, len(blocks)),
-		cap:       in.K + opts.ExtraCache,
-		n:         in.N(),
-		incumbent: -1,
+		in:     in,
+		opts:   opts,
+		blocks: blocks,
+		idxOf:  make(map[core.BlockID]int, len(blocks)),
+		seqIdx: make([]int32, in.N()),
+		diskOf: make([]int, len(blocks)),
+		cap:    in.K + opts.ExtraCache,
+		n:      in.N(),
 	}
 	for i, b := range blocks {
 		s.idxOf[b] = i
@@ -295,43 +227,8 @@ func newSearcher(in *core.Instance, opts Options, blocks []core.BlockID) *search
 	for d := range s.hrefs {
 		s.hrefs[d] = make([]int32, 0, s.n)
 	}
-	s.dominance = s.useDominance()
 	s.initHeuristic()
 	return s
-}
-
-// deadBlock is the sentinel block index canonicalize substitutes for a
-// never-again-referenced in-flight block.  It is outside the valid range
-// [0, maxBlocks) but still fits the flight encoding (maxFlightBlock).
-const deadBlock = maxBlocks
-
-// canonicalize maps a state key to its dominance-class representative: cache
-// blocks that are never referenced again are dropped from the resident mask,
-// and a dead in-flight block is renamed to the deadBlock sentinel (its
-// remaining fetch time is kept — the disk stays busy that long either way).
-// Two states with equal canonical keys are exactly bisimilar (doc.go), so the
-// node table keys on the canonical form while nodeRec.key keeps the raw state
-// of the best path, which reconstruction repairs against (buildSchedule).
-func (s *searcher) canonicalize(key *stateKey) stateKey {
-	c := *key
-	future := s.futureMask[key.served]
-	c.cache &= future
-	for d := 0; d < s.in.Disks; d++ {
-		if f := c.flights[d]; f != 0 {
-			if bi := flightBlock(f); future&(1<<uint(bi)) == 0 {
-				c.flights[d] = flightOf(deadBlock, flightRemaining(f))
-			}
-		}
-	}
-	return c
-}
-
-// tableKey returns the key the node table indexes a state under.
-func (s *searcher) tableKey(key *stateKey) stateKey {
-	if s.dominance {
-		return s.canonicalize(key)
-	}
-	return *key
 }
 
 func (s *searcher) maxStates() int {
@@ -350,24 +247,15 @@ func (s *searcher) initialKey() stateKey {
 }
 
 // result assembles a Result carrying the search counters.
-func (s *searcher) result(stall int, sched *core.Schedule, seedOptimal bool) *Result {
-	seedStall := -1
-	if s.seedSched != nil {
-		seedStall = s.seedStall
-	}
+func (s *searcher) result(stall int, sched *core.Schedule) *Result {
 	return &Result{
-		Stall:             stall,
-		Elapsed:           s.n + stall,
-		Schedule:          sched,
-		StatesExpanded:    s.expanded,
-		StatesGenerated:   s.generated,
-		PrunedByBound:     s.pruned,
-		DuplicateHits:     s.dupHits,
-		PrunedByDominance: s.prunedDom,
-		PeakTableSize:     s.table.count,
-		SeedAlgorithm:     s.seedName,
-		SeedStall:         seedStall,
-		SeedOptimal:       seedOptimal,
+		Stall:           stall,
+		Elapsed:         s.n + stall,
+		Schedule:        sched,
+		StatesExpanded:  s.expanded,
+		StatesGenerated: s.generated,
+		DuplicateHits:   s.dupHits,
+		PeakTableSize:   s.table.count,
 	}
 }
 
@@ -381,24 +269,14 @@ func (s *searcher) run() (*Result, error) {
 		mem.release()
 	}()
 	defer s.recordStats()
-	if s.opts.Bound == BoundGreedy {
-		s.seedIncumbent()
-	}
 	start := s.initialKey()
 	h0 := s.heuristic(&start)
 	s.generated++
-	if s.incumbent >= 0 && int(h0) >= s.incumbent {
-		// Even the root's lower bound reaches the incumbent: the seed is
-		// optimal without expanding a single state.
-		s.pruned++
-		return s.result(s.seedStall, s.seedSched.Clone(), true), nil
-	}
 	rootIdx := s.nodes.alloc()
 	root := &s.nodes.recs[rootIdx]
 	root.key = start
 	root.h = h0
-	tstart := s.tableKey(&start)
-	s.table.put(&tstart, rootIdx)
+	s.table.put(&start, rootIdx)
 	s.queue.push(int(h0), rootIdx)
 	for {
 		idx, f, ok := s.queue.pop()
@@ -413,16 +291,12 @@ func (s *searcher) run() (*Result, error) {
 		s.expanded++
 		key := rec.key
 		if int(key.served) == s.n {
-			return s.result(int(rec.g), s.reconstruct(idx), false), nil
+			return s.result(int(rec.g), s.reconstruct(idx)), nil
 		}
 		s.expand(idx, &key)
 		if s.table.count > s.maxStates() {
 			return nil, &TooLargeError{States: s.maxStates()}
 		}
-	}
-	if s.seedSched != nil {
-		// Every path was pruned against the incumbent, proving it optimal.
-		return s.result(s.seedStall, s.seedSched.Clone(), true), nil
 	}
 	return nil, fmt.Errorf("opt: search exhausted without serving every request (internal error)")
 }
@@ -611,31 +485,18 @@ func (s *searcher) saveFetches(fetches []fetchAction) (int32, uint16) {
 }
 
 // relax performs the A* relaxation for the edge parent -> next with the given
-// stall cost, pruning against the incumbent and reopening closed nodes whose
-// cost improves (the heuristic is admissible but not consistent).  With
-// dominance active the table lookup keys on the canonicalized state, so a
-// path reaching any bisimilar state merges into one node; the node's raw key
-// and transition record always describe the best path's actual state.
+// stall cost, reopening closed nodes whose cost improves (the heuristic is
+// admissible but not consistent).
 func (s *searcher) relax(parent int32, next *stateKey, cost, anchor int, fetches []fetchAction) {
 	s.generated++
 	newG := s.nodes.recs[parent].g + int32(cost)
-	tkey := s.tableKey(next)
-	if idx := s.table.get(&tkey); idx != 0 {
+	if idx := s.table.get(next); idx != 0 {
+		s.dupHits++
 		rec := &s.nodes.recs[idx]
-		if s.dominance && rec.key != *next {
-			s.prunedDom++
-		} else {
-			s.dupHits++
-		}
 		if rec.g <= newG {
 			return
 		}
-		// No incumbent check here: the node passed g + h < incumbent when it
-		// was inserted, and newG is smaller still.  h is invariant across the
-		// dominance class (doc.go), so it is not recomputed on a merge.
-		rec.key = *next
 		rec.g = newG
-		rec.cost = uint16(cost)
 		rec.parent = parent
 		rec.anchor = int32(anchor)
 		rec.fetchOff, rec.fetchCnt = s.saveFetches(fetches)
@@ -644,134 +505,45 @@ func (s *searcher) relax(parent int32, next *stateKey, cost, anchor int, fetches
 		return
 	}
 	h := s.heuristic(next)
-	if s.incumbent >= 0 && int(newG)+int(h) >= s.incumbent {
-		s.pruned++
-		return
-	}
 	fetchOff, fetchCnt := s.saveFetches(fetches)
 	idx := s.nodes.alloc()
 	rec := &s.nodes.recs[idx]
 	rec.key = *next
 	rec.g = newG
 	rec.h = h
-	rec.cost = uint16(cost)
 	rec.parent = parent
 	rec.anchor = int32(anchor)
 	rec.fetchOff, rec.fetchCnt = fetchOff, fetchCnt
-	s.table.put(&tkey, idx)
+	s.table.put(next, idx)
 	s.queue.push(int(newG)+int(h), idx)
 }
 
-// chainStep is one transition of a reconstructed optimal path, in forward
-// (root-to-goal) order.
-type chainStep struct {
-	serve   bool // the step served a request (otherwise it stalled)
-	cost    int  // stall units of the step (0 for a serve step)
-	anchor  int  // requests served when the fetches were initiated
-	minTime int  // wall-clock initiation time of the fetches
-	fetches []fetchAction
-}
-
 // reconstruct rebuilds an optimal schedule by walking parent links from the
-// goal node and replaying the transitions (buildSchedule).
+// goal node and emitting each transition's fetches in root-to-goal order.
 func (s *searcher) reconstruct(goal int32) *core.Schedule {
 	var chain []int32
 	for idx := goal; idx != 0; idx = s.nodes.recs[idx].parent {
 		chain = append(chain, idx)
 	}
-	steps := make([]chainStep, 0, len(chain)-1)
+	sched := &core.Schedule{}
 	for i := len(chain) - 2; i >= 0; i-- {
 		rec := &s.nodes.recs[chain[i]]
 		parent := &s.nodes.recs[chain[i+1]]
-		steps = append(steps, chainStep{
-			serve: rec.key.served == parent.key.served+1,
-			cost:  int(rec.cost),
-			// The wall-clock time at which this transition's fetches were
-			// initiated is the parent's cursor position plus the stall paid
-			// so far; recording it as MinTime pins cross-disk dependencies
-			// (a fetch started right after another disk's completion must
-			// not start earlier when the schedule is replayed).
-			anchor:  int(rec.anchor),
-			minTime: int(parent.key.served) + int(parent.g),
-			fetches: s.fetches[rec.fetchOff : rec.fetchOff+int32(rec.fetchCnt)],
-		})
-	}
-	return s.buildSchedule(steps)
-}
-
-// buildSchedule replays a transition chain from the true initial state and
-// emits the schedule.  With dominance merging, a node's recorded transition
-// was generated from SOME member of its parent's dominance class, which can
-// differ from the replayed state in dead (never-again-referenced) cache and
-// in-flight content; the fetched blocks, disks, and timings are identical
-// across the class, but an eviction victim may be absent.  The repair is
-// total: a recorded dead victim that is missing here is replaced by a free
-// location or by one of this state's own dead residents (one of the two must
-// exist, because the class members' live content and in-flight slot counts
-// agree — see doc.go).  Without dominance the chain is self-consistent and
-// the replay reproduces the historical schedules byte for byte.
-func (s *searcher) buildSchedule(steps []chainStep) *core.Schedule {
-	var cache uint64
-	for _, b := range s.in.InitialCache {
-		cache |= 1 << uint(s.idxOf[b])
-	}
-	var flights [maxDisks]uint16
-	served := 0
-	sched := &core.Schedule{}
-	for _, st := range steps {
-		var inflight uint64
-		for d := 0; d < s.in.Disks; d++ {
-			if flights[d] != 0 {
-				inflight |= 1 << uint(flightBlock(flights[d]))
-			}
-		}
-		free := s.cap - bits.OnesCount64(cache) - bits.OnesCount64(inflight)
-		for _, fa := range st.fetches {
-			victim := fa.victim
-			if victim == freeLocation {
-				if free <= 0 {
-					victim = s.deadResident(cache, served)
-				}
-			} else if cache&(1<<uint(victim)) == 0 {
-				if free > 0 {
-					victim = freeLocation
-				} else {
-					victim = s.deadResident(cache, served)
-				}
-			}
-			if victim >= 0 {
-				cache &^= 1 << uint(victim)
-			} else {
-				free--
-			}
-			flights[fa.disk] = flightOf(fa.block, s.in.F)
+		// The wall-clock time at which this transition's fetches were
+		// initiated is the parent's cursor position plus the stall paid so
+		// far; recording it as MinTime pins cross-disk dependencies (a fetch
+		// started right after another disk's completion must not start
+		// earlier when the schedule is replayed).
+		minTime := int(parent.key.served) + int(parent.g)
+		for _, fa := range s.fetches[rec.fetchOff : rec.fetchOff+int32(rec.fetchCnt)] {
 			evict := core.NoBlock
-			if victim >= 0 {
-				evict = s.blocks[victim]
+			if fa.victim >= 0 {
+				evict = s.blocks[fa.victim]
 			}
-			f := core.NewFetch(fa.disk, st.anchor, s.blocks[fa.block], evict)
-			f.MinTime = st.minTime
+			f := core.NewFetch(fa.disk, int(rec.anchor), s.blocks[fa.block], evict)
+			f.MinTime = minTime
 			sched.Append(f)
-		}
-		delta := 1
-		if !st.serve {
-			delta = st.cost
-		}
-		cache, flights = tick(cache, flights, delta, s.in.Disks)
-		if st.serve {
-			served++
 		}
 	}
 	return sched
-}
-
-// deadResident returns a cached block that is never referenced at or after
-// served.  buildSchedule calls it only when the dominance-class argument
-// guarantees one exists.
-func (s *searcher) deadResident(cache uint64, served int) int {
-	dead := cache &^ s.futureMask[served]
-	if dead == 0 {
-		panic("opt: reconstruction found no dead resident to evict (internal error)")
-	}
-	return bits.TrailingZeros64(dead)
 }

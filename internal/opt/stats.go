@@ -19,15 +19,9 @@ type Counters struct {
 	// Generated counts states produced for relaxation (each search's root
 	// plus every successor produced by an expansion).
 	Generated uint64
-	// PrunedByBound counts successors discarded because g + h reached the
-	// branch-and-bound incumbent.
-	PrunedByBound uint64
 	// DuplicateHits counts successors that were already present in the node
-	// table under the same raw key.
+	// table.
 	DuplicateHits uint64
-	// PrunedByDominance counts successors merged into a bisimilar node under
-	// canonicalized dominance (different raw key, equal canonical key).
-	PrunedByDominance uint64
 	// PeakTable is the largest node-table size seen in any single search.
 	PeakTable uint64
 }
@@ -36,7 +30,7 @@ type Counters struct {
 // may share one.  PeakTable is a running maximum, every other field a sum.
 // The zero value is an empty sink.
 type Stats struct {
-	searches, expanded, generated, pruned, dup, dom, peak atomic.Uint64
+	searches, expanded, generated, dup, peak atomic.Uint64
 }
 
 // Add folds c into the sink: the sums add, PeakTable raises the running
@@ -49,22 +43,18 @@ func (s *Stats) Add(c Counters) {
 	s.searches.Add(c.Searches)
 	s.expanded.Add(c.Expanded)
 	s.generated.Add(c.Generated)
-	s.pruned.Add(c.PrunedByBound)
 	s.dup.Add(c.DuplicateHits)
-	s.dom.Add(c.PrunedByDominance)
 	casMax(&s.peak, c.PeakTable)
 }
 
 // Snapshot returns the sink's current totals.
 func (s *Stats) Snapshot() Counters {
 	return Counters{
-		Searches:          s.searches.Load(),
-		Expanded:          s.expanded.Load(),
-		Generated:         s.generated.Load(),
-		PrunedByBound:     s.pruned.Load(),
-		DuplicateHits:     s.dup.Load(),
-		PrunedByDominance: s.dom.Load(),
-		PeakTable:         s.peak.Load(),
+		Searches:      s.searches.Load(),
+		Expanded:      s.expanded.Load(),
+		Generated:     s.generated.Load(),
+		DuplicateHits: s.dup.Load(),
+		PeakTable:     s.peak.Load(),
 	}
 }
 
@@ -81,12 +71,10 @@ func casMax(c *atomic.Uint64, v uint64) {
 // recordStats folds one search's counters into the caller's sink.
 func (s *searcher) recordStats() {
 	s.opts.Stats.Add(Counters{
-		Searches:          1,
-		Expanded:          uint64(s.expanded),
-		Generated:         uint64(s.generated),
-		PrunedByBound:     uint64(s.pruned),
-		DuplicateHits:     uint64(s.dupHits),
-		PrunedByDominance: uint64(s.prunedDom),
-		PeakTable:         uint64(s.table.count),
+		Searches:      1,
+		Expanded:      uint64(s.expanded),
+		Generated:     uint64(s.generated),
+		DuplicateHits: uint64(s.dupHits),
+		PeakTable:     uint64(s.table.count),
 	})
 }

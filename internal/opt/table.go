@@ -19,8 +19,7 @@ type nodeRec struct {
 	anchor   int32 // requests served when the transition's fetches were initiated
 	fetchOff int32 // offset into the searcher's fetch arena
 	fetchCnt uint16
-	cost     uint16 // stall cost of the incoming transition (reconstruction replay)
-	closed   bool   // expanded at its final cost (cleared again if the node is reopened)
+	closed   bool // expanded at its final cost (cleared again if the node is reopened)
 }
 
 // nodeArena is the flat node store.  Index 0 is a reserved dummy so that 0

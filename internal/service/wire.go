@@ -98,18 +98,20 @@ type LPInfo struct {
 
 // OptInfo reports the exact-search work behind an opt schedule.
 type OptInfo struct {
-	Expanded          int `json:"expanded"`
-	Generated         int `json:"generated"`
-	PrunedByBound     int `json:"pruned_by_bound"`
-	DuplicateHits     int `json:"duplicate_hits"`
-	PrunedByDominance int `json:"pruned_by_dominance"`
-	// LandmarkHits is always 0 (the landmark bound is gone); it stays for
-	// the wire format.
-	LandmarkHits  int    `json:"landmark_hits"`
-	PeakTable     int    `json:"peak_table"`
-	SeedAlgorithm string `json:"seed_algorithm,omitempty"`
-	SeedStall     int    `json:"seed_stall"`
-	SeedOptimal   bool   `json:"seed_optimal"`
+	Expanded  int `json:"expanded"`
+	Generated int `json:"generated"`
+	// PrunedByBound, PrunedByDominance and LandmarkHits are always 0, and
+	// SeedAlgorithm, SeedStall and SeedOptimal always empty, 0 and false:
+	// the incumbent, dominance and landmark layers they reported on are
+	// gone.  They stay for the wire format.
+	PrunedByBound     int    `json:"pruned_by_bound"`
+	DuplicateHits     int    `json:"duplicate_hits"`
+	PrunedByDominance int    `json:"pruned_by_dominance"`
+	LandmarkHits      int    `json:"landmark_hits"`
+	PeakTable         int    `json:"peak_table"`
+	SeedAlgorithm     string `json:"seed_algorithm,omitempty"`
+	SeedStall         int    `json:"seed_stall"`
+	SeedOptimal       bool   `json:"seed_optimal"`
 }
 
 // ScheduleResponse is the outcome of one schedule request.  Responses are
@@ -262,13 +264,11 @@ func lpCountersWire(c lp.Counters) LPCountersWire {
 // optCountersWire converts an opt.Counters snapshot to its wire form.
 func optCountersWire(c opt.Counters) OptCountersWire {
 	w := OptCountersWire{
-		Searches:          c.Searches,
-		Expanded:          c.Expanded,
-		Generated:         c.Generated,
-		PrunedByBound:     c.PrunedByBound,
-		DuplicateHits:     c.DuplicateHits,
-		PrunedByDominance: c.PrunedByDominance,
-		PeakTable:         c.PeakTable,
+		Searches:      c.Searches,
+		Expanded:      c.Expanded,
+		Generated:     c.Generated,
+		DuplicateHits: c.DuplicateHits,
+		PeakTable:     c.PeakTable,
 	}
 	if c.Searches > 0 {
 		w.Workers = 1
@@ -279,16 +279,17 @@ func optCountersWire(c opt.Counters) OptCountersWire {
 // OptCountersWire mirrors opt.Counters with the stable JSON names of the
 // trajectory format.
 type OptCountersWire struct {
-	Searches          uint64 `json:"searches"`
-	Expanded          uint64 `json:"expanded"`
-	Generated         uint64 `json:"generated"`
+	Searches  uint64 `json:"searches"`
+	Expanded  uint64 `json:"expanded"`
+	Generated uint64 `json:"generated"`
+	// PrunedByBound, PrunedByDominance and LandmarkHits are always 0: the
+	// incumbent, dominance and landmark layers they counted are gone.  They
+	// stay until the trajectory format drops them.
 	PrunedByBound     uint64 `json:"pruned_by_bound"`
 	DuplicateHits     uint64 `json:"duplicate_hits"`
 	PrunedByDominance uint64 `json:"pruned_by_dominance"`
-	// LandmarkHits is always 0 (the landmark bound is gone); it stays until
-	// the trajectory format drops it.
-	LandmarkHits uint64 `json:"landmark_hits"`
-	PeakTable    uint64 `json:"peak_table"`
+	LandmarkHits      uint64 `json:"landmark_hits"`
+	PeakTable         uint64 `json:"peak_table"`
 	// Workers is 1 when the block counted any search, else 0, and
 	// WorkerExpanded is always 0: every search runs on one goroutine.  Both
 	// stay until the trajectory format drops them.

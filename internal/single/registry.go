@@ -42,25 +42,6 @@ func Algorithms() []Algorithm {
 	}
 }
 
-// BoundSeeds returns the algorithms whose schedules seed the branch-and-bound
-// incumbent of the exact search in package opt: the three greedy strategies
-// with provable approximation guarantees (Aggressive, Conservative and
-// Delay(d0)).  Every schedule they produce is feasible, so its executed stall
-// time is an upper bound on the optimal stall time.  The demand-paging
-// baselines are omitted: they are never cheaper than Aggressive on any
-// instance, so they cannot tighten the bound.
-func BoundSeeds() []Algorithm {
-	var out []Algorithm
-	for _, name := range []string{"aggressive", "conservative", "delay:auto"} {
-		a, err := ByName(name)
-		if err != nil {
-			continue // unreachable: the names above are registered
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // ByName resolves an algorithm by name.  Recognised names are "aggressive",
 // "conservative", "combination", "delay:auto", "delay:<d>" for a non-negative
 // integer d, "online:<w>" (Aggressive with a lookahead window of w requests),

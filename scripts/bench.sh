@@ -4,7 +4,8 @@
 # and without wall times (-stable) so the tables are byte-reproducible, plus
 # a `timings` block of wall-clock ns/op figures for the solver and search
 # benchmarks (BenchmarkRevisedSolve*, BenchmarkBatchSolve*,
-# BenchmarkModelBatch*, BenchmarkOptSearch*) plus the incremental-path pairs
+# BenchmarkModelBatch*, and BenchmarkOptSearch{AStar,Dijkstra}*: the exact
+# engine and its blind reference) plus the incremental-path pairs
 # (BenchmarkDualResolve*, BenchmarkModelExtendResolve/BenchmarkModelColdResolve,
 # BenchmarkReplayIncrementalStep/BenchmarkReplayColdStep — the last pair's
 # ratio is the trace-replay speedup pcbench -replay reports), plus the
