@@ -149,10 +149,12 @@
 // basis is factored before the first pivot, so every solve walked all of
 // the factor's steps, identities included.  The sparse solves of Basis took
 // its time from a median of 17.8 ms to 13.0 ms with the same 359 pivots
-// (five alternating runs on 2 vCPUs).  These figures predate lpmodel's
-// single dummy, which carries all of S_init's dummies in one fetch and one
-// evict column per interval; on that smaller program the benchmark takes
-// 338 pivots, 127 of them in phase one.
+// (five alternating runs on 2 vCPUs).  These figures predate three changes
+// to lpmodel's program: a single dummy carries all of S_init's dummies, the
+// columns no schedule can use are left out, and each interval lists its
+// fetch and eviction columns in the paper's normal form (lpmodel's doc,
+// "Column order").  On today's program the benchmark takes 199 pivots, 102
+// of them in phase one (341 and 123 with the columns in block order).
 //
 // The triangular pass runs on the cold path only.  A dual transplant keeps
 // load's columns in the appended rows (see Dual re-optimization), and

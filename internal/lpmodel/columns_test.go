@@ -1,6 +1,8 @@
 package lpmodel
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -162,4 +164,117 @@ func TestOmittedColumnsKeepOptimum(t *testing.T) {
 		t.Fatalf("coverage: %d omitted fetches, %d omitted evictions, trials per D %v", fetches, evictions, disks)
 	}
 	t.Logf("omitted columns added back: %d fetches, %d evictions; trials per D %v", fetches, evictions, disks)
+}
+
+// checkColumnOrder fails unless every interval's fetch and eviction columns
+// follow the normal form's order (doc.go, "Column order").  An interval's
+// columns are made with it, against the n requests the program then has:
+// n0 for a built interval, End for one an extension added.  Among them the
+// fetch columns come first, by rising next request of their block at or
+// after the interval's start, then the eviction columns, by falling next
+// request, a block not requested again among those n counting as furthest,
+// ties in block order; each interval's columns follow the previous
+// interval's.  A fetch column a later request re-opens (one whose block is
+// not requested again among those n) comes after all of them, in the order
+// of the requests that re-open them.  The next requests are read from the
+// sequence, not from the model's index.  It returns the number of
+// intervals with two or more fetch columns made with them and with two or
+// more eviction columns, and the number of re-opened fetch columns.
+func checkColumnOrder(t *testing.T, what string, m *Model, n0 int) (fetchRuns, evictRuns, reopened int) {
+	t.Helper()
+	seq := m.In.Seq
+	nextIn := func(b core.BlockID, from, to int) int {
+		for p := from; p < to; p++ {
+			if seq[p] == b {
+				return p
+			}
+		}
+		return core.NoRef
+	}
+	type col struct{ v, bi, next int }
+	last := -1 // the last column made with the previous interval
+	for idx, iv := range m.Intervals {
+		n := max(n0, iv.End) // the requests the program had when iv was made
+		var fetches, evictions, later []col
+		for bi, b := range m.Blocks {
+			next := nextIn(b, iv.Start, n)
+			if v := m.fetchVar(idx, bi); v != noVar {
+				if next == core.NoRef {
+					later = append(later, col{v, bi, nextIn(b, iv.Start, len(seq))})
+				} else {
+					fetches = append(fetches, col{v, bi, next})
+				}
+			}
+			if v := m.evictVar(idx, bi); v != noVar {
+				evictions = append(evictions, col{v, bi, next})
+			}
+		}
+		slices.SortFunc(fetches, func(a, b col) int { return cmp.Or(cmp.Compare(a.next, b.next), cmp.Compare(a.bi, b.bi)) })
+		slices.SortFunc(evictions, func(a, b col) int { return cmp.Or(cmp.Compare(b.next, a.next), cmp.Compare(a.bi, b.bi)) })
+		slices.SortFunc(later, func(a, b col) int { return cmp.Compare(a.next, b.next) })
+		own := append(fetches, evictions...) // the columns made with iv
+		if len(own) > 0 {
+			if own[0].v <= last {
+				t.Fatalf("%s: interval %v's first column %d does not follow the previous interval's last, %d", what, iv, own[0].v, last)
+			}
+			last = own[len(own)-1].v
+		}
+		want := append(own, later...)
+		for i := 1; i < len(want); i++ {
+			if want[i].v <= want[i-1].v {
+				t.Fatalf("%s: interval %v: column %d of block %v (next request %d) comes after column %d of block %v (next request %d); want fetches by rising next request, then evictions by falling next request, ties in block order, then re-opened fetches: %v",
+					what, iv, want[i].v, m.Blocks[want[i].bi], want[i].next, want[i-1].v, m.Blocks[want[i-1].bi], want[i-1].next, want)
+			}
+		}
+		if len(fetches) > 1 {
+			fetchRuns++
+		}
+		if len(evictions) > 1 {
+			evictRuns++
+		}
+		reopened += len(later)
+	}
+	return fetchRuns, evictRuns, reopened
+}
+
+// TestColumnOrderFollowsNormalForm checks the order in which the program
+// lists each interval's columns (checkColumnOrder) on random instances with
+// D 1-3 and empty, partial and full initial caches, as built and after each
+// of three Extend steps, which add intervals with their columns and re-open
+// the fetch columns of the trailing gaps their requests close.
+func TestColumnOrderFollowsNormalForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(2727))
+	var fetchRuns, evictRuns, reopened int
+	disks := map[int]int{}
+	for trial := 0; trial < 60; trial++ {
+		in := dummyInstance(rng, trial%3)
+		disks[in.Disks]++
+		n0 := in.N()
+		known := in.Blocks()
+		m, err := Build(in)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for step := 0; step <= 3; step++ {
+			if step > 0 {
+				reqs := make([]core.BlockID, 1+rng.Intn(3))
+				for i := range reqs {
+					reqs[i] = known[rng.Intn(len(known))]
+				}
+				if err := m.Extend(reqs...); err != nil {
+					t.Fatalf("trial %d: extend %v: %v", trial, reqs, err)
+				}
+			}
+			f, e, r := checkColumnOrder(t, fmt.Sprintf("trial %d step %d (D=%d, |S_init|=%d)", trial, step, in.Disks, len(in.InitialCache)), m, n0)
+			fetchRuns += f
+			evictRuns += e
+			reopened += r
+		}
+	}
+	if fetchRuns == 0 || evictRuns == 0 || reopened == 0 || len(disks) != 3 {
+		t.Fatalf("coverage: %d intervals with several fetches, %d with several evictions, %d re-opened fetches, trials per D %v",
+			fetchRuns, evictRuns, reopened, disks)
+	}
+	t.Logf("summed over every check: %d intervals with several fetches, %d with several evictions, %d re-opened fetches; trials per D %v",
+		fetchRuns, evictRuns, reopened, disks)
 }

@@ -119,40 +119,58 @@ func sample(m *Model, frac *Fractional, idxs []int, dist []float64, total, t flo
 }
 
 // rounding is the working state extractSchedule reuses across every
-// candidate of one Extract: the instance, its request index, and buffers
-// indexed by a block's position in blocks (the model's Blocks, ascending).
+// candidate of one Extract: the instance, and tables indexed by a block's
+// position in blocks (the model's Blocks, ascending) or by request position,
+// built once so that no candidate looks a disk or a next request up in a
+// map.
 type rounding struct {
 	in      *core.Instance
-	ix      *core.Index
 	blocks  []core.BlockID
+	disk    []int  // disk of each block position
+	first   []int  // first request of each block position (core.NoRef: none)
 	seqPos  []int  // position in blocks of each request's block
+	after   []int  // next request of each request's block after it (core.NoRef: none)
+	next    []int  // next request of each block position at or after request at
+	at      int    // the request position next describes (see seek)
 	planned []bool // planned to be resident
 	fetched []bool // fetched by the batch being planned
 	cands   []fetchCand
-	victims []core.BlockID // furthestResidentRef's candidates
 }
 
-// fetchCand is one disk's fetch candidate in a sampled batch.
+// fetchCand is one disk's fetch candidate in a sampled batch: the block's
+// position and its next request.
 type fetchCand struct {
-	disk  int
-	block core.BlockID
-	ref   int
+	disk int
+	bp   int
+	ref  int
 }
 
 // newRounding returns the rounding state of m's instance.
 func newRounding(m *Model) *rounding {
 	in := m.In
+	nb, n := len(m.Blocks), len(in.Seq)
 	r := &rounding{
 		in:      in,
-		ix:      core.NewIndex(in.Seq),
 		blocks:  m.Blocks,
-		seqPos:  make([]int, len(in.Seq)),
-		planned: make([]bool, len(m.Blocks)),
-		fetched: make([]bool, len(m.Blocks)),
+		disk:    make([]int, nb),
+		first:   make([]int, nb),
+		seqPos:  make([]int, n),
+		after:   make([]int, n),
+		next:    make([]int, nb),
+		planned: make([]bool, nb),
+		fetched: make([]bool, nb),
 	}
-	for p, b := range in.Seq {
-		r.seqPos[p] = r.pos(b)
+	for bp, b := range m.Blocks {
+		r.disk[bp] = m.blockDisk(b)
+		r.first[bp] = core.NoRef
 	}
+	for p := n - 1; p >= 0; p-- {
+		bp := r.pos(in.Seq[p])
+		r.seqPos[p] = bp
+		r.after[p] = r.first[bp]
+		r.first[bp] = p
+	}
+	copy(r.next, r.first)
 	return r
 }
 
@@ -160,6 +178,20 @@ func newRounding(m *Model) *rounding {
 func (r *rounding) pos(b core.BlockID) int {
 	i, _ := slices.BinarySearch(r.blocks, b)
 	return i
+}
+
+// seek moves the next-request cursor to request position pos: afterwards
+// next[bp] is the first request of block position bp at or after pos.  A
+// rounding's sampled intervals come in timeline order, whose starts never
+// fall, so it moves the cursor over each request once.
+func (r *rounding) seek(pos int) {
+	if pos < r.at {
+		copy(r.next, r.first)
+		r.at = 0
+	}
+	for ; r.at < pos; r.at++ {
+		r.next[r.seqPos[r.at]] = r.after[r.at]
+	}
 }
 
 // extractSchedule turns a sampled interval multiset into a concrete schedule:
@@ -175,27 +207,28 @@ func (r *rounding) pos(b core.BlockID) int {
 // a pair (see earliestMissingOnDisk).  passed reports whether it ever did;
 // when it did not, the schedule is the first rounding's.
 func (r *rounding) extractSchedule(samples []sampledInterval, budget int, skipInside bool) (sched *core.Schedule, passed bool) {
-	in, ix := r.in, r.ix
+	in := r.in
 	clear(r.planned)
 	for _, b := range in.InitialCache {
 		r.planned[r.pos(b)] = true
 	}
+	r.seek(0)
 	resident := len(in.InitialCache)
 	sched = &core.Schedule{}
 	for _, s := range samples {
-		pos := s.iv.Start // 0-based position of the first request after the interval opens
+		r.seek(s.iv.Start) // the first request after the interval opens
 		// Collect the per-disk fetch candidates and handle the most urgent
 		// one first, so that blocks needed soon claim free cache locations
 		// and safe victims before blocks that could wait for a later
 		// interval.
 		cands := r.cands[:0]
 		for d := 0; d < in.Disks; d++ {
-			b, skipped := r.earliestMissingOnDisk(d, s.iv, skipInside)
+			bp, skipped := r.earliestMissingOnDisk(d, s.iv, skipInside)
 			passed = passed || skipped
-			if b == core.NoBlock {
+			if bp < 0 {
 				continue
 			}
-			cands = append(cands, fetchCand{disk: d, block: b, ref: ix.NextAt(b, pos)})
+			cands = append(cands, fetchCand{disk: d, bp: bp, ref: r.next[bp]})
 		}
 		r.cands = cands
 		slices.SortFunc(cands, func(a, b fetchCand) int {
@@ -210,8 +243,8 @@ func (r *rounding) extractSchedule(samples []sampledInterval, budget int, skipIn
 		for _, c := range cands {
 			evict := core.NoBlock
 			if resident >= budget {
-				victim, victimRef := r.furthestResidentRef(pos)
-				if victim == core.NoBlock {
+				victim, victimRef := r.furthestResident()
+				if victim < 0 {
 					continue
 				}
 				if victimRef < c.ref {
@@ -220,61 +253,60 @@ func (r *rounding) extractSchedule(samples []sampledInterval, budget int, skipIn
 					// help; a later interval handles this block.
 					continue
 				}
-				evict = victim
-				r.planned[r.pos(evict)] = false
+				evict = r.blocks[victim]
+				r.planned[victim] = false
 				resident--
 			}
-			bp := r.pos(c.block)
-			r.planned[bp] = true
-			r.fetched[bp] = true
+			r.planned[c.bp] = true
+			r.fetched[c.bp] = true
 			resident++
-			sched.Append(core.NewFetch(c.disk, s.iv.Start, c.block, evict))
+			sched.Append(core.NewFetch(c.disk, s.iv.Start, r.blocks[c.bp], evict))
 		}
 		for _, c := range cands {
-			r.fetched[r.pos(c.block)] = false
+			r.fetched[c.bp] = false
 		}
 	}
 	return sched, passed
 }
 
-// earliestMissingOnDisk returns the block on disk d, not yet planned to be
-// resident, whose next reference after the sampled interval iv opens is
-// earliest; NoBlock if every future request on disk d is covered.  With
-// skipInside it passes over every block requested strictly inside iv, and
-// skipped reports whether it passed over any.  A fetch of such a block in
-// iv completes only after that request, which stalls for it; the program
-// has no fetch variable for the pair, and an interval nested inside iv (one
-// the LP may also use, say when iv is a pure scratch fetch) may be where
-// the block belongs.
-func (r *rounding) earliestMissingOnDisk(d int, iv Interval, skipInside bool) (core.BlockID, bool) {
-	pos := iv.Start // 0-based position of the first request after iv opens
+// earliestMissingOnDisk returns the position of the block on disk d, not yet
+// planned to be resident, whose next reference after the sampled interval iv
+// opens is earliest; -1 if every future request on disk d is covered.  The
+// cursor must stand at iv's start (seek).  With skipInside it passes over
+// every block requested strictly inside iv, and skipped reports whether it
+// passed over any.  A fetch of such a block in iv completes only after that
+// request, which stalls for it; the program has no fetch variable for the
+// pair, and an interval nested inside iv (one the LP may also use, say when
+// iv is a pure scratch fetch) may be where the block belongs.
+func (r *rounding) earliestMissingOnDisk(d int, iv Interval, skipInside bool) (int, bool) {
 	skipped := false
-	for p := pos; p < r.in.N(); p++ {
-		b := r.in.Seq[p]
-		if r.in.Disk(b) != d || r.planned[r.seqPos[p]] {
+	for p := iv.Start; p < len(r.seqPos); p++ {
+		bp := r.seqPos[p]
+		if r.disk[bp] != d || r.planned[bp] {
 			continue
 		}
-		if skipInside && iv.ContainsRequest(r.ix.NextAt(b, pos)+1) {
+		if skipInside && iv.ContainsRequest(r.next[bp]+1) {
 			skipped = true
 			continue
 		}
-		return b, skipped
+		return bp, skipped
 	}
-	return core.NoBlock, skipped
+	return -1, skipped
 }
 
-// furthestResidentRef returns the planned-resident block, not fetched by the
-// batch being planned, whose next reference at or after pos is furthest in
-// the future, together with that reference.
-func (r *rounding) furthestResidentRef(pos int) (core.BlockID, int) {
-	cands := r.victims[:0]
-	for p, b := range r.blocks {
-		if r.planned[p] && !r.fetched[p] {
-			cands = append(cands, b)
+// furthestResident returns the position of the planned-resident block, not
+// fetched by the batch being planned, whose next reference at or after the
+// cursor is furthest in the future (core.NoRef, never requested again, is
+// furthest; the lowest block wins a tie), together with that reference; -1
+// when there is none.
+func (r *rounding) furthestResident() (int, int) {
+	best, bestRef := -1, -1
+	for bp, ref := range r.next {
+		if r.planned[bp] && !r.fetched[bp] && ref > bestRef {
+			best, bestRef = bp, ref
 		}
 	}
-	r.victims = cands
-	return r.ix.FurthestNext(cands, pos)
+	return best, bestRef
 }
 
 // evaluate runs the schedule on the real instance.  The evictions planned

@@ -2,6 +2,7 @@ package lpmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"pfcache/internal/core"
 	"pfcache/internal/lp"
@@ -79,6 +80,11 @@ type Model struct {
 	startOff []int
 
 	gapBuf []int // scratch for gapIntervals
+
+	// Column-order scratch for addBlockColumns: one sort key per fetch and
+	// per eviction column of the interval being added.
+	fetchOrder []int
+	evictOrder []int
 
 	// Trace-extension bookkeeping (see extend.go).  Build records, per block
 	// position, the 1-based request number of the block's last reference
@@ -279,35 +285,55 @@ func (m *Model) evictCap(bi int) float64 {
 }
 
 // columns reports which of block b's fetch and eviction columns interval iv
-// gets.  A block requested strictly inside iv gets neither (the paper's
-// constraint that a block is not fetched or evicted while it is being
-// referenced).  Otherwise iv lies in one gap between b's requests, and b
-// gets a fetch column only when a later request closes that gap, and an
+// gets, and b's next request at or after iv's start (a 0-based position, or
+// core.NoRef).  A block requested strictly inside iv gets neither (the
+// paper's constraint that a block is not fetched or evicted while it is
+// being referenced).  Otherwise iv lies in one gap between b's requests, and
+// b gets a fetch column only when a later request closes that gap, and an
 // eviction column unless the gap is the one before the first request of a
 // block that does not start in cache.  The columns left out carry no
 // schedule: doc.go shows that the feasible x-set stays the same.
-func (m *Model) columns(b core.BlockID, iv Interval) (fetch, evict bool) {
+func (m *Model) columns(b core.BlockID, iv Interval) (fetch, evict bool, next int) {
 	// References use 1-based request numbers: position p is request p+1.
-	next := m.ix.NextAt(b, iv.Start) // first reference at 0-based position >= Start
+	next = m.ix.NextAt(b, iv.Start) // first reference at 0-based position >= Start
 	if next != core.NoRef && iv.ContainsRequest(next+1) {
-		return false, false
+		return false, false, next
 	}
-	return next != core.NoRef, m.initial[b] || m.ix.First(b) < iv.Start
+	return next != core.NoRef, m.initial[b] || m.ix.First(b) < iv.Start, next
 }
 
 // addBlockColumns adds the fetch and eviction columns of interval iv, whose
-// per-block entries start at base in fVar and eVar.
+// per-block entries start at base in fVar and eVar, in the paper's normal
+// form (doc.go, "Column order"): the fetches by ascending next request of
+// their block, then the evictions by descending next request, a block never
+// requested again counting as furthest, and ties in block order.
 func (m *Model) addBlockColumns(base int, iv Interval) {
+	// Each column gets the key rank*nb + bi, so that sorting the keys
+	// orders the columns by rank, then by block.  A fetch ranks by its
+	// block's next request, an eviction by n minus it, so the furthest
+	// comes first; a block not requested again counts as requested at n.
+	n, nb := m.In.N(), len(m.Blocks)
+	fetches, evictions := m.fetchOrder[:0], m.evictOrder[:0]
 	for bi, b := range m.Blocks {
-		fetch, evict := m.columns(b, iv)
+		fetch, evict, next := m.columns(b, iv)
 		m.fVar[base+bi], m.eVar[base+bi] = noVar, noVar
+		next = min(next, n)
 		if fetch {
-			m.fVar[base+bi] = m.Problem.AddVariable(0)
+			fetches = append(fetches, next*nb+bi)
 		}
 		if evict {
-			m.eVar[base+bi] = m.Problem.AddVariable(0)
+			evictions = append(evictions, (n-next)*nb+bi)
 		}
 	}
+	slices.Sort(fetches)
+	slices.Sort(evictions)
+	for _, key := range fetches {
+		m.fVar[base+key%nb] = m.Problem.AddVariable(0)
+	}
+	for _, key := range evictions {
+		m.eVar[base+key%nb] = m.Problem.AddVariable(0)
+	}
+	m.fetchOrder, m.evictOrder = fetches, evictions
 }
 
 // addBoundaryConstraints adds, for every request boundary q in [1, n-1], the

@@ -86,16 +86,18 @@ func replays(t *testing.T, what string, in *core.Instance, sched *core.Schedule,
 
 // TestExtractedSchedulesReplay is the replay property of the Theorem 4
 // pipeline over lp-cold's first block (D = 1, 2 and 3) and E7's n=22
-// instances (seeds 900-903, D = 2 and 3, and seed 1005, D = 3), solved on
-// the served engine: the schedule Extract returns, and every feasible
-// candidate of every extraction tier (start and end offsets, at the k+(D-1)
-// and k+2(D-1) planning budgets) under both roundings, replays through
-// sim.Run to exactly the stall and extra cache it was costed at, unpinned
-// and with every fetch pinned to its start.  The end offsets add at most
-// one candidate, the fractional part of the timeline's length, since every
-// other interval ends where the next one starts.  No lp-cold instance has
-// one, nor does any vertex of seeds 900-903; seed 1005's at D = 3 gives a
-// feasible end-offset candidate in all four end tiers.
+// instances (seeds 900-903, D = 2 and 3, and seeds 1005 and 1499, D = 3),
+// solved on the served engine: the schedule Extract returns, and every
+// feasible candidate of every extraction tier (start and end offsets, at the
+// k+(D-1) and k+2(D-1) planning budgets) under both roundings, replays
+// through sim.Run to exactly the stall and extra cache it was costed at,
+// unpinned and with every fetch pinned to its start.  The end offsets add at
+// most one candidate, the fractional part of the timeline's length, since
+// every other interval ends where the next one starts.  No lp-cold instance
+// has one, nor does any vertex of seeds 900-903.  Seed 1499's vertex at
+// D = 3 gives a feasible end-offset candidate in all four end tiers.  Seed
+// 1005's did too under the block-ordered columns of an earlier program; it
+// stays as one more D = 3 instance.
 func TestExtractedSchedulesReplay(t *testing.T) {
 	instances := lpColdBlock(1)
 	for seed := int64(900); seed <= 903; seed++ {
@@ -103,7 +105,9 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 			instances = append(instances, workload.Instance(workload.Uniform(22, 10, seed), 4, 4, d, workload.AssignStripe, 0))
 		}
 	}
-	instances = append(instances, workload.Instance(workload.Uniform(22, 10, 1005), 4, 4, 3, workload.AssignStripe, 0))
+	for _, seed := range []int64{1005, 1499} {
+		instances = append(instances, workload.Instance(workload.Uniform(22, 10, seed), 4, 4, 3, workload.AssignStripe, 0))
+	}
 	disks := map[int]int{}
 	tiers := make([]int, 8) // the four tiers under the first rounding, then the second
 	pinned := 0
