@@ -99,18 +99,6 @@ func (in *Instance) Blocks() []BlockID {
 	return out
 }
 
-// BlocksOnDisk returns the blocks of the instance residing on disk d, in
-// increasing BlockID order.
-func (in *Instance) BlocksOnDisk(d int) []BlockID {
-	var out []BlockID
-	for _, b := range in.Blocks() {
-		if in.Disk(b) == d {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // Validate checks the structural invariants of the instance: positive cache
 // size and fetch time, at least one disk, every block assigned to a valid
 // disk, an initial cache that fits, and no duplicate initial blocks.

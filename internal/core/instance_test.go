@@ -72,12 +72,6 @@ func TestMultiDiskConstructorAndQueries(t *testing.T) {
 	if got := in.Blocks(); !reflect.DeepEqual(got, []BlockID{0, 1, 2, 3}) {
 		t.Errorf("Blocks = %v", got)
 	}
-	if got := in.BlocksOnDisk(0); !reflect.DeepEqual(got, []BlockID{0, 1}) {
-		t.Errorf("BlocksOnDisk(0) = %v", got)
-	}
-	if got := in.BlocksOnDisk(1); !reflect.DeepEqual(got, []BlockID{2, 3}) {
-		t.Errorf("BlocksOnDisk(1) = %v", got)
-	}
 	md := MultiDisk(in.Seq, 3, 2, 2, in.DiskOf)
 	if err := md.Validate(); err != nil {
 		t.Fatalf("MultiDisk invalid: %v", err)

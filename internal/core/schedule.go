@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -77,26 +76,6 @@ func (s *Schedule) Clone() *Schedule {
 	out := &Schedule{Fetches: make([]Fetch, len(s.Fetches))}
 	copy(out.Fetches, s.Fetches)
 	return out
-}
-
-// PerDisk splits the schedule into per-disk fetch lists, preserving order.
-func (s *Schedule) PerDisk(disks int) [][]Fetch {
-	out := make([][]Fetch, disks)
-	for _, f := range s.Fetches {
-		if f.Disk >= 0 && f.Disk < disks {
-			out[f.Disk] = append(out[f.Disk], f)
-		}
-	}
-	return out
-}
-
-// SortByAnchor stably sorts the fetches by their After anchor.  Fetches with
-// equal anchors keep their relative order, so per-disk execution order is
-// preserved for fetches that were already anchor-ordered.
-func (s *Schedule) SortByAnchor() {
-	sort.SliceStable(s.Fetches, func(i, j int) bool {
-		return s.Fetches[i].After < s.Fetches[j].After
-	})
 }
 
 // Validate performs static checks against an instance: every fetched block

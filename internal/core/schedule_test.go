@@ -32,31 +32,12 @@ func TestScheduleBasics(t *testing.T) {
 	if s.Fetches[0].Block == 9 {
 		t.Fatalf("Clone aliases the original")
 	}
-	per := s.PerDisk(2)
-	if len(per[0]) != 1 || len(per[1]) != 1 {
-		t.Fatalf("PerDisk split wrong: %v", per)
-	}
 	if !strings.Contains(s.String(), "disk1@2") {
 		t.Errorf("String = %q", s.String())
 	}
 	empty := &Schedule{}
 	if empty.String() != "(empty schedule)" {
 		t.Errorf("empty String = %q", empty.String())
-	}
-}
-
-func TestScheduleSortByAnchor(t *testing.T) {
-	s := &Schedule{}
-	s.Append(NewFetch(0, 5, 1, NoBlock))
-	s.Append(NewFetch(0, 2, 2, NoBlock))
-	s.Append(NewFetch(1, 2, 3, NoBlock))
-	s.SortByAnchor()
-	if s.Fetches[0].After != 2 || s.Fetches[2].After != 5 {
-		t.Fatalf("SortByAnchor order wrong: %v", s.Fetches)
-	}
-	// Stability: the two anchor-2 fetches keep their relative order.
-	if s.Fetches[0].Block != 2 || s.Fetches[1].Block != 3 {
-		t.Fatalf("SortByAnchor not stable: %v", s.Fetches)
 	}
 }
 

@@ -150,12 +150,6 @@ func (ix *Index) NextAt(b BlockID, pos int) int {
 	return occ[i]
 }
 
-// NextAfter returns the smallest position > pos at which block b is
-// referenced, or NoRef if there is none.
-func (ix *Index) NextAfter(b BlockID, pos int) int {
-	return ix.NextAt(b, pos+1)
-}
-
 // LastBefore returns the largest position < pos at which block b is
 // referenced, or -1 if there is none.
 func (ix *Index) LastBefore(b BlockID, pos int) int {
@@ -171,10 +165,6 @@ func (ix *Index) LastBefore(b BlockID, pos int) int {
 // is never referenced.
 func (ix *Index) First(b BlockID) int { return ix.NextAt(b, 0) }
 
-// Last returns the position of the last reference to block b, or -1 if b is
-// never referenced.
-func (ix *Index) Last(b BlockID) int { return ix.LastBefore(b, len(ix.seq)) }
-
 // FurthestNext returns, among the candidate blocks, one whose next reference
 // at or after pos is furthest in the future (ties broken by smaller BlockID
 // for determinism) together with that reference position.  Blocks that are
@@ -186,25 +176,6 @@ func (ix *Index) FurthestNext(candidates []BlockID, pos int) (BlockID, int) {
 	for _, b := range candidates {
 		ref := ix.NextAt(b, pos)
 		if best == NoBlock || ref > bestRef || (ref == bestRef && b < best) {
-			best, bestRef = b, ref
-		}
-	}
-	return best, bestRef
-}
-
-// EarliestNext returns, among the candidate blocks, one whose next reference
-// at or after pos is earliest (ties broken by smaller BlockID), together with
-// that position.  It returns NoBlock if candidates is empty or none of the
-// candidates is referenced again.
-func (ix *Index) EarliestNext(candidates []BlockID, pos int) (BlockID, int) {
-	best := NoBlock
-	bestRef := NoRef
-	for _, b := range candidates {
-		ref := ix.NextAt(b, pos)
-		if ref == NoRef {
-			continue
-		}
-		if best == NoBlock || ref < bestRef || (ref == bestRef && b < best) {
 			best, bestRef = b, ref
 		}
 	}

@@ -98,12 +98,6 @@ func TestIndexBasics(t *testing.T) {
 	if got := ix.NextAt(0, 1); got != 2 {
 		t.Errorf("NextAt(a,1) = %d, want 2", got)
 	}
-	if got := ix.NextAfter(0, 2); got != 5 {
-		t.Errorf("NextAfter(a,2) = %d, want 5", got)
-	}
-	if got := ix.NextAfter(0, 5); got != NoRef {
-		t.Errorf("NextAfter(a,5) = %d, want NoRef", got)
-	}
 	if got := ix.NextAt(2, 4); got != NoRef {
 		t.Errorf("NextAt(c,4) = %d, want NoRef", got)
 	}
@@ -116,20 +110,17 @@ func TestIndexBasics(t *testing.T) {
 	if got := ix.First(2); got != 3 {
 		t.Errorf("First(c) = %d, want 3", got)
 	}
-	if got := ix.Last(1); got != 4 {
-		t.Errorf("Last(b) = %d, want 4", got)
-	}
 	if got := ix.First(99); got != NoRef {
 		t.Errorf("First(unknown) = %d, want NoRef", got)
-	}
-	if got := ix.Last(99); got != -1 {
-		t.Errorf("Last(unknown) = %d, want -1", got)
 	}
 	if got := ix.Blocks(); !reflect.DeepEqual(got, []BlockID{0, 1, 2}) {
 		t.Errorf("Blocks = %v", got)
 	}
 }
 
+// TestIndexFurthestAndEarliest checks that FurthestNext picks the candidate
+// whose next reference comes last, over every earlier one, counts a block
+// never referenced again as furthest, and returns NoBlock for no candidates.
 func TestIndexFurthestAndEarliest(t *testing.T) {
 	seq, _ := ParseSequence("a b c a b d")
 	ix := NewIndex(seq)
@@ -138,19 +129,10 @@ func TestIndexFurthestAndEarliest(t *testing.T) {
 	if b != 3 || ref != 5 {
 		t.Errorf("FurthestNext = %v@%d, want b3@5", b, ref)
 	}
-	b, ref = ix.EarliestNext([]BlockID{0, 2, 3}, 1)
-	if b != 2 || ref != 2 {
-		t.Errorf("EarliestNext = %v@%d, want b2@2", b, ref)
-	}
 	// Blocks never referenced again are "furthest".
 	b, ref = ix.FurthestNext([]BlockID{0, 1}, 5)
 	if b != 0 || ref != NoRef {
 		t.Errorf("FurthestNext past end = %v@%d, want b0@NoRef", b, ref)
-	}
-	// EarliestNext skips blocks that are never referenced again.
-	b, _ = ix.EarliestNext([]BlockID{0, 1, 2}, 6)
-	if b != NoBlock {
-		t.Errorf("EarliestNext past end = %v, want NoBlock", b)
 	}
 	b, _ = ix.FurthestNext(nil, 0)
 	if b != NoBlock {

@@ -35,7 +35,7 @@ func TestNumericInjectorCadence(t *testing.T) {
 	solver := lp.NewSolver()
 	faulted := 0
 	for i := 1; i <= 9; i++ {
-		sol, err := solver.Solve(p, lp.Options{Cascade: true, Stats: &sink})
+		sol, err := solver.Solve(p, lp.Options{Stats: &sink})
 		if err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
@@ -85,7 +85,7 @@ func TestNumericInjectorExhaustion(t *testing.T) {
 
 	inj.InjectExhaustion(1)
 	solver := lp.NewSolver()
-	_, err := solver.Solve(p, lp.Options{Cascade: true})
+	_, err := solver.Solve(p, lp.Options{})
 	var ce *lp.CascadeExhaustedError
 	if !errors.As(err, &ce) {
 		t.Fatalf("exhausted solve returned %v, want *lp.CascadeExhaustedError", err)
@@ -98,7 +98,7 @@ func TestNumericInjectorExhaustion(t *testing.T) {
 		t.Errorf("exhaustion counter = %d, want 1", inj.Exhaustions.Load())
 	}
 
-	sol, err := solver.Solve(p, lp.Options{Cascade: true})
+	sol, err := solver.Solve(p, lp.Options{})
 	if err != nil || sol.Status != lp.StatusOptimal || math.Abs(sol.Objective-(-36)) > 1e-6 {
 		t.Fatalf("solve after exhaustion: sol=%+v err=%v, want the clean optimum", sol, err)
 	}
@@ -112,7 +112,7 @@ func TestNumericInjectorUninstall(t *testing.T) {
 	inj.Install()
 	inj.Uninstall()
 
-	sol, err := lp.Solve(p, lp.Options{Cascade: true})
+	sol, err := lp.Solve(p, lp.Options{})
 	if err != nil || sol.Status != lp.StatusOptimal || sol.Downgrades != 0 {
 		t.Fatalf("post-uninstall solve: sol=%+v err=%v, want a clean undowngraded optimum", sol, err)
 	}

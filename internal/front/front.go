@@ -3,8 +3,8 @@
 //
 // Schedule requests are routed by consistent-hashing the instance's
 // canonical fingerprint across the backends, so the same instance always
-// lands on the same backend — keeping that backend's response cache and
-// its shard's built models hot — while the surrounding machinery makes a
+// lands on the same backend — keeping that backend's response cache hot —
+// while the surrounding machinery makes a
 // single stuck, dead or overloaded backend invisible to clients:
 //
 //   - every request runs under a deadline, split into bounded attempts;

@@ -31,7 +31,7 @@ func NewBatch() *Batch {
 func (b *Batch) Solve(p *Problem, opts Options) (*Solution, error) {
 	r := &b.s.rev
 	r.dualsReuse = b.duals
-	sol, err := b.s.solve(p, opts, nil)
+	sol, err := b.s.Solve(p, opts)
 	r.dualsReuse = nil
 	if err == nil && sol.duals != nil {
 		b.duals = sol.duals

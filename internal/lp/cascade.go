@@ -2,12 +2,10 @@ package lp
 
 import "fmt"
 
-// PivotBudgetError is the typed form of an exhausted pivot budget under
-// Options.Cascade: instead of handing back a StatusIterLimit solution (the
-// non-cascade contract), the cascade treats a budget exhaustion as a failed
-// rung, and reports it through this error once no rung can complete — a
-// cycling or injected-budget solve becomes a typed, mappable failure rather
-// than a silent partial answer.
+// PivotBudgetError is the typed form of an exhausted pivot budget: the
+// cascade treats a budget exhaustion as a failed rung, and reports it through
+// this error once no rung can complete — a cycling or injected-budget solve
+// becomes a typed, mappable failure rather than a silent partial answer.
 type PivotBudgetError struct {
 	// Iterations is the number of pivots spent before the budget ran out.
 	Iterations int
@@ -34,11 +32,11 @@ func (e *CascadeExhaustedError) Error() string {
 
 func (e *CascadeExhaustedError) Unwrap() error { return e.Last }
 
-// cascadeSolve is the opt-in self-healing ladder behind Options.Cascade.
-// Every Optimal result is verified against the independent certificate
-// (Verify); a verification failure, singular refactorization, exhausted
-// pivot budget or suspect terminal status abandons the rung and re-solves
-// one step down the ladder:
+// cascadeSolve is the self-healing ladder every revised solve runs.  Every
+// Optimal result is verified against the independent certificate (Verify); a
+// verification failure, singular refactorization, exhausted pivot budget or
+// suspect terminal status abandons the rung and re-solves one step down the
+// ladder:
 //
 //	rung 0  the revised method, warm-started when a basis was offered
 //	rung 1  the revised method, cold (a clean re-solve: transient numerical
@@ -53,44 +51,27 @@ func (e *CascadeExhaustedError) Unwrap() error { return e.Last }
 // records how many rungs were abandoned; the VerifyFailures and
 // CascadeFallbacks counters of the caller's sink (Options.Stats) aggregate
 // across solves.
-func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmBasis, plan FaultPlan) (*Solution, error) {
-	rungs := [...]struct {
-		warm *WarmBasis
-		flat bool
-	}{
-		{warm: warm},
-		{},
-		{flat: true},
-	}
+func (s *Solver) cascadeSolve(p *Problem, opts Options, warm *WarmBasis, plan FaultPlan) (*Solution, error) {
+	const rungs = 3
 	var lastErr error
-	for i := range rungs {
-		rg := &rungs[i]
+	for i := 0; i < rungs; i++ {
 		if i > 0 {
 			opts.Stats.Add(Counters{CascadeFallbacks: 1})
 		}
-		var fault *Fault
-		if plan != nil {
-			fault = plan(i)
-		}
-		ro := opts
-		if fault != nil && fault.PivotBudget > 0 {
-			ro.MaxIterations = fault.PivotBudget
-		}
+		fault := plan.at(i)
 		var sol *Solution
-		var err error
-		if rg.flat {
-			sol, err = s.flat.solve(p, ro, tol)
+		if i == rungs-1 {
+			sol = s.flat.solve(p, fault)
 		} else {
+			var err error
 			s.rev.fault = fault
-			sol, err = s.rev.solve(p, ro, tol, rg.warm)
+			sol, err = s.rev.solve(p, opts, warm)
 			s.rev.fault = nil
-		}
-		switch {
-		case err == errSingularBasis:
-			lastErr = err
-			continue
-		case err != nil:
-			return nil, err
+			warm = nil // the later rungs start cold
+			if err != nil {
+				lastErr = err
+				continue
+			}
 		}
 		switch sol.Status {
 		case StatusOptimal:
@@ -109,14 +90,13 @@ func (s *Solver) cascadeSolve(p *Problem, opts Options, tol float64, warm *WarmB
 		default:
 			// Infeasible/Unbounded: a corrupted basis can misreport either,
 			// so the status is only trusted from the final reference rung.
-			if i == len(rungs)-1 {
+			if i == rungs-1 {
 				sol.Downgrades = i
 				recordSolve(opts.Stats, sol)
 				return sol, nil
 			}
 			lastErr = fmt.Errorf("lp: rung %d ended %v before the reference engine confirmed it", i, sol.Status)
-			continue
 		}
 	}
-	return nil, &CascadeExhaustedError{Attempts: len(rungs), Last: lastErr}
+	return nil, &CascadeExhaustedError{Attempts: rungs, Last: lastErr}
 }

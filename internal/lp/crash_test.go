@@ -185,7 +185,9 @@ func TestCrashStartMatchesIdentityStart(t *testing.T) {
 				t.Fatalf("kind %d trial %d flat: %v", k.kind, trial, err)
 			}
 			for _, e := range crashEngines {
-				cs, err := crash.Solve(p, e.opts)
+				// The engine alone: under the cascade an infeasible or
+				// unbounded verdict would be the flat rung's.
+				cs, err := SolveEngine(crash, p, e.opts)
 				if err != nil {
 					t.Fatalf("kind %d trial %d %s crash: %v", k.kind, trial, e.name, err)
 				}
@@ -533,11 +535,12 @@ func TestTriangularCrashMatchesIdentityStart(t *testing.T) {
 			t.Fatalf("trial %d flat: %v", trial, err)
 		}
 		for _, e := range crashEngines {
-			fs, err := full.Solve(p, e.opts)
+			// The engine alone, as in TestCrashStartMatchesIdentityStart.
+			fs, err := SolveEngine(full, p, e.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, e.name, err)
 			}
-			us, err := unit.Solve(p, e.opts)
+			us, err := SolveEngine(unit, p, e.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, e.name, err)
 			}

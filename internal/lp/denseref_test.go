@@ -10,19 +10,10 @@ package lp
 import "math"
 
 // denseSolve runs the reference dense two-phase primal simplex method.
-func denseSolve(p *Problem, opts Options) (*Solution, error) {
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = defaultTolerance
-	}
+func denseSolve(p *Problem) (*Solution, error) {
+	tol := tolerance
 	t := newDenseTableau(p, tol)
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200 * (t.cols + t.rows)
-		if maxIter < 20000 {
-			maxIter = 20000
-		}
-	}
+	maxIter := pivotBudget(nil, t.rows, t.cols)
 
 	// Phase one: minimise the sum of artificial variables.
 	if t.numArtificial > 0 {

@@ -156,55 +156,49 @@
 // "Column order").  On today's program the benchmark takes 199 pivots, 102
 // of them in phase one (341 and 123 with the columns in block order).
 //
-// The triangular pass runs on the cold path only.  A dual transplant keeps
-// load's columns in the appended rows (see Dual re-optimization), and
-// SolveFrom replaces the whole basis.  The flat path keeps the identity
-// start, which keeps the cascade's reference rung independent of the crash;
-// the crash tests use it as their oracle.
+// The triangular pass runs on the cold path only.  A warm transplant keeps
+// load's columns in the appended rows (see Warm starts).  The flat path
+// keeps the identity start, which keeps the cascade's reference rung
+// independent of the crash; the crash tests use it as their oracle.
 //
 // # Warm starts
 //
 // Every solve starts cold unless its caller hands it a basis: the answer of
 // Solve depends only on the problem and the options, never on what the
 // Solver solved before.  A caller that wants a warm start asks for it
-// explicitly: Solver.SolveFrom replays a WarmBasis snapshot (captured via
-// Options.CaptureBasis into Solution.Basis) instead of the phase-1 crash
-// basis.  The snapshot transfers only when the target problem has the same
-// shape (rows, variables, constraint senses), refactorizes without going
-// singular, and yields a primal feasible point; otherwise the solve silently
-// cold-starts, so warm starting is always safe to request.  On a degenerate
-// problem a warm start may end on another optimal vertex than a cold solve,
-// which is why the one-shot paths never warm-start.  Options.WarmStart is
-// ignored; it is kept only because the serving benchmark still sets it.
+// explicitly: Solver.SolveFrom transplants a WarmBasis snapshot (captured
+// via Options.CaptureBasis into Solution.Basis) instead of the crash basis,
+// and re-optimizes from it (dual.go).  On a degenerate problem a warm start
+// may end on another optimal vertex than a cold solve, which is why the
+// one-shot paths never warm-start.  Options.WarmStart is ignored; it is kept
+// only because the serving benchmark still sets it.
 //
-// # Dual re-optimization
-//
-// Warm starts as described above require the donor basis to be primal
-// feasible on the target problem, which a grown problem never satisfies.
-// Options.Dual (dual.go) covers exactly that shape: when a problem is
-// extended in place by appended rows and columns (Problem.AddVariable,
-// AddConstraint, ExtendConstraint on old rows gaining only new columns), the
-// old optimal basis B extends to B' = [[B, 0], [C, S]] with the new rows'
-// cold-start columns in S (slacks, artificials and crash unit columns, all
-// unit vectors).  When the crash columns cost nothing, as the paper model's
-// scratch columns do, B' keeps every old column's reduced cost — the
-// transplant is dual feasible by construction — while the appended rows may
-// violate primal feasibility.  The argument needs S to be unit vectors,
-// which is why the transplant never installs the triangular crash: a
-// triangular column may have entries in the old rows, which breaks the
-// block form, and may have a cost, which moves the old columns' reduced
-// costs.  Solver.SolveDualFrom transplants the snapshot (installBasisDual
-// accepts donor artificials and skips the primal-feasibility gate
-// installBasis enforces), runs dual simplex pivots that drive out the worst
-// primal violation per pivot while keeping reduced costs non-negative
-// (ratio ties go to the largest pivot element, as in the primal
-// ratioTestSE), and finishes with an ordinary primal phase that prices in
-// the appended columns — the only ones that can carry
-// negative reduced costs.  A stalled dual phase (dualStallWindow pivots
-// without violation progress), an exhausted budget or any non-optimal exit
-// abandons the transplant for the cold two-phase primal start, so Dual is
-// always safe to request; under Options.Cascade the result additionally
-// passes the independent certificate like any other solve.
+// The transplant is built for a problem extended in place by appended rows
+// and columns (Problem.AddVariable, AddConstraint, ExtendConstraint on old
+// rows gaining only new columns); a same-shape problem is the case with no
+// appended rows.  The snapshot's rows must be a prefix of the problem's with
+// the same effective senses.  The old optimal basis B extends to
+// B' = [[B, 0], [C, S]] with the new rows' cold-start columns in S (slacks,
+// artificials and crash unit columns, all unit vectors).  When the crash
+// columns cost nothing, as the paper model's scratch columns do, B' keeps
+// every old column's reduced cost — the transplant is dual feasible by
+// construction — while the appended rows or a moved RHS may violate primal
+// feasibility.  The argument needs S to be unit vectors, which is why the
+// transplant never installs the triangular crash: a triangular column may
+// have entries in the old rows, which breaks the block form, and may have a
+// cost, which moves the old columns' reduced costs.  installBasisDual
+// accepts donor artificials and asks for no primal feasibility; dual simplex
+// pivots then drive out the worst primal violation per pivot while keeping
+// reduced costs non-negative (ratio ties go to the largest pivot element,
+// as in the primal ratioTestSE), and an ordinary primal phase finishes by
+// pricing in the appended columns — the only ones that can carry negative
+// reduced costs.  A snapshot already optimal for the problem costs zero
+// pivots.  A basis out of shape or singular for the new coefficients, a
+// stalled dual phase (dualStallWindow pivots without violation progress),
+// an exhausted budget or any non-optimal exit abandons the transplant for
+// the cold two-phase primal start, so a warm start is always safe to
+// request, and its result passes the independent certificate like any
+// other revised solve.
 //
 // Solution and the Stats sinks count DualPivots alongside the primal
 // counters, so pcbench's trajectory files record how much of a sweep's
@@ -213,8 +207,7 @@
 // The PR-1 flat-tableau implementation survives behind MethodFlat — one
 // contiguous row-major []float64 with the artificial columns as a trailing
 // index range — as the middle rung of the property-test lattice (revised vs
-// flat vs the retired dense reference) and as the automatic fallback should
-// a refactorization ever go numerically singular.
+// flat vs the retired dense reference) and as the cascade's last rung.
 //
 // # Batched solving
 //
@@ -242,20 +235,19 @@
 // own data, never the solver's factorization, so a corrupted basis inverse
 // cannot vouch for itself.
 //
-// Options.Cascade (cascade.go) turns a solve into a self-healing ladder.
-// Every Optimal result must pass Verify before it is returned; a failed
-// certificate, a singular refactorization, or an exhausted per-rung pivot
-// budget abandons the rung and re-solves one rung down — first the revised
-// method cold (discarding a possibly poisoned warm basis), then MethodFlat,
-// the independent reference.  Infeasible/Unbounded are accepted only from the final rung,
-// since a damaged factorization can misreport either.  Solution.Downgrades
-// records how many rungs were abandoned (0 = first try verified), and the
+// Every revised solve runs the self-healing cascade (cascade.go); a
+// MethodFlat solve runs the flat path alone.  Every Optimal result must pass
+// Verify before it is returned; a failed certificate, a singular
+// refactorization, or an exhausted per-rung pivot budget abandons the rung
+// and re-solves one rung down — first the revised method cold (discarding a
+// possibly poisoned warm basis), then MethodFlat, the independent reference.
+// Infeasible/Unbounded are accepted only from the final rung, since a
+// damaged factorization can misreport either.  Solution.Downgrades records
+// how many rungs were abandoned (0 = first try verified), and the
 // VerifiedSolves/VerifyFailures/CascadeFallbacks counters of the caller's
-// Stats sink make silent corruption observable.  If every rung fails, the solve returns
-// *CascadeExhaustedError wrapping the last rung's error.  Without Cascade, a
-// solve that exceeds Options.MaxIterations reports StatusIterLimit, and
-// asking for more iterations than the budget allows yields
-// *PivotBudgetError.
+// Stats sink make silent corruption observable.  If every rung fails, the
+// solve returns *CascadeExhaustedError wrapping the last rung's error, a
+// *PivotBudgetError when the rungs exhausted their pivot budgets.
 //
 // The cascade's healing is exact, not approximate: rung 1 re-runs the same
 // engine from a cold start, which is bit-identical to an unfaulted cold

@@ -2,9 +2,12 @@ package lp
 
 import "math"
 
-// This file is the dual simplex phase behind Options.Dual: re-optimization
-// from a warm basis that is dual feasible but not primal feasible for the
-// problem at hand — exactly the shape a trace extension leaves behind.
+// This file is the warm start of the revised method: every basis handed to
+// Solver.SolveFrom is transplanted onto the problem and re-optimized from
+// there, first by dual simplex pivots, which repair primal infeasibility,
+// then by an ordinary primal phase two.  A basis that is dual feasible but
+// not primal feasible for the problem at hand is exactly the shape a trace
+// extension leaves behind.
 //
 // When a problem grows by appended rows and columns (Problem.AddVariable,
 // AddConstraint, ExtendConstraint on old rows gaining only NEW columns), the
@@ -18,12 +21,14 @@ import "math"
 // (a violated new equality).  The dual simplex repairs exactly that — each
 // pivot drives out the worst primal violation while keeping reduced costs
 // non-negative — after which an ordinary primal phase prices in the new
-// columns (the only ones that can carry negative reduced costs).
+// columns (the only ones that can carry negative reduced costs).  A
+// same-shape basis is the case with no appended rows: B' = B, and a moved
+// RHS is the only primal infeasibility the dual pivots meet.
 //
 // Every exit that is not a certified optimum abandons the transplant and
-// falls back to the cold two-phase primal start, so Options.Dual is always
-// safe to request, and under Options.Cascade the result is additionally
-// checked by the independent certificate (Verify) like any other solve.
+// falls back to the cold two-phase primal start, so a warm start is always
+// safe to request, and the cascade checks the result against the
+// independent certificate (Verify) like any other solve.
 
 // dualStallWindow is the number of consecutive dual pivots the total primal
 // violation may fail to improve before the warm re-optimization is declared
@@ -53,14 +58,14 @@ func (b *WarmBasis) matchesPrefix(r *revisedSolver) bool {
 // problem: the snapshot's basic columns are remapped into the extended
 // column space row by row, the appended rows keep the basis load installed
 // (slack, artificial or crash column), and the whole basis is
-// refactorized.  Unlike installBasis there is no primal
-// feasibility requirement — that is the dual phase's job — and donor
-// artificials are accepted: slack and artificial columns are both enumerated
-// in row order over the shared, sense-identical prefix, so donor offset k
-// names the same row's column here, and a zero-valued artificial parked on a
-// degenerate equality (the normal residue of a previous warm dual solve)
-// transplants as harmlessly as it sat in the donor — the post-solve
-// basicArtificialViolation check rejects any that come back carrying value.
+// refactorized.  There is no primal feasibility requirement — that is the
+// dual phase's job — and donor artificials are accepted: slack and
+// artificial columns are both enumerated in row order over the shared,
+// sense-identical prefix, so donor offset k names the same row's column
+// here, and a zero-valued artificial parked on a degenerate equality (the
+// normal residue of a previous warm dual solve) transplants as harmlessly as
+// it sat in the donor — the post-solve basicArtificialViolation check
+// rejects any that come back carrying value.
 // Any out-of-range column, duplicate column or singular refactorization
 // reports no transfer.
 func (r *revisedSolver) installBasisDual(from *WarmBasis) bool {
@@ -274,47 +279,34 @@ func (r *revisedSolver) basicArtificialViolation() float64 {
 	return worst
 }
 
-// solveDualWarm attempts the dual-simplex warm path on a freshly loaded
-// problem: transplant the prefix basis, repair primal feasibility with dual
-// pivots, then run the ordinary primal phase two to price in any appended
-// columns.  It returns (solution, true) only for a fully certified optimum;
-// (nil, false) means the caller must reload and cold-start.  Errors other
-// than a singular refactorization (absorbed as "no transfer") propagate.
-func (r *revisedSolver) solveDualWarm(p *Problem, maxIter int, warm *WarmBasis) (*Solution, bool, error) {
+// solveDualWarm attempts the warm path on a freshly loaded problem:
+// transplant the basis, repair primal feasibility with dual pivots, then run
+// the ordinary primal phase two to price in any appended columns.  It returns
+// (solution, true) only for a fully certified optimum; (nil, false) means the
+// caller must reload and cold-start.  A singular refactorization, the
+// engine's one error, is absorbed as "no transfer".
+func (r *revisedSolver) solveDualWarm(p *Problem, maxIter int, warm *WarmBasis) (*Solution, bool) {
 	if !r.installBasisDual(warm) {
-		return nil, false, nil
+		return nil, false
 	}
 	r.warmStarted = true
 	r.setPhase(2)
 	status, err := r.optimizeDual(maxIter)
-	if err == errSingularBasis {
-		r.warmStarted = false
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if status == StatusOptimal {
+	if err == nil && status == StatusOptimal {
 		for i, v := range r.xB {
 			if v < 0 {
 				r.xB[i] = 0 // within tolerance, or optimizeDual would not have stopped
 			}
 		}
 		status, err = r.optimize(maxIter)
-		if err == errSingularBasis {
-			r.warmStarted = false
-			return nil, false, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if status == StatusOptimal && r.basicArtificialViolation() <= r.tol {
-			return r.solution(StatusOptimal, p), true, nil
+		if err == nil && status == StatusOptimal && r.basicArtificialViolation() <= r.tol {
+			return r.solution(StatusOptimal, p), true
 		}
 	}
-	// Anything else — a dual ray, an exhausted budget, an unbounded clean-up
-	// phase, or an artificial still carrying value — is not trusted from the
-	// transplanted basis: the cold start re-derives the terminal verdict.
+	// Anything else — a singular basis, a dual ray, an exhausted budget, an
+	// unbounded clean-up phase, or an artificial still carrying value — is
+	// not trusted from the transplanted basis: the cold start re-derives the
+	// terminal verdict.
 	r.warmStarted = false
-	return nil, false, nil
+	return nil, false
 }

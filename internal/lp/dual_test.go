@@ -1,10 +1,11 @@
 package lp_test
 
-// Tests for the incremental-solve machinery: the dual simplex warm path
-// (Options.Dual / Solver.SolveDualFrom).  The tests build extended problems
-// the way a trace extension does — appended variables, appended rows, old
-// rows gaining only new columns (Problem.ExtendConstraint) — and pin the warm
-// re-solve to a cold solve of the same problem across the engine grid.
+// Tests for the incremental-solve machinery: the warm transplant of
+// Solver.SolveFrom and its dual simplex phase.  The tests build extended
+// problems the way a trace extension does — appended variables, appended
+// rows, old rows gaining only new columns (Problem.ExtendConstraint) — and
+// pin the warm re-solve to a cold solve of the same problem across the
+// engine grid.
 
 import (
 	"math"
@@ -86,7 +87,7 @@ func TestDualResolveMatchesColdRandom(t *testing.T) {
 			} else {
 				extendProblem(p, base.X, 1+rng.Intn(3), rng.Intn(3), rng.Intn(3), rng)
 			}
-			warm, err := warmSolver.SolveDualFrom(p, grid, base.Basis)
+			warm, err := warmSolver.SolveFrom(p, grid, base.Basis)
 			if err != nil {
 				t.Fatalf("grid %d trial %d: warm: %v", gi, trial, err)
 			}
@@ -134,7 +135,7 @@ func TestDualResolveE7Extension(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(7))
 		extendProblem(p, base.X, 3, 2, 2, rng)
-		warm, err := warmSolver.SolveDualFrom(p, grid, base.Basis)
+		warm, err := warmSolver.SolveFrom(p, grid, base.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestDualTiesBreakOnLargestPivot(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.AddConstraint([]lp.Coef{{Var: 1, Value: 1}, {Var: 2, Value: 2}}, lp.EQ, 1)
-		warm, err := s.SolveDualFrom(p, grid, base.Basis)
+		warm, err := s.SolveFrom(p, grid, base.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func TestDualHostileBasis(t *testing.T) {
 		}
 		forged := lp.ForgeWarmBasis(len(cols), p.NumVars(), cols, senses[:len(cols)])
 		warmSolver := lp.NewSolver()
-		warm, err := warmSolver.SolveDualFrom(p, lp.Options{}, forged)
+		warm, err := warmSolver.SolveFrom(p, lp.Options{}, forged)
 		if err != nil {
 			t.Fatalf("hostile %d: %v", hi, err)
 		}
@@ -238,13 +239,13 @@ func TestDualHostileBasis(t *testing.T) {
 func TestDualCascadeVerifies(t *testing.T) {
 	p := buildE7SizedProblem(t)
 	solver := lp.NewSolver()
-	base, err := solver.Solve(p, lp.Options{CaptureBasis: true, Cascade: true})
+	base, err := solver.Solve(p, lp.Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
 	extendProblem(p, base.X, 2, 2, 1, rng)
-	warm, err := solver.SolveDualFrom(p, lp.Options{Cascade: true}, base.Basis)
+	warm, err := solver.SolveFrom(p, lp.Options{}, base.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +273,13 @@ func BenchmarkDualResolveE7Extension(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	extendProblem(p, base.X, 3, 2, 2, rng)
-	if _, err := solver.SolveDualFrom(p, lp.Options{}, base.Basis); err != nil {
+	if _, err := solver.SolveFrom(p, lp.Options{}, base.Basis); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.SolveDualFrom(p, lp.Options{}, base.Basis); err != nil {
+		if _, err := solver.SolveFrom(p, lp.Options{}, base.Basis); err != nil {
 			b.Fatal(err)
 		}
 	}

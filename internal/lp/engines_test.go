@@ -26,38 +26,47 @@ var engineCombos = []struct {
 	{"steepest-lu", lp.Options{}},
 }
 
-// solveAllEngines solves p with the revised engine and on the flat
-// reference path and requires matching statuses and (when optimal)
-// objectives within 1e-6 plus feasible solutions.  It returns the revised
-// solution.
+// solveAllEngines solves p with the revised engine alone (lp.SolveEngine),
+// through the cascade every revised Solve runs, and on the flat reference
+// path.  It requires matching statuses and (when optimal) objectives within
+// 1e-6, feasible solutions, and an optimum the engine's own first rung
+// verified (Downgrades 0).  Comparing the engine's own verdict matters on
+// infeasible and unbounded problems, whose cascade verdict always comes from
+// the flat rung.  It returns the cascade's solution.
 func solveAllEngines(t *testing.T, solvers []*lp.Solver, p *lp.Problem, base lp.Options) *lp.Solution {
 	t.Helper()
+	engine, err := lp.SolveEngine(solvers[0], p, base)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	served, err := solvers[0].Solve(p, base)
+	if err != nil {
+		t.Fatalf("revised: %v", err)
+	}
 	flat := base
 	flat.Method = lp.MethodFlat
-	var ref *lp.Solution
-	for i, opts := range []lp.Options{base, flat} {
-		sol, err := solvers[i].Solve(p, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", opts.Method, err)
-		}
-		if ref == nil {
-			ref = sol
-			continue
-		}
+	ref, err := solvers[1].Solve(p, flat)
+	if err != nil {
+		t.Fatalf("flat: %v", err)
+	}
+	for name, sol := range map[string]*lp.Solution{"engine": engine, "revised": served} {
 		if sol.Status != ref.Status {
-			t.Fatalf("%v: status %v, revised got %v", opts.Method, sol.Status, ref.Status)
+			t.Fatalf("%s: status %v, flat got %v", name, sol.Status, ref.Status)
 		}
 		if sol.Status != lp.StatusOptimal {
 			continue
 		}
 		if math.Abs(sol.Objective-ref.Objective) > 1e-6 {
-			t.Fatalf("%v: objective %g vs %g", opts.Method, sol.Objective, ref.Objective)
+			t.Fatalf("%s: objective %g vs flat %g", name, sol.Objective, ref.Objective)
 		}
 		if viol, idx := p.Violation(sol.X); viol > 1e-6 {
-			t.Fatalf("%v: solution violates constraint %d by %g", opts.Method, idx, viol)
+			t.Fatalf("%s: solution violates constraint %d by %g", name, idx, viol)
 		}
 	}
-	return ref
+	if served.Status == lp.StatusOptimal && served.Downgrades != 0 {
+		t.Fatalf("revised: optimum after %d downgrades, want the engine's own", served.Downgrades)
+	}
+	return served
 }
 
 func newEngineSolvers() []*lp.Solver {
@@ -208,10 +217,12 @@ func TestWarmStartFallsBackAcrossShapes(t *testing.T) {
 
 // TestWarmStartRejectsArtificialBasis captures a basis that keeps a
 // zero-valued artificial on a redundant row and replays it on a same-shaped
-// problem where that row binds.  The snapshot must be rejected (the warm
-// path never prices artificials out, so accepting it could report an
-// infeasible point optimal) and the solve must fall back to a correct cold
-// start.
+// problem where that row binds, so the transplanted artificial carries
+// value.  The artificial must be rejected from the basis — the dual phase
+// drives it out, and a transplant that ends with an artificial carrying
+// value falls back to the cold start — so the solve never reports an
+// infeasible point optimal: it must reach the cold optimum at a feasible
+// point.
 func TestWarmStartRejectsArtificialBasis(t *testing.T) {
 	donor := lp.NewProblem(2)
 	donor.SetObjective(0, 1)
@@ -246,9 +257,9 @@ func TestWarmStartRejectsArtificialBasis(t *testing.T) {
 	}
 }
 
-// e7SweepInstances builds the E7-sized instances the sweep tests and
-// benchmarks solve twice each: once cold, then again (cold through a batch,
-// or warm-started from an explicit basis).
+// e7SweepInstances builds the E7-sized instances the sweep test and the
+// batch benchmark solve twice each: once cold, then again (cold through a
+// batch, or warm-started from an explicit basis).
 func e7SweepInstances(tb testing.TB) []*lpmodel.Model {
 	tb.Helper()
 	var models []*lpmodel.Model
@@ -309,39 +320,5 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	}
 	if 2*warmIters > coldIters {
 		t.Fatalf("warm sweep used %d pivots, cold %d — want at least 2x fewer", warmIters, coldIters)
-	}
-}
-
-// BenchmarkRevisedSolveSteepestEdgeE7Size is the engine (steepest-edge
-// pricing over the LU basis) under its explicit name, the series the
-// BENCH_*.json timings blocks have tracked it under.
-func BenchmarkRevisedSolveSteepestEdgeE7Size(b *testing.B) {
-	benchSolve(b, lp.Options{})
-}
-
-// BenchmarkRevisedSolveWarmSweepE7Size measures the warm-started E7-size
-// sweep: per instance, a capture solve plus a re-solve warm-started from the
-// captured basis through SolveFrom.  Compare with twice
-// BenchmarkRevisedSolveE7Size for the cold cost of the same pivot work.
-func BenchmarkRevisedSolveWarmSweepE7Size(b *testing.B) {
-	models := e7SweepInstances(b)
-	solver := lp.NewSolver()
-	for _, m := range models { // warm buffers and per-problem CSC caches
-		if _, err := solver.Solve(m.Problem, lp.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range models {
-			first, err := solver.Solve(m.Problem, lp.Options{CaptureBasis: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := solver.SolveFrom(m.Problem, lp.Options{}, first.Basis); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }

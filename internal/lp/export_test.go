@@ -6,6 +6,18 @@ package lp
 // the pre-refactor dense path on the paper's LP models.
 var DenseSolve = denseSolve
 
+// SolveEngine runs the revised engine alone on p, cold, under the fault the
+// hook plans for rung 0: no cascade, so no certificate check and no fall
+// back to the flat path.  Under the cascade an Infeasible or Unbounded
+// verdict always comes from the flat rung, so the tests that pin the revised
+// engine to the flat reference read the engine's own terminal verdicts
+// through this.
+func SolveEngine(s *Solver, p *Problem, opts Options) (*Solution, error) {
+	s.rev.fault = loadFaultPlan().at(0)
+	defer func() { s.rev.fault = nil }()
+	return s.rev.solve(p, opts, nil)
+}
+
 // ForgeWarmBasis fabricates a WarmBasis with arbitrary (possibly hostile)
 // contents, bypassing the capture path, so the external property tests can
 // feed stale and corrupt snapshots into warm-started solves.

@@ -41,10 +41,11 @@ type Fault struct {
 	// ForceSingular makes every refactorization of the solve report
 	// errSingularBasis, exercising the singular-basis recovery paths.
 	ForceSingular bool
-	// PivotBudget overrides the solve's pivot budget when positive; a budget
-	// of 1 exhausts immediately, converting the solve into StatusIterLimit
-	// (and, under Options.Cascade, into a typed PivotBudgetError once every
-	// rung has exhausted it).
+	// PivotBudget overrides the rung's pivot budget when positive; a budget
+	// of 1 exhausts immediately, failing the rung (and the solve, with a
+	// typed PivotBudgetError, once every rung has exhausted it).  It is the
+	// one fault the flat path honours: a MethodFlat solve under it reports
+	// StatusIterLimit.
 	PivotBudget int
 }
 
@@ -75,11 +76,20 @@ func (f *Fault) apply(factor []float64) {
 	}
 }
 
-// FaultPlan maps a cascade rung (0 = the configured engine, rising through
-// the downgrade ladder of Options.Cascade) to the fault injected into that
-// rung's solve, or nil for a clean solve.  Returning a fault for rung 0 only
-// is the usual shape: the recovery rungs then reproduce the clean result.
+// FaultPlan maps a cascade rung (0 = the first revised attempt, rising
+// through the downgrade ladder of cascade.go; a MethodFlat solve is rung 0)
+// to the fault injected into that rung's solve, or nil for a clean solve.
+// Returning a fault for rung 0 only is the usual shape: the recovery rungs
+// then reproduce the clean result.
 type FaultPlan func(rung int) *Fault
+
+// at returns the fault of the given rung (nil for a nil plan).
+func (fp FaultPlan) at(rung int) *Fault {
+	if fp == nil {
+		return nil
+	}
+	return fp(rung)
+}
 
 type faultHookFunc func() FaultPlan
 

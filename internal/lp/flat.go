@@ -12,7 +12,7 @@ import "math"
 // Its per-pivot Gauss-Jordan update costs O(rows x cols) regardless of
 // sparsity, which is why the revised path (revised.go) is the default; the
 // flat path survives as the second rung of the property-test lattice and as
-// the numerical fallback for a singular refactorization.
+// the cascade's last rung (cascade.go).
 type flatSolver struct {
 	p   *Problem // problem being solved (valid during solve only)
 	tol float64
@@ -42,11 +42,13 @@ type flatSolver struct {
 	allocs      int
 }
 
-// solve runs the two-phase simplex on the flat tableau.
-func (f *flatSolver) solve(p *Problem, opts Options, tol float64) (*Solution, error) {
+// solve runs the two-phase simplex on the flat tableau.  The fault, when
+// non-nil, can only shrink the pivot budget (Fault.PivotBudget): the flat
+// path is the cascade's independent reference and takes no numerical damage.
+func (f *flatSolver) solve(p *Problem, fault *Fault) *Solution {
 	f.p = p
 	defer func() { f.p = nil }() // do not retain the problem after the solve
-	f.tol = tol
+	f.tol = tolerance
 	f.iterations = 0
 	f.phase1Iters = 0
 	f.blandIters = 0
@@ -54,7 +56,7 @@ func (f *flatSolver) solve(p *Problem, opts Options, tol float64) (*Solution, er
 	f.allocs = 0
 	f.load(p)
 
-	maxIter := maxIterations(opts, f.rows, f.cols)
+	maxIter := pivotBudget(fault, f.rows, f.cols)
 
 	// Phase one: minimise the sum of artificial variables.
 	if f.numArt > 0 {
@@ -62,10 +64,10 @@ func (f *flatSolver) solve(p *Problem, opts Options, tol float64) (*Solution, er
 		status := f.optimize(maxIter)
 		f.phase1Iters = f.iterations
 		if status == StatusIterLimit {
-			return f.solution(StatusIterLimit, p), nil
+			return f.solution(StatusIterLimit, p)
 		}
-		if f.objectiveValue() > tol*float64(1+f.rows) {
-			return f.solution(StatusInfeasible, p), nil
+		if f.objectiveValue() > f.tol*float64(1+f.rows) {
+			return f.solution(StatusInfeasible, p)
 		}
 		f.driveOutArtificials()
 	}
@@ -75,9 +77,9 @@ func (f *flatSolver) solve(p *Problem, opts Options, tol float64) (*Solution, er
 	status := f.optimize(maxIter)
 	switch status {
 	case StatusIterLimit, StatusUnbounded:
-		return f.solution(status, p), nil
+		return f.solution(status, p)
 	}
-	return f.solution(StatusOptimal, p), nil
+	return f.solution(StatusOptimal, p)
 }
 
 // load builds the flat tableau from the problem's sparse constraints.

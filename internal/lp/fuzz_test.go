@@ -66,15 +66,21 @@ func fuzzProblem(data []byte) *lp.Problem {
 }
 
 // FuzzSolveVerify solves random small LPs on the served engine (steepest
-// edge over LU, cascade off) and on the flat reference path.  The statuses
-// must agree, and an optimal revised solve must pass Verify and match the
-// flat objective to 1e-6.
+// edge over LU) alone and through the cascade every revised solve runs, and
+// on the flat reference path.  The engine's own status and the cascade's must
+// agree with the flat one, and an optimal cascade solve must be the engine's
+// own first rung (Downgrades 0), pass Verify and match the flat objective to
+// 1e-6.
 func FuzzSolveVerify(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 3, 1, 2, 7, 0, 0, 0, 0, 1, 1, 2, 3, 0, 2, 0, 2, 3, 1, 0, 3, 2, 1, 2, 3, 1, 4, 2, 1, 0})
 	f.Add([]byte{6, 6, 1, 7, 2, 3, 0, 5, 1, 4, 0, 2, 3, 2, 3, 2, 3, 2, 3, 2, 0, 1, 0, 0, 3, 2, 3, 3, 2, 3, 3, 2, 3, 2, 3, 2, 1, 2, 3, 7, 1, 0, 6, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProblem(data)
+		engine, err := lp.SolveEngine(lp.NewSolver(), p, lp.Options{})
+		if err != nil {
+			t.Fatalf("engine: %v", err)
+		}
 		rev, err := lp.NewSolver().Solve(p, lp.Options{})
 		if err != nil {
 			t.Fatalf("revised: %v", err)
@@ -83,11 +89,14 @@ func FuzzSolveVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("flat: %v", err)
 		}
-		if rev.Status != flat.Status {
-			t.Fatalf("status: revised %v, flat %v", rev.Status, flat.Status)
+		if engine.Status != flat.Status || rev.Status != flat.Status {
+			t.Fatalf("status: engine %v, revised %v, flat %v", engine.Status, rev.Status, flat.Status)
 		}
 		if rev.Status != lp.StatusOptimal {
 			return
+		}
+		if rev.Downgrades != 0 {
+			t.Fatalf("revised optimum after %d downgrades, want the engine's own", rev.Downgrades)
 		}
 		if err := lp.Verify(p, rev); err != nil {
 			t.Fatalf("revised certificate: %v", err)

@@ -9,6 +9,7 @@ package lp_test
 // dense reference is reached through lp.DenseSolve in export_test.go.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,11 +59,19 @@ func randomProblem(rng *rand.Rand) (*lp.Problem, []float64) {
 // solveAllThree runs the revised, flat and dense implementations on p and
 // requires matching statuses and (when optimal) objectives within 1e-6; the
 // optimal vertex may differ on degenerate optima, so X is checked only for
-// feasibility.  It returns the revised solution.
+// feasibility.  The revised implementation runs twice: alone
+// (lp.SolveEngine), for its own terminal verdict, which the cascade would
+// replace by the flat rung's on an infeasible or unbounded problem, and
+// through the cascade, whose optimum must be the engine's own (Downgrades
+// 0).  It returns the cascade's solution.
 func solveAllThree(t *testing.T, rev, flat *lp.Solver, p *lp.Problem, opts lp.Options) *lp.Solution {
 	t.Helper()
 	revOpts := opts
 	revOpts.Method = lp.MethodRevised
+	engine, err := lp.SolveEngine(rev, p, revOpts)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
 	revised, err := rev.Solve(p, revOpts)
 	if err != nil {
 		t.Fatalf("revised: %v", err)
@@ -73,15 +82,18 @@ func solveAllThree(t *testing.T, rev, flat *lp.Solver, p *lp.Problem, opts lp.Op
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}
-	dense, err := lp.DenseSolve(p, opts)
+	dense, err := lp.DenseSolve(p)
 	if err != nil {
 		t.Fatalf("dense: %v", err)
 	}
-	if revised.Status != flatSol.Status || revised.Status != dense.Status {
-		t.Fatalf("status revised=%v flat=%v dense=%v", revised.Status, flatSol.Status, dense.Status)
+	if engine.Status != flatSol.Status || revised.Status != flatSol.Status || revised.Status != dense.Status {
+		t.Fatalf("status engine=%v revised=%v flat=%v dense=%v", engine.Status, revised.Status, flatSol.Status, dense.Status)
 	}
 	if revised.Status != lp.StatusOptimal {
 		return revised
+	}
+	if revised.Downgrades != 0 {
+		t.Fatalf("revised optimum after %d downgrades, want the engine's own", revised.Downgrades)
 	}
 	if math.Abs(revised.Objective-flatSol.Objective) > 1e-6 {
 		t.Fatalf("objective revised=%g flat=%g", revised.Objective, flatSol.Objective)
@@ -165,26 +177,44 @@ func TestSolversMatchDegenerate(t *testing.T) {
 }
 
 // TestIterationLimitBothMethods checks the iteration guard and its counters
-// on both production paths.
+// on both production paths under a one-pivot budget on every rung
+// (Fault.PivotBudget): a flat solve reports StatusIterLimit after at most one
+// pivot and is counted, while a revised solve, whose cascade never returns a
+// partial answer, fails with a typed *PivotBudgetError after two fallbacks
+// and counts no solve.
 func TestIterationLimitBothMethods(t *testing.T) {
-	for _, method := range []lp.Method{lp.MethodRevised, lp.MethodFlat} {
-		p := lp.NewProblem(3)
-		for v := 0; v < 3; v++ {
-			p.SetObjective(v, -1)
-		}
-		p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 1}, {Var: 2, Value: 1}}, lp.LE, 10)
-		p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 2}}, lp.LE, 8)
-		p.AddConstraint([]lp.Coef{{Var: 1, Value: 1}, {Var: 2, Value: 3}}, lp.LE, 9)
-		sol, err := lp.Solve(p, lp.Options{MaxIterations: 1, Method: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != lp.StatusIterLimit && sol.Status != lp.StatusOptimal {
-			t.Fatalf("%v: status = %v", method, sol.Status)
-		}
-		if sol.Iterations > 1 {
-			t.Fatalf("%v: iterations = %d, want <= 1", method, sol.Iterations)
-		}
+	p := lp.NewProblem(3)
+	for v := 0; v < 3; v++ {
+		p.SetObjective(v, -1)
+	}
+	p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 1}, {Var: 2, Value: 1}}, lp.LE, 10)
+	p.AddConstraint([]lp.Coef{{Var: 0, Value: 1}, {Var: 1, Value: 2}}, lp.LE, 8)
+	p.AddConstraint([]lp.Coef{{Var: 1, Value: 1}, {Var: 2, Value: 3}}, lp.LE, 9)
+	lp.SetFaultHook(func() lp.FaultPlan {
+		return func(int) *lp.Fault { return &lp.Fault{PivotBudget: 1} }
+	})
+	defer lp.SetFaultHook(nil)
+
+	var flatSink lp.Stats
+	sol, err := lp.Solve(p, lp.Options{Method: lp.MethodFlat, Stats: &flatSink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusIterLimit || sol.Iterations != 1 {
+		t.Fatalf("flat: status %v after %d pivots, want iteration-limit after 1", sol.Status, sol.Iterations)
+	}
+	if got := flatSink.Snapshot(); got.Solves != 1 || got.Iterations != 1 {
+		t.Fatalf("flat: counted %d solves and %d pivots, want 1 and 1", got.Solves, got.Iterations)
+	}
+
+	var revSink lp.Stats
+	_, err = lp.Solve(p, lp.Options{Stats: &revSink})
+	var pb *lp.PivotBudgetError
+	if !errors.As(err, &pb) || pb.Iterations != 1 {
+		t.Fatalf("revised: err = %v, want a *PivotBudgetError after 1 pivot", err)
+	}
+	if got := revSink.Snapshot(); got.Solves != 0 || got.CascadeFallbacks != 2 {
+		t.Fatalf("revised: counted %d solves and %d fallbacks, want 0 and 2", got.Solves, got.CascadeFallbacks)
 	}
 }
 
@@ -374,7 +404,7 @@ func BenchmarkDenseSolveE7Size(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.DenseSolve(p, lp.Options{}); err != nil {
+		if _, err := lp.DenseSolve(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // errSingularBasis reports a (re)factorization that could not complete
-// because a basis column collapsed numerically; Solver.Solve catches it and
-// reruns the solve on the flat path, and a warm start that trips it falls
-// back to a cold start.
+// because a basis column collapsed numerically, the one error of the revised
+// engine: the cascade abandons the rung that hit it, and a warm transplant
+// that trips it falls back to a cold start.
 var errSingularBasis = errors.New("lp: singular basis during refactorization")
 
 // driftCheckEvery is how often (in pivots) the revised solver verifies
@@ -79,7 +79,6 @@ type revisedSolver struct {
 
 	eta           etaFile   // update etas since the last factorization
 	lu            luFactor  // factored basis
-	dualMode      bool      // Options.Dual: widen warm starts to prefix bases
 	capture       bool      // Options.CaptureBasis
 	dualRC        []float64 // maintained phase-2 reduced costs of the dual phase
 	dualRow       []float64 // pivot row of B^-1 A at dualCols, cached for the rc update
@@ -137,14 +136,14 @@ const (
 	probeRefill
 )
 
-// solve runs the two-phase revised simplex.  A non-nil warm basis is tried
-// first: when it transfers to this problem the solve starts in phase two
-// from it, otherwise the ordinary cold start runs.
-func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmBasis) (*Solution, error) {
+// solve runs the two-phase revised simplex.  A non-nil warm basis is
+// transplanted first (dual.go): when it transfers and re-optimizes to a
+// certified optimum that is the solution, otherwise the ordinary cold start
+// runs.
+func (r *revisedSolver) solve(p *Problem, opts Options, warm *WarmBasis) (*Solution, error) {
 	r.p = p
 	defer func() { r.p = nil; r.m = nil }() // do not retain the problem
-	r.tol = tol
-	r.dualMode = opts.Dual
+	r.tol = tolerance
 	r.capture = opts.CaptureBasis
 	r.iterations = 0
 	r.phase1Iters = 0
@@ -180,39 +179,15 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 		r.refactorEvery = 1
 	}
 
-	maxIter := maxIterations(opts, r.rows, r.cols)
+	maxIter := pivotBudget(r.fault, r.rows, r.cols)
 
 	if warm != nil {
-		if r.installBasis(warm) {
-			r.warmStarted = true
-			r.setPhase(2)
-			status, err := r.optimize(maxIter)
-			if err != nil {
-				return nil, err
-			}
-			switch status {
-			case StatusIterLimit, StatusUnbounded:
-				return r.solution(status, p), nil
-			}
-			return r.solution(StatusOptimal, p), nil
+		if sol, ok := r.solveDualWarm(p, maxIter, warm); ok {
+			return sol, nil
 		}
-		// The failed install may have half-built a factorization over the
+		// The failed transplant may have half-built a factorization over the
 		// snapshot's basis: reload the crash basis and cold-start.
 		r.load(p)
-		if r.dualMode {
-			// Options.Dual: the snapshot may still transplant as a prefix
-			// basis (a trace extension or RHS move).  A dual phase repairs
-			// primal feasibility; every uncertified exit reloads and falls
-			// through to the ordinary cold start below.
-			sol, ok, err := r.solveDualWarm(p, maxIter, warm)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return sol, nil
-			}
-			r.load(p)
-		}
 	}
 
 	// Cold start.  The triangular crash runs here, not in load, because
@@ -232,7 +207,7 @@ func (r *revisedSolver) solve(p *Problem, opts Options, tol float64, warm *WarmB
 		if status == StatusIterLimit {
 			return r.solution(StatusIterLimit, p), nil
 		}
-		if r.objectiveValue() > tol*float64(1+r.rows) {
+		if r.objectiveValue() > r.tol*float64(1+r.rows) {
 			return r.solution(StatusInfeasible, p), nil
 		}
 		if err := r.driveOutArtificials(); err != nil {

@@ -96,13 +96,10 @@ func (b BasisMethod) String() string {
 	return fmt.Sprintf("basis(%d)", int(b))
 }
 
-// Options tunes the solver.
+// Options tunes the solver.  Four fields do something: Method,
+// RefactorEvery, CaptureBasis and Stats; the rest are kept, ignored, because
+// the serving benchmark still sets them.
 type Options struct {
-	// MaxIterations caps the total number of simplex pivots (0 means an
-	// automatic limit based on the problem size).
-	MaxIterations int
-	// Tolerance is the feasibility/optimality tolerance (0 means 1e-9).
-	Tolerance float64
 	// Method selects the simplex implementation; the zero value is
 	// MethodRevised.
 	Method Method
@@ -121,26 +118,13 @@ type Options struct {
 	// WarmStart is ignored: every solve without an explicit basis starts
 	// cold, so its answer depends only on the problem.  The field stays
 	// because the serving benchmark sets it; a warm start is asked for by
-	// passing a basis to Solver.SolveFrom or SolveDualFrom.
+	// passing a basis to Solver.SolveFrom.
 	WarmStart bool
 	// CaptureBasis asks an optimal revised solve to snapshot its final basis
 	// into Solution.Basis, for replay through Solver.SolveFrom.
 	CaptureBasis bool
-	// Dual widens the warm-start acceptance of the revised method: a basis
-	// snapshot that no longer matches the problem's exact shape — because
-	// rows and columns were appended (Problem/Model extension) or the RHS
-	// moved — is transplanted anyway when the old rows form a prefix of the
-	// new ones, and a dual simplex phase re-optimizes from it before the
-	// ordinary primal clean-up runs.  Any basis the dual phase cannot certify
-	// falls back to the cold primal start, so Dual is always safe to
-	// request.  Ignored by MethodFlat.
-	Dual bool
-	// Cascade opts the revised method into the self-healing solve ladder:
-	// every Optimal result is checked against the independent certificate
-	// (Verify), and a verification failure, singular refactorization or
-	// exhausted pivot budget re-solves down the engine ladder — the revised
-	// method cold, then the flat reference path — instead of being
-	// returned.  See cascade.go.  Ignored by MethodFlat.
+	// Cascade is ignored: every revised solve runs the verified cascade
+	// (cascade.go).  The field stays because the serving benchmark sets it.
 	Cascade bool
 	// Stats is the sink the solve's work is counted in (see Counters); nil
 	// leaves the solve uncounted.  Callers that report their own work — a
@@ -187,15 +171,15 @@ type Solution struct {
 	// WarmStarted reports that the solve skipped phase one by starting from
 	// a transferred prior basis (see Solver.SolveFrom).
 	WarmStarted bool
-	// DualIterations is the number of dual simplex pivots performed
-	// (Options.Dual only; included in Iterations).
+	// DualIterations is the number of dual simplex pivots a warm re-solve
+	// performed (see Solver.SolveFrom; included in Iterations).
 	DualIterations int
 	// Basis is the optimal basis snapshot requested by Options.CaptureBasis
 	// (nil otherwise or when the solve did not end optimal).
 	Basis *WarmBasis
 	// Downgrades is the number of cascade rungs abandoned before this
-	// solution was produced (always 0 without Options.Cascade; 0 under the
-	// cascade means the configured engines' own result verified).
+	// solution was produced (0 means the revised engine's first result
+	// verified; always 0 for MethodFlat, which runs no cascade).
 	Downgrades int
 
 	// duals holds the final simplex multipliers of a revised optimal solve,
@@ -205,7 +189,8 @@ type Solution struct {
 	duals []float64
 }
 
-const defaultTolerance = 1e-9
+// tolerance is the feasibility/optimality tolerance of both implementations.
+const tolerance = 1e-9
 
 // candListSize bounds the candidate list kept by the flat path's partial
 // pricing: a full pricing pass remembers up to this many attractive columns,
@@ -270,84 +255,43 @@ type Solver struct {
 func NewSolver() *Solver { return &Solver{} }
 
 // Solve solves the problem with the implementation selected by opts.Method,
-// reusing the solver's buffers.  A revised solve that hits a numerically
-// singular refactorization (which a correct basis never produces exactly,
-// only catastrophic round-off does) transparently falls back to the flat
-// path.  Every Solve starts cold: the answer never depends on what the
-// Solver solved before.
+// reusing the solver's buffers.  MethodFlat runs the flat reference path
+// alone.  A revised solve runs the verified cascade (cascade.go): its
+// Optimal result has passed Verify, and a failed certificate, a singular
+// refactorization or an exhausted pivot budget re-solves down to the flat
+// path instead of being returned.  Every Solve starts cold: the answer never
+// depends on what the Solver solved before.
 func (s *Solver) Solve(p *Problem, opts Options) (*Solution, error) {
 	return s.SolveFrom(p, opts, nil)
 }
 
 // SolveFrom is Solve warm-started from an explicit basis snapshot (see
-// WarmBasis): when the snapshot transfers to this problem the solve skips
-// phase one entirely, and when it does not the ordinary cold start runs.
-// Only MethodRevised uses the snapshot.  A nil basis is an ordinary Solve.
+// WarmBasis): the cascade's first rung transplants the snapshot and
+// re-optimizes from it with dual simplex pivots (dual.go), and when it does
+// not transfer the ordinary cold start runs.  Only MethodRevised uses the
+// snapshot.  A nil basis is an ordinary Solve.
 func (s *Solver) SolveFrom(p *Problem, opts Options, from *WarmBasis) (*Solution, error) {
-	if opts.Method != MethodRevised {
-		from = nil
-	}
-	return s.solve(p, opts, from)
-}
-
-// SolveDualFrom is SolveFrom with Options.Dual forced: the snapshot is
-// transplanted even when it is out of shape for this problem (rows/columns
-// appended) or primal infeasible (RHS perturbed), as long as the old rows
-// form a prefix of the new ones, and a dual simplex phase re-optimizes from
-// it.  A basis the dual phase cannot certify falls back to the ordinary cold
-// start, so the call is always safe.
-func (s *Solver) SolveDualFrom(p *Problem, opts Options, from *WarmBasis) (*Solution, error) {
-	opts.Dual = true
-	return s.SolveFrom(p, opts, from)
-}
-
-func (s *Solver) solve(p *Problem, opts Options, warm *WarmBasis) (*Solution, error) {
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = defaultTolerance
-	}
 	plan := loadFaultPlan()
-	if opts.Cascade && opts.Method == MethodRevised {
-		return s.cascadeSolve(p, opts, tol, warm, plan)
-	}
-	var fault *Fault
-	if plan != nil {
-		fault = plan(0)
-	}
-	if fault != nil && fault.PivotBudget > 0 {
-		opts.MaxIterations = fault.PivotBudget
-	}
-	var sol *Solution
-	var err error
 	switch opts.Method {
 	case MethodRevised:
-		s.rev.fault = fault
-		sol, err = s.rev.solve(p, opts, tol, warm)
-		s.rev.fault = nil
-		if err == errSingularBasis {
-			sol, err = s.flat.solve(p, opts, tol)
-		}
+		return s.cascadeSolve(p, opts, from, plan)
 	case MethodFlat:
-		sol, err = s.flat.solve(p, opts, tol)
+		sol := s.flat.solve(p, plan.at(0))
+		recordSolve(opts.Stats, sol)
+		return sol, nil
 	default:
 		return nil, fmt.Errorf("lp: unknown solve method %d", int(opts.Method))
 	}
-	if err == nil {
-		recordSolve(opts.Stats, sol)
-	}
-	return sol, err
 }
 
-// maxIterations resolves the pivot budget for a problem of the given size.
-func maxIterations(opts Options, rows, cols int) int {
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200 * (cols + rows)
-		if maxIter < 20000 {
-			maxIter = 20000
-		}
+// pivotBudget is the pivot budget of a solve of the given size: 200 pivots
+// per row and column, and at least 20,000, unless the solve's injected fault
+// sets its own (Fault.PivotBudget).
+func pivotBudget(f *Fault, rows, cols int) int {
+	if f != nil && f.PivotBudget > 0 {
+		return f.PivotBudget
 	}
-	return maxIter
+	return max(200*(cols+rows), 20000)
 }
 
 // grabFloats returns buf resized to n, reallocating only when capacity is

@@ -99,7 +99,10 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
-// TestIterationLimit checks the iteration guard.
+// TestIterationLimit checks the iteration guard of both engines: under a
+// one-pivot budget (Fault.PivotBudget) the revised engine and the flat path
+// each stop after at most one pivot, with StatusIterLimit unless that pivot
+// already reached the optimum.
 func TestIterationLimit(t *testing.T) {
 	p := NewProblem(3)
 	p.SetObjective(0, -1)
@@ -108,12 +111,22 @@ func TestIterationLimit(t *testing.T) {
 	p.AddConstraint([]Coef{{0, 1}, {1, 1}, {2, 1}}, LE, 10)
 	p.AddConstraint([]Coef{{0, 1}, {1, 2}}, LE, 8)
 	p.AddConstraint([]Coef{{1, 1}, {2, 3}}, LE, 9)
-	sol, err := Solve(p, Options{MaxIterations: 1})
+	budget := &Fault{PivotBudget: 1}
+	var s Solver
+	s.rev.fault = budget
+	rev, err := s.rev.solve(p, Options{}, nil)
+	s.rev.fault = nil
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("revised: %v", err)
 	}
-	if sol.Status != StatusIterLimit && sol.Status != StatusOptimal {
-		t.Fatalf("status = %v", sol.Status)
+	flat := s.flat.solve(p, budget)
+	for name, sol := range map[string]*Solution{"revised": rev, "flat": flat} {
+		if sol.Status != StatusIterLimit && sol.Status != StatusOptimal {
+			t.Fatalf("%s: status = %v", name, sol.Status)
+		}
+		if sol.Iterations > 1 {
+			t.Fatalf("%s: iterations = %d, want <= 1", name, sol.Iterations)
+		}
 	}
 }
 

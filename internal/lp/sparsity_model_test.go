@@ -71,7 +71,7 @@ func TestSparseSolvesMatchFullWalks(t *testing.T) {
 		}
 		extendProblem(p, base.X, 3, 2, 2, rand.New(rand.NewSource(7)))
 		rhoBefore := chk.Rho
-		warm, err := s.SolveDualFrom(p, combo.opts, base.Basis)
+		warm, err := s.SolveFrom(p, combo.opts, base.Basis)
 		if err != nil || chk.Err != nil {
 			t.Fatalf("%s: dual re-solve: %v, %v", combo.name, err, chk.Err)
 		}

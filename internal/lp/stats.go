@@ -30,8 +30,9 @@ type Counters struct {
 	// WarmStarts is the number of solves that skipped phase one by starting
 	// from a transferred prior basis.
 	WarmStarts uint64
-	// VerifiedSolves is the number of cascade solves whose result passed the
-	// independent certificate check (Verify).
+	// VerifiedSolves is the number of revised solves whose result passed the
+	// independent certificate check (Verify); every Optimal revised solve
+	// counts here, a MethodFlat solve never does.
 	VerifiedSolves uint64
 	// VerifyFailures is the number of Optimal results the certificate check
 	// rejected (each one triggers a cascade fallback).
@@ -41,7 +42,7 @@ type Counters struct {
 	// exhausted pivot budgets all count).
 	CascadeFallbacks uint64
 	// DualPivots is the total number of dual simplex pivots performed by
-	// warm re-solves (Options.Dual).
+	// warm re-solves (Solver.SolveFrom).
 	DualPivots uint64
 }
 

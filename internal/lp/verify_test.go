@@ -2,7 +2,7 @@ package lp_test
 
 // Tests of the verified-solve layer: the independent optimality certificate
 // (lp.Verify), the typed numeric-failure errors, the self-healing cascade
-// behind Options.Cascade, and the injectable numeric faults the cascade is
+// every revised solve runs, and the injectable numeric faults the cascade is
 // proven against.  The hostile warm-start property test rides here too: a
 // stale or fabricated basis must never change a solve's answer, only its
 // cost.
@@ -181,7 +181,6 @@ func TestCascadeHealsCorruptFactor(t *testing.T) {
 		t.Run(combo.name, func(t *testing.T) {
 			p := productionProblem()
 			opts := combo.opts
-			opts.Cascade = true
 			solver := lp.NewSolver()
 			clean, err := solver.Solve(p, opts)
 			if err != nil || clean.Status != lp.StatusOptimal || clean.Downgrades != 0 {
@@ -224,14 +223,14 @@ func TestCascadeHealsCorruptFactor(t *testing.T) {
 func TestCascadeHealsCorruptObjective(t *testing.T) {
 	p := productionProblem()
 	solver := lp.NewSolver()
-	clean, err := solver.Solve(p, lp.Options{Cascade: true})
+	clean, err := solver.Solve(p, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var sink lp.Stats
 	undo := faultRungZero(&lp.Fault{CorruptObjective: true})
-	healed, err := solver.Solve(p, lp.Options{Cascade: true, Stats: &sink})
+	healed, err := solver.Solve(p, lp.Options{Stats: &sink})
 	undo()
 	if err != nil || healed.Status != lp.StatusOptimal || healed.Downgrades != 1 {
 		t.Fatalf("faulted solve: sol=%+v err=%v, want a once-downgraded optimum", healed, err)
@@ -251,7 +250,6 @@ func TestCascadeHealsSingularBasis(t *testing.T) {
 		t.Run(combo.name, func(t *testing.T) {
 			p := productionProblem()
 			opts := combo.opts
-			opts.Cascade = true
 			solver := lp.NewSolver()
 			clean, err := solver.Solve(p, opts)
 			if err != nil {
@@ -278,28 +276,12 @@ func TestCascadeHealsPerturbedPivot(t *testing.T) {
 	p := productionProblem()
 	undo := faultRungZero(&lp.Fault{PerturbPivot: 0.25})
 	defer undo()
-	sol, err := lp.Solve(p, lp.Options{Cascade: true})
+	sol, err := lp.Solve(p, lp.Options{})
 	if err != nil || sol.Status != lp.StatusOptimal {
 		t.Fatalf("sol=%+v err=%v", sol, err)
 	}
 	if math.Abs(sol.Objective-(-36)) > 1e-6 {
 		t.Fatalf("objective %g, want -36", sol.Objective)
-	}
-}
-
-// TestPivotBudgetWithoutCascade pins the non-cascade contract: an injected
-// budget produces a StatusIterLimit solution, not an error — typed failures
-// are a cascade feature.
-func TestPivotBudgetWithoutCascade(t *testing.T) {
-	p := productionProblem()
-	undo := faultRungZero(&lp.Fault{PivotBudget: 1})
-	defer undo()
-	sol, err := lp.Solve(p, lp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != lp.StatusIterLimit || sol.Iterations != 1 {
-		t.Fatalf("status=%v iterations=%d, want iter-limit after 1 pivot", sol.Status, sol.Iterations)
 	}
 }
 
@@ -312,7 +294,7 @@ func TestCascadeExhaustion(t *testing.T) {
 		return func(rung int) *lp.Fault { return &lp.Fault{PivotBudget: 1} }
 	})
 	solver := lp.NewSolver()
-	_, err := solver.Solve(p, lp.Options{Cascade: true})
+	_, err := solver.Solve(p, lp.Options{})
 	lp.SetFaultHook(nil)
 	var ce *lp.CascadeExhaustedError
 	if !errors.As(err, &ce) {
@@ -321,7 +303,7 @@ func TestCascadeExhaustion(t *testing.T) {
 	if ce.Attempts != 3 {
 		t.Errorf("Attempts = %d, want 3 (warm, cold, flat)", ce.Attempts)
 	}
-	sol, err := solver.Solve(p, lp.Options{Cascade: true})
+	sol, err := solver.Solve(p, lp.Options{})
 	if err != nil || sol.Status != lp.StatusOptimal {
 		t.Fatalf("clean solve after exhaustion: sol=%+v err=%v", sol, err)
 	}
@@ -393,8 +375,9 @@ func TestHostileWarmStarts(t *testing.T) {
 
 // TestDualButNotPrimalFeasibleWarmStart captures the optimal basis of one
 // problem and replays it on a same-shaped problem whose RHS moved under it:
-// the old basis prices dual feasible but its basic point is infeasible, so
-// the solve must reject it and match the cold answer.
+// the old basis prices dual feasible but its basic point is infeasible.  The
+// transplant must repair it with dual pivots and reach the verified cold
+// optimum.
 func TestDualButNotPrimalFeasibleWarmStart(t *testing.T) {
 	for _, combo := range engineCombos {
 		t.Run(combo.name, func(t *testing.T) {
@@ -426,23 +409,16 @@ func TestDualButNotPrimalFeasibleWarmStart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if warm.WarmStarted {
-				t.Fatal("primal-infeasible donor basis was accepted")
+			if !warm.WarmStarted || warm.DualIterations == 0 || warm.Downgrades != 0 {
+				t.Fatalf("warm %v, %d dual pivots, %d downgrades: want the transplant repaired by dual pivots",
+					warm.WarmStarted, warm.DualIterations, warm.Downgrades)
 			}
 			if warm.Status != cold.Status || math.Abs(warm.Objective-cold.Objective) > 1e-9 {
 				t.Fatalf("warm %v/%g, cold %v/%g", warm.Status, warm.Objective, cold.Status, cold.Objective)
 			}
 			if verr := lp.Verify(tight, warm); verr != nil {
-				t.Fatalf("fallback solution failed verification: %v", verr)
+				t.Fatalf("repaired solution failed verification: %v", verr)
 			}
 		})
 	}
-}
-
-// BenchmarkRevisedSolveVerifiedE7Size measures the cascade-wrapped solve on
-// the E7-sized model: a clean solve's cascade cost is one Verify walk on top
-// of the plain revised solve (compare BenchmarkRevisedSolveE7Size), and the
-// allocation guard bounds it like every other solve path.
-func BenchmarkRevisedSolveVerifiedE7Size(b *testing.B) {
-	benchSolve(b, lp.Options{Method: lp.MethodRevised, Cascade: true})
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // planBatch is Plan routed through a ModelBatch the way the experiment
-// suite and the service shards route it: the build reuses the batch's slot
-// storage (a repeated instance skips it) and the solve runs through the
-// batch's lp.Batch.
+// suite and the service shards route it: the build reuses the batch's model
+// storage and the solve runs through the batch's lp.Batch.
 func planBatch(b *ModelBatch, in *core.Instance, opts lp.Options) (*PlanResult, error) {
 	m, err := b.Model(in)
 	if err != nil {
@@ -26,11 +25,12 @@ func planBatch(b *ModelBatch, in *core.Instance, opts lp.Options) (*PlanResult, 
 
 // TestPlanBatchMatchesPlan pins the contract the E7 sweep rows and the
 // service shards rely on: planning through one reused ModelBatch, whose
-// model slots are recycled and whose solves share solver arenas, gives
+// model storage is rebuilt and whose solves share solver arenas, gives
 // exactly what a plain Plan gives.  Stall, lower bound, schedule and pivots
-// must agree on E7-shaped instances.  Every instance after the first is planned as A, B, A —
-// A, the previous instance, then A again from its cached model — and the
-// repeat must match Plan too: a re-solve starts cold, like the first.
+// must agree on E7-shaped instances.  Every instance after the first is
+// planned as A, B, A — A, the previous instance, then A again over the
+// storage B's build left — and the repeat must match Plan too: a re-solve
+// starts cold, like the first.
 func TestPlanBatchMatchesPlan(t *testing.T) {
 	engines := []struct {
 		name string

@@ -106,7 +106,7 @@ func TestOmittedColumnsKeepOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(2323))
 	solve := func(p *lp.Problem) *lp.Solution {
 		t.Helper()
-		sol, err := lp.Solve(p, lp.Options{Cascade: true})
+		sol, err := lp.Solve(p, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func TestDummyFoldKeepsOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	solve := func(p *lp.Problem) float64 {
 		t.Helper()
-		sol, err := lp.Solve(p, lp.Options{Cascade: true})
+		sol, err := lp.Solve(p, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

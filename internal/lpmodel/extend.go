@@ -24,8 +24,9 @@ var ErrExtendRebuild = errors.New("lpmodel: extension requires a rebuild")
 // each re-reference the fetch columns of the gap it closes and that gap's
 // balance row.  Every pre-existing row keeps its index, sense and old-column
 // coefficients, so a warm basis captured from the pre-extension solve
-// transfers through lp.Options.Dual and the next solve re-optimises in a
-// handful of dual pivots instead of from scratch (see SolveIncremental).
+// transplants onto the grown program (lp.Solver.SolveFrom) and the next solve
+// re-optimises in a handful of dual pivots instead of from scratch (see
+// SolveIncremental).
 //
 // The extended program is equivalent to Build of the extended instance: same
 // variables and constraints up to ordering, hence the same optimal value and
@@ -54,7 +55,6 @@ func (m *Model) Extend(reqs ...core.BlockID) error {
 // SolveWith's, reached by a shorter path; on a degenerate program it may be
 // another optimal vertex than a cold solve's.
 func (m *Model) SolveIncremental(s *lp.Solver, opts lp.Options) (*Fractional, error) {
-	opts.Dual = true
 	return m.solveFrom(s, opts, m.warm)
 }
 

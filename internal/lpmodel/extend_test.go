@@ -241,7 +241,7 @@ func TestExtendVerifiedCascade(t *testing.T) {
 	seq := workload.Uniform(24, 6, 901)
 	in := workload.Instance(seq, 3, 2, 2, workload.AssignStripe, 0)
 	solver := lp.NewSolver()
-	opts := lp.Options{Cascade: true}
+	opts := lp.Options{}
 	m, err := Build(in.Clone())
 	if err != nil {
 		t.Fatal(err)

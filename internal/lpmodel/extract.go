@@ -309,16 +309,14 @@ func (r *rounding) furthestResident() (int, int) {
 	return best, bestRef
 }
 
-// evaluate runs the schedule on the real instance.  The evictions planned
-// against the k+(D-1) budget may name blocks that are not resident on the
-// real cache timeline (e.g. a block still in flight); such schedules are
-// rejected here and the caller tries another timeline offset.
+// evaluate runs the schedule on the real instance, dropping its redundant
+// fetches (sim.Sanitize), and returns the run's result with the cleaned
+// schedule, whose cost it is.  The evictions planned against the k+(D-1)
+// budget may name blocks that are not resident on the real cache timeline
+// (e.g. a block still in flight); such schedules are rejected here and the
+// caller tries another timeline offset.
 func evaluate(in *core.Instance, sched *core.Schedule) (*sim.Result, *core.Schedule, error) {
-	clean, _, err := sim.Sanitize(in, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.Run(in, clean, sim.Options{})
+	clean, res, err := sim.Sanitize(in, sched)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,7 +25,7 @@ func regressInstance(seed int64) (*Model, *Fractional, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	frac, err := m.Solve(lp.Options{Cascade: true})
+	frac, err := m.Solve(lp.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -45,7 +45,7 @@ func TestExtractRegressionSeeds(t *testing.T) {
 			m, frac, err := regressInstance(seed)
 			if tied {
 				m.TieBreakObjective(1e-5)
-				frac, err = m.Solve(lp.Options{Cascade: true})
+				frac, err = m.Solve(lp.Options{})
 			}
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -149,7 +149,7 @@ func TestExtractRef50ScratchVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := m.SolveWith(nil, lp.Options{Cascade: true})
+	served, err := m.SolveWith(nil, lp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkExtractSessionShape(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		frac, err := m.Solve(lp.Options{Cascade: true})
+		frac, err := m.Solve(lp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -124,8 +124,8 @@ type Fractional struct {
 	// Integral reports whether every x(I) is within tolerance of 0 or 1.
 	Integral bool
 	// Downgrades is the number of self-healing cascade rungs the solve
-	// abandoned before this solution verified (0 without lp.Options.Cascade,
-	// and 0 when the configured engines' own result passed verification).
+	// abandoned before this solution verified (0 when the revised engine's
+	// own result passed verification, and always 0 for lp.MethodFlat).
 	// It never appears on the wire: a recovered solve is byte-identical to a
 	// clean one, and the counter exists so the service can taint the shard
 	// solver that needed recovering.

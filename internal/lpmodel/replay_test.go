@@ -91,7 +91,10 @@ func replays(t *testing.T, what string, in *core.Instance, sched *core.Schedule,
 // feasible candidate of every extraction tier (start and end offsets, at the
 // k+(D-1) and k+2(D-1) planning budgets) under both roundings, replays
 // through sim.Run to exactly the stall and extra cache it was costed at,
-// unpinned and with every fetch pinned to its start.  The end offsets add at
+// unpinned and with every fetch pinned to its start, and each candidate's
+// cost, read off sim.Sanitize's run with its redundant fetches dropped, is
+// the cleaned schedule's own: the same stall, elapsed time, fetch count and
+// residency as a sim.Run of it.  The end offsets add at
 // most one candidate, the fractional part of the timeline's length, since
 // every other interval ends where the next one starts.  No lp-cold instance
 // has one, nor does any vertex of seeds 900-903.  Seed 1499's vertex at
@@ -116,7 +119,7 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frac, err := m.SolveWith(nil, lp.Options{Cascade: true})
+		frac, err := m.SolveWith(nil, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,6 +150,13 @@ func TestExtractedSchedulesReplay(t *testing.T) {
 						continue // Extract rejects infeasible candidates too
 					}
 					tiers[4*ri+ti]++
+					// The cost evaluate reports is the drop run's (sim.Sanitize):
+					// it must be the clean schedule's own.
+					run, err := sim.Run(in, clean, sim.Options{})
+					if err != nil || run.Stall != r.Stall || run.Elapsed != r.Elapsed || run.FetchCount != r.FetchCount ||
+						run.MaxResident != r.MaxResident || run.ExtraCache != r.ExtraCache {
+						t.Fatalf("instance %d: Sanitize's run %+v, Run of the clean schedule %+v (%v)", i, r, run, err)
+					}
 					if replays(t, "candidate", in, clean, r.Stall, r.ExtraCache) {
 						pinned++
 					}

@@ -18,7 +18,7 @@ import (
 // that keeps a feasible schedule above OPT(k) when another tier has a better
 // one.
 func TestTheorem4E7Shape(t *testing.T) {
-	opts := lp.Options{Cascade: true}
+	opts := lp.Options{}
 	failures := 0
 	for _, d := range []int{2, 3} {
 		for seed := int64(900); seed < 1100; seed++ {
@@ -61,7 +61,7 @@ func TestTheorem4SaltedVertices(t *testing.T) {
 			ins = append(ins, workload.Instance(workload.Uniform(22, 10, seed), 4, 4, d, workload.AssignStripe, 0))
 		}
 	}
-	opts := lp.Options{Cascade: true}
+	opts := lp.Options{}
 	moved := 0
 	for i, in := range ins {
 		want, err := opt.OptimalStall(in, opt.Options{})

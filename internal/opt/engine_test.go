@@ -261,8 +261,10 @@ func TestNodeTable(t *testing.T) {
 	}
 }
 
-// TestHeuristicAdmissibleAtRoot spot-checks admissibility at the root state:
-// h(start) must never exceed the true optimal stall time.
+// TestHeuristicAdmissibleAtRoot spot-checks admissibility at the root state,
+// h(start) must never exceed the true optimal stall time, and away from it:
+// every state on the optimal path (the goal's parent chain) must satisfy
+// h(state) <= OPT - g(state), the stall still to come on that path.
 func TestHeuristicAdmissibleAtRoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 40; trial++ {
@@ -283,6 +285,22 @@ func TestHeuristicAdmissibleAtRoot(t *testing.T) {
 		if h0 > res.Stall {
 			t.Fatalf("trial %d: h(start) = %d exceeds the optimal stall %d (seq=%v k=%d F=%d D=%d)",
 				trial, h0, res.Stall, seq, k, f, disks)
+		}
+		s.nodes, s.table = newNodeArena(), newNodeTable()
+		goal, err := s.search()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		recs := s.nodes.recs
+		if opt := int(recs[goal].g); opt != res.Stall {
+			t.Fatalf("trial %d: goal at stall %d, Optimal %d", trial, opt, res.Stall)
+		}
+		for idx := goal; idx != 0; idx = recs[idx].parent {
+			rec := &recs[idx]
+			if h := int(s.heuristic(&rec.key)); h > res.Stall-int(rec.g) {
+				t.Fatalf("trial %d: h = %d at served %d on the optimal path exceeds OPT - g = %d - %d (seq=%v k=%d F=%d D=%d)",
+					trial, h, rec.key.served, res.Stall, rec.g, seq, k, f, disks)
+			}
 		}
 	}
 }

@@ -269,6 +269,17 @@ func (s *searcher) run() (*Result, error) {
 		mem.release()
 	}()
 	defer s.recordStats()
+	goal, err := s.search()
+	if err != nil {
+		return nil, err
+	}
+	return s.result(int(s.nodes.recs[goal].g), s.reconstruct(goal)), nil
+}
+
+// search runs A* from the initial state on the searcher's arena and table
+// and returns the arena index of the goal it pops: every request served at
+// the optimal stall g, with the optimal path on its parent links.
+func (s *searcher) search() (int32, error) {
 	start := s.initialKey()
 	h0 := s.heuristic(&start)
 	s.generated++
@@ -291,14 +302,14 @@ func (s *searcher) run() (*Result, error) {
 		s.expanded++
 		key := rec.key
 		if int(key.served) == s.n {
-			return s.result(int(rec.g), s.reconstruct(idx)), nil
+			return idx, nil
 		}
 		s.expand(idx, &key)
 		if s.table.count > s.maxStates() {
-			return nil, &TooLargeError{States: s.maxStates()}
+			return 0, &TooLargeError{States: s.maxStates()}
 		}
 	}
-	return nil, fmt.Errorf("opt: search exhausted without serving every request (internal error)")
+	return 0, fmt.Errorf("opt: search exhausted without serving every request (internal error)")
 }
 
 // expand generates the successors of a state into the staging buffer and

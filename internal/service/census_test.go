@@ -101,7 +101,7 @@ func benchCensus(b *testing.B, tied bool) {
 	ins := lpColdCensus(b, 1, 3)
 	mb := lpmodel.NewModelBatch()
 	var sink lp.Stats
-	opts := lp.Options{Cascade: true, Stats: &sink}
+	opts := lp.Options{Stats: &sink}
 	times := make([]time.Duration, 0, len(ins))
 	var total time.Duration
 	stall := 0

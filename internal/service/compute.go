@@ -17,9 +17,10 @@ import (
 // response.  It is the single code path behind the HTTP handler, the shards
 // and the tests: responses are byte-identical no matter which of them asks.
 // mb may be nil (the model is built fresh and a pooled solver is drawn for
-// LP work); shards pass their owned lpmodel.ModelBatch, so repeated LP
-// requests on one shard reuse the built model and the solver buffers.  The
-// LP solve starts cold either way, which is what makes the bytes the same.
+// LP work); shards pass their owned lpmodel.ModelBatch, so LP requests on
+// one shard reuse the model storage and the solver buffers.  The model is
+// built afresh and the LP solve starts cold either way, which is what makes
+// the bytes the same.
 //
 // lpOpts configures the lp-optimal strategy's solves and optOpts the opt
 // strategy's exact search; their Stats fields name the sinks the work is
@@ -54,14 +55,13 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 		var m *lpmodel.Model
 		var frac *lpmodel.Fractional
 		var err error
-		// Every served solve runs under the verification cascade: the result
-		// is checked against the independent optimality certificate, and a
+		// A revised solve runs under the verification cascade: the result is
+		// checked against the independent optimality certificate, and a
 		// numerical failure re-solves down the engine ladder instead of being
-		// cached, replicated and frozen into benchmark tables.  A clean
-		// solve's response is byte-identical with or without the cascade —
-		// and with or without the batch (the lp.Batch contract), which only
-		// changes what is reused, never what is computed.
-		lpOpts.Cascade = true
+		// cached, replicated and frozen into benchmark tables.  The response
+		// is byte-identical with or without the batch (the lp.Batch
+		// contract), which only changes what is reused, never what is
+		// computed.
 		if mb != nil {
 			m, err = mb.Model(in)
 			if err != nil {

@@ -19,13 +19,14 @@
 //     trace and re-plans; DELETE /v1/session/{id} closes it.  A session owns
 //     a live LP model and solver pinned to one shard: an extension grows the
 //     model in place (lpmodel.Model.Extend) and re-optimises with the dual
-//     simplex from the previous optimal basis (lp.Options.Dual) instead of
-//     rebuilding, which is what makes per-step re-planning O(pivots changed)
+//     simplex from the previous optimal basis (lp.Solver.SolveFrom) instead
+//     of rebuilding, which is what makes per-step re-planning O(pivots changed)
 //     rather than O(whole program).  Extensions naming brand-new blocks,
 //     numeric taints, evictions and restarts all fall back transparently to
 //     a cold rebuild of the session's full transcript.  Sessions live in a
-//     bounded LRU with an idle TTL; every session solve runs under the
-//     verification cascade, so an extension's plan is cost-equivalent —
+//     bounded LRU with an idle TTL; every session solve, like every revised
+//     solve, runs under the verification cascade, so an extension's plan is
+//     cost-equivalent —
 //     same certified LP bound, same stall — to a cold /v1/schedule of the
 //     full extended trace.  An unknown, closed or expired session ID is a
 //     404, which a session-aware front tier treats as "replay the
@@ -34,13 +35,12 @@
 // Internally, schedule requests are sharded by the instance's canonical
 // fingerprint (core.Instance.Fingerprint) onto a fixed set of worker shards.
 // Each shard processes its requests serially on one goroutine and owns a
-// reusable lpmodel.ModelBatch: the built LP models of its recent instances
-// and one lp.Solver whose arenas are sized once and reused allocation-free.
-// Requests for the same instance always hash to the same shard, so a
-// repeated instance (a cache miss after eviction) skips the model rebuild;
-// its solve still starts cold, so it is served the bytes of its first
-// answer.  Across shards nothing is shared, so no tableau is ever touched
-// by two concurrent solves.  A shard's batch lives until a solve on it is tainted
+// reusable lpmodel.ModelBatch: one LP model that every request rebuilds in
+// place, and one lp.Solver whose arenas are sized once and reused
+// allocation-free.  Every solve starts cold on a freshly built program, so
+// a repeated instance (a cache miss after eviction) is served the bytes of
+// its first answer.  Across shards nothing is shared, so no tableau is ever
+// touched by two concurrent solves.  A shard's batch lives until a solve on it is tainted
 // (see below); only then is it discarded wholesale.  In front of the shards
 // sit a bounded LRU cache keyed by the canonical instance encoding plus the
 // strategy (so repeated requests are answered from memory, byte-identically)
@@ -68,13 +68,13 @@
 //     server-side ScheduleTimeout maps to 504.
 //   - Solver panics are recovered per-request into 500s (and counted), so
 //     one poisoned instance cannot take the process down.
-//   - lp-optimal solves run with the solver's verification cascade
-//     (lp.Options.Cascade): every served LP solution carries a passed
-//     certificate, and a solve damaged by numeric faults re-solves itself
+//   - lp-optimal solves run the solver's verification cascade, as every
+//     revised solve does (lp.Solver.Solve): every served LP solution carries
+//     a passed certificate, and a solve damaged by numeric faults re-solves itself
 //     down the engine ladder, byte-identically to a clean solve.  A shard
 //     whose solve was downgraded — or whose solver panicked — discards its
 //     whole batch for a fresh one (counted in /v1/stats as solver_resets):
-//     the models and solver buffers that were live during the failure are
+//     the model and solver buffers that were live during the failure are
 //     suspect, so latent corruption never carries into later requests.  A cascade exhausted on every rung
 //     surfaces as a typed 500 carrying the lp.CascadeExhaustedError text,
 //     which the front tier treats as retryable; failures are never cached.

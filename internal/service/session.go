@@ -22,8 +22,9 @@ import (
 // trace evolves opens a session over its current instance, then extends the
 // trace one suffix at a time, and each extension is re-planned incrementally
 // — the session's LP model grows in place (lpmodel.Model.Extend) and the
-// dual simplex re-optimises from the previous optimal basis (lp.Options.Dual)
-// instead of rebuilding and re-solving the whole program.  Extensions that
+// dual simplex re-optimises from the previous optimal basis
+// (lp.Solver.SolveFrom) instead of rebuilding and re-solving the whole
+// program.  Extensions that
 // outgrow the model (brand-new blocks), numeric taints, evictions and
 // restarts all fall back to a cold rebuild of the full trace.  The responses
 // are assembled by the same code path as one-shot lp-optimal requests, and
@@ -239,7 +240,7 @@ func newSessionID() (string, error) {
 // server's engines under the verification cascade, like any served solve,
 // counted in the sinks of the shard the session lives on.
 func (s *Server) sessionLPOptions(sh *shard) lp.Options {
-	return lp.Options{Method: s.opts.Solver, Cascade: true, Stats: &sh.lp}
+	return lp.Options{Method: s.opts.Solver, Stats: &sh.lp}
 }
 
 // sessionCtx applies the server-side schedule deadline to a session request.

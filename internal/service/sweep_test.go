@@ -154,7 +154,10 @@ func TestSweepDoesNotStallSchedules(t *testing.T) {
 // sweepsBesideLPLoad runs the sweeps concurrently on one server while a
 // closed loop of lp-optimal schedules runs beside them, and requires every
 // sweep body — tables and lp/opt counter blocks — to be byte-identical to a
-// quiet RunSweep of the same request.
+// quiet RunSweep of the same request.  Its lp block must also show every
+// solve certified: verified_solves equals solves on the revised engine,
+// whose every solve runs the cascade, and is 0 on the flat path, which runs
+// alone.
 func sweepsBesideLPLoad(t *testing.T, sweeps ...*service.SweepRequest) {
 	want := make([][]byte, len(sweeps))
 	for i, req := range sweeps {
@@ -174,9 +177,8 @@ func sweepsBesideLPLoad(t *testing.T, sweeps ...*service.SweepRequest) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// The cache is off, so every request solves; a repeated instance solves
-	// warm on its shard, which changes the pivot count its body reports, so
-	// the replies are checked for status only.
+	// The replies are checked for status only: the sweeps' bodies are what
+	// this test pins.
 	var reqs []service.ScheduleRequest
 	for n := 14; n <= 24; n += 2 {
 		reqs = append(reqs, service.ScheduleRequest{Strategy: "lp-optimal", K: 3, F: 3, Disks: 2,
@@ -204,6 +206,18 @@ func sweepsBesideLPLoad(t *testing.T, sweeps ...*service.SweepRequest) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("sweep %d (solver %q) served beside other work differs from the quiet run:\nserved: %s\nquiet:  %s",
 				i, sweeps[i].Solver, got[i], want[i])
+		}
+		var resp service.SweepResponse
+		if err := json.Unmarshal(got[i], &resp); err != nil {
+			t.Fatal(err)
+		}
+		verified := resp.LP.Solves
+		if sweeps[i].Solver == "flat" {
+			verified = 0
+		}
+		if resp.LP.Solves == 0 || resp.LP.VerifiedSolves != verified {
+			t.Errorf("sweep %d (solver %q): %d of %d solves verified, want %d",
+				i, sweeps[i].Solver, resp.LP.VerifiedSolves, resp.LP.Solves, verified)
 		}
 	}
 }

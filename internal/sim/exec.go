@@ -10,10 +10,6 @@ import (
 type Options struct {
 	// Trace records an event log in the result.
 	Trace bool
-	// MaxResident, when positive, makes execution fail as soon as more than
-	// MaxResident cache locations are in use at the same instant.  It is used
-	// to enforce the "k + extra" bounds of Section 3 of the paper.
-	MaxResident int
 	// DropRedundantFetches silently skips fetches whose block is already
 	// resident (in cache or in flight) at initiation time instead of
 	// reporting an error.  The number of skipped fetches is reported in
@@ -146,18 +142,6 @@ func (e *RedundantFetchError) Error() string {
 	return fmt.Sprintf("fetch %d: block %v is already resident or in flight", e.FetchIndex, e.Block)
 }
 
-// ResidencyError reports that the schedule used more cache locations than the
-// configured limit allows.
-type ResidencyError struct {
-	Time     int
-	Resident int
-	Limit    int
-}
-
-func (e *ResidencyError) Error() string {
-	return fmt.Sprintf("time %d: %d cache locations in use, limit is %d", e.Time, e.Resident, e.Limit)
-}
-
 // queuedFetch is a fetch together with its index in the original schedule.
 type queuedFetch struct {
 	core.Fetch
@@ -192,18 +176,14 @@ type executor struct {
 
 	res Result
 
-	kept    []bool // kept[i] reports whether schedule fetch i was executed
-	dropped int
+	kept []bool // kept[i] reports whether schedule fetch i was executed
 }
 
 // Run executes the schedule on the instance and returns its cost, or an error
 // if the schedule is infeasible.
 func Run(in *core.Instance, sched *core.Schedule, opts Options) (*Result, error) {
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid instance: %w", err)
-	}
-	if err := sched.Validate(in); err != nil {
-		return nil, fmt.Errorf("invalid schedule: %w", err)
+	if err := validate(in, sched); err != nil {
+		return nil, err
 	}
 	ex := newExecutor(in, sched, opts)
 	if err := ex.run(); err != nil {
@@ -212,35 +192,36 @@ func Run(in *core.Instance, sched *core.Schedule, opts Options) (*Result, error)
 	return &ex.res, nil
 }
 
-// Stall is a convenience wrapper returning only the total stall time.
-func Stall(in *core.Instance, sched *core.Schedule) (int, error) {
-	r, err := Run(in, sched, Options{})
-	if err != nil {
-		return 0, err
+// validate checks the instance and the schedule before an execution: the
+// executor indexes its per-disk queues by each fetch's disk.
+func validate(in *core.Instance, sched *core.Schedule) error {
+	if err := in.Validate(); err != nil {
+		return fmt.Errorf("invalid instance: %w", err)
 	}
-	return r.Stall, nil
+	if err := sched.Validate(in); err != nil {
+		return fmt.Errorf("invalid schedule: %w", err)
+	}
+	return nil
 }
 
-// Elapsed is a convenience wrapper returning only the elapsed time.
-func Elapsed(in *core.Instance, sched *core.Schedule) (int, error) {
-	r, err := Run(in, sched, Options{})
-	if err != nil {
-		return 0, err
+// Sanitize validates the instance and the schedule as Run does, executes the
+// schedule with redundant fetches dropped, and returns a copy of the
+// schedule containing only the fetches that were actually executed, together
+// with the run's Result (DroppedFetches counts the dropped fetches).  It is
+// used to clean up schedules produced by the linear-programming rounding,
+// which may contain fetches of blocks that are already resident (such
+// fetches never help and never hurt the stall time, so removing them is
+// always safe).  A dropped fetch takes no disk time, so on a schedule whose
+// fetches are in anchor order on each disk, as the rounding's are, the
+// Result's cost is the clean copy's: the same stall, elapsed time, fetch
+// count and residency a Run of the copy reports.
+func Sanitize(in *core.Instance, sched *core.Schedule) (*core.Schedule, *Result, error) {
+	if err := validate(in, sched); err != nil {
+		return nil, nil, err
 	}
-	return r.Elapsed, nil
-}
-
-// Sanitize executes the schedule with redundant fetches dropped and returns a
-// copy of the schedule containing only the fetches that were actually
-// executed, together with the number of dropped fetches.  It is used to clean
-// up schedules produced by the linear-programming rounding, which may contain
-// fetches of blocks that are already resident (such fetches never help and
-// never hurt the stall time, so removing them is always safe).
-func Sanitize(in *core.Instance, sched *core.Schedule) (*core.Schedule, int, error) {
-	opts := Options{DropRedundantFetches: true}
-	ex := newExecutor(in, sched, opts)
+	ex := newExecutor(in, sched, Options{DropRedundantFetches: true})
 	if err := ex.run(); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	out := &core.Schedule{}
 	for i, f := range sched.Fetches {
@@ -248,7 +229,7 @@ func Sanitize(in *core.Instance, sched *core.Schedule) (*core.Schedule, int, err
 			out.Append(f)
 		}
 	}
-	return out, ex.dropped, nil
+	return out, &ex.res, nil
 }
 
 func newExecutor(in *core.Instance, sched *core.Schedule, opts Options) *executor {
@@ -286,15 +267,11 @@ func (ex *executor) resident() int {
 	return n
 }
 
-func (ex *executor) noteResidency() error {
-	r := ex.resident()
-	if r > ex.res.MaxResident {
+// noteResidency records the current residency in Result.MaxResident.
+func (ex *executor) noteResidency() {
+	if r := ex.resident(); r > ex.res.MaxResident {
 		ex.res.MaxResident = r
 	}
-	if ex.opts.MaxResident > 0 && r > ex.opts.MaxResident {
-		return &ResidencyError{Time: ex.time, Resident: r, Limit: ex.opts.MaxResident}
-	}
-	return nil
 }
 
 func (ex *executor) event(e Event) {
@@ -337,7 +314,6 @@ func (ex *executor) startEligible() error {
 			ex.qpos[d]++
 			if ex.cache[qf.Block] || ex.blockInFlight(qf.Block) {
 				if ex.opts.DropRedundantFetches {
-					ex.dropped++
 					ex.res.DroppedFetches++
 					continue
 				}
@@ -359,9 +335,7 @@ func (ex *executor) startEligible() error {
 			ex.kept[qf.index] = true
 			ex.res.FetchCount++
 			ex.event(Event{Kind: EventFetchStart, Request: ex.served, Block: qf.Block, Evict: qf.Evict, Disk: d})
-			if err := ex.noteResidency(); err != nil {
-				return err
-			}
+			ex.noteResidency()
 		}
 	}
 	return nil
@@ -440,9 +414,7 @@ func (ex *executor) earliestCompletion() int {
 
 func (ex *executor) run() error {
 	n := ex.in.N()
-	if err := ex.noteResidency(); err != nil {
-		return err
-	}
+	ex.noteResidency()
 	for {
 		if err := ex.deliver(); err != nil {
 			return err

@@ -220,8 +220,8 @@ func TestRedundantFetchError(t *testing.T) {
 	}
 }
 
-// TestSanitize checks that Sanitize removes redundant fetches and keeps the
-// schedule cost unchanged.
+// TestSanitize checks that Sanitize removes redundant fetches, keeps the
+// schedule cost unchanged, and reports the clean copy's cost in its Result.
 func TestSanitize(t *testing.T) {
 	in := introSingleDiskInstance()
 	sched := &core.Schedule{Fetches: []core.Fetch{
@@ -229,12 +229,12 @@ func TestSanitize(t *testing.T) {
 		core.NewFetch(0, 2, 4, 1),
 		core.NewFetch(0, 5, 1, 2),
 	}}
-	clean, dropped, err := Sanitize(in, sched)
+	clean, dropRun, err := Sanitize(in, sched)
 	if err != nil {
 		t.Fatalf("Sanitize: %v", err)
 	}
-	if dropped != 1 || clean.Len() != 2 {
-		t.Fatalf("dropped=%d len=%d, want 1 and 2", dropped, clean.Len())
+	if dropRun.DroppedFetches != 1 || clean.Len() != 2 {
+		t.Fatalf("dropped=%d len=%d, want 1 and 2", dropRun.DroppedFetches, clean.Len())
 	}
 	res, err := Run(in, clean, Options{})
 	if err != nil {
@@ -243,11 +243,14 @@ func TestSanitize(t *testing.T) {
 	if res.Stall != 1 {
 		t.Errorf("stall = %d, want 1", res.Stall)
 	}
+	if dropRun.Stall != res.Stall || dropRun.Elapsed != res.Elapsed || dropRun.FetchCount != res.FetchCount ||
+		dropRun.MaxResident != res.MaxResident || dropRun.ExtraCache != res.ExtraCache {
+		t.Errorf("Sanitize's run %+v, Run of the clean copy %+v", dropRun, res)
+	}
 }
 
 // TestExtraCacheAccounting checks that fetches without evictions beyond the
-// cache size are counted as extra locations and that the residency limit is
-// enforced.
+// cache size are counted as extra locations.
 func TestExtraCacheAccounting(t *testing.T) {
 	seq, _ := core.ParseSequence("a b c")
 	in := core.SingleDisk(seq, 1, 2)
@@ -262,11 +265,6 @@ func TestExtraCacheAccounting(t *testing.T) {
 	}
 	if res.ExtraCache != 2 {
 		t.Errorf("extra cache = %d, want 2", res.ExtraCache)
-	}
-	_, err = Run(in, sched, Options{MaxResident: 2})
-	var lim *ResidencyError
-	if !errors.As(err, &lim) {
-		t.Fatalf("error = %v, want ResidencyError", err)
 	}
 }
 
@@ -355,40 +353,25 @@ func TestSerialFetchesOnOneDisk(t *testing.T) {
 	}
 }
 
-// TestStallConvenienceWrappers exercises Stall and Elapsed.
-func TestStallConvenienceWrappers(t *testing.T) {
-	in := introSingleDiskInstance()
-	sched := &core.Schedule{Fetches: []core.Fetch{
-		core.NewFetch(0, 2, 4, 1),
-		core.NewFetch(0, 5, 1, 2),
-	}}
-	st, err := Stall(in, sched)
-	if err != nil || st != 1 {
-		t.Errorf("Stall = %d, %v; want 1, nil", st, err)
-	}
-	el, err := Elapsed(in, sched)
-	if err != nil || el != 11 {
-		t.Errorf("Elapsed = %d, %v; want 11, nil", el, err)
-	}
-	if _, err := Stall(in, &core.Schedule{Fetches: []core.Fetch{core.NewFetch(0, 0, 0, core.NoBlock)}}); err == nil {
-		t.Errorf("Stall accepted an infeasible schedule")
-	}
-	if _, err := Elapsed(in, &core.Schedule{Fetches: []core.Fetch{core.NewFetch(0, 0, 0, core.NoBlock)}}); err == nil {
-		t.Errorf("Elapsed accepted an infeasible schedule")
-	}
-}
-
-// TestInvalidInputsRejected checks that Run validates instance and schedule.
+// TestInvalidInputsRejected checks that Run and Sanitize validate instance
+// and schedule: a fetch naming a disk the instance lacks is an error, not an
+// index out of range in the executor.
 func TestInvalidInputsRejected(t *testing.T) {
 	seq, _ := core.ParseSequence("a")
 	bad := core.SingleDisk(seq, 0, 1)
 	if _, err := Run(bad, &core.Schedule{}, Options{}); err == nil {
 		t.Errorf("invalid instance accepted")
 	}
+	if _, _, err := Sanitize(bad, &core.Schedule{}); err == nil {
+		t.Errorf("Sanitize accepted an invalid instance")
+	}
 	good := core.SingleDisk(seq, 1, 1)
 	badSched := &core.Schedule{Fetches: []core.Fetch{core.NewFetch(3, 0, 0, core.NoBlock)}}
 	if _, err := Run(good, badSched, Options{}); err == nil {
 		t.Errorf("invalid schedule accepted")
+	}
+	if _, _, err := Sanitize(good, badSched); err == nil {
+		t.Errorf("Sanitize accepted a fetch on disk 3 of 1")
 	}
 }
 
@@ -421,7 +404,6 @@ func TestErrorStrings(t *testing.T) {
 		&MissingBlockError{Request: 1, Block: 2},
 		&EvictAbsentError{FetchIndex: 0, Block: 3},
 		&RedundantFetchError{FetchIndex: 2, Block: 4},
-		&ResidencyError{Time: 5, Resident: 7, Limit: 6},
 	}
 	for _, err := range errs {
 		if err.Error() == "" {

@@ -72,29 +72,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// MaxFloat returns the maximum of the values (0 for an empty slice).
-func MaxFloat(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MeanInt returns the mean of integer observations.
-func MeanInt(values []int) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, v := range values {
-		sum += v
-	}
-	return float64(sum) / float64(len(values))
-}

@@ -43,21 +43,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestMaxFloatAndMeanInt(t *testing.T) {
-	if MaxFloat(nil) != 0 {
-		t.Errorf("MaxFloat(nil) wrong")
-	}
-	if MaxFloat([]float64{1, 5, 2}) != 5 {
-		t.Errorf("MaxFloat wrong")
-	}
-	if MeanInt(nil) != 0 {
-		t.Errorf("MeanInt(nil) wrong")
-	}
-	if MeanInt([]int{2, 4}) != 3 {
-		t.Errorf("MeanInt wrong")
-	}
-}
-
 // TestSummarizeProperties checks with testing/quick that the summary respects
 // Min <= Median <= Max and Min <= Mean <= Max for arbitrary samples.
 func TestSummarizeProperties(t *testing.T) {

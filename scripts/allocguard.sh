@@ -4,17 +4,15 @@
 #  * The pooled LP solve paths (reused Solver, see BenchmarkLPSolveRevised /
 #    BenchmarkLPSolveFlat) must stay O(1) allocs per solve — that property is
 #    what keeps the E7/E8 sweeps allocation-free in steady state.
-#  * The revised solver's engine (internal/lp's
-#    BenchmarkRevisedSolve{,SteepestEdge,Verified}E7Size) must
-#    keep its working state — steepest-edge weight arrays, the sparse
+#  * The revised solver's engine (internal/lp's BenchmarkRevisedSolveE7Size)
+#    must keep its working state — steepest-edge weight arrays, the sparse
 #    pivot-row accumulator, and the LU factorization workspace — on the
 #    reusable Solver: a cold solve on warmed buffers allocates only the
 #    Solution, its X vector and the certificate's dual copy, so the same
 #    MAX_ALLOCS bound applies, also at serving size
-#    (BenchmarkRevisedSolveServeSize, n=40, D=3).  The Verified variant
-#    runs the full cascade path (Options.Cascade plus certificate checking)
-#    to guarantee verification never adds per-solve allocations beyond that
-#    copy.
+#    (BenchmarkRevisedSolveServeSize, n=40, D=3).  Every revised solve runs
+#    the verified cascade, so these benchmarks also guarantee that the
+#    certificate check never adds per-solve allocations beyond that copy.
 #  * The batched LP paths must hold their amortization promises:
 #    BenchmarkBatchSolveE7Size (internal/lp) runs twelve cold E7-size solves
 #    (six models, each solved twice) through one lp.Batch, where steady
@@ -49,7 +47,7 @@ MAX_BATCH_ALLOCS="${MAX_BATCH_ALLOCS:-24}"
 MAX_BATCH_BUILD_ALLOCS="${MAX_BATCH_BUILD_ALLOCS:-64}"
 MAX_EXTEND_ALLOCS="${MAX_EXTEND_ALLOCS:-512}"
 out=$(go test -run '^$' -bench 'BenchmarkLPSolve(Revised|Flat)$|BenchmarkOptSearchAStar|BenchmarkModelBatchBuild$' -benchmem -benchtime 1x .)
-lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolve(SteepestEdge|Verified)?E7Size$|BenchmarkRevisedSolveServeSize$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
+lpout=$(go test -run '^$' -bench 'BenchmarkRevisedSolveE7Size$|BenchmarkRevisedSolveServeSize$|BenchmarkBatchSolveE7Size$' -benchmem -benchtime 1x ./internal/lp)
 extout=$(go test -run '^$' -bench 'BenchmarkModelExtendResolve$' -benchmem -benchtime 16x ./internal/lpmodel)
 out=$(printf '%s\n%s\n%s' "$out" "$lpout" "$extout")
 echo "$out"

@@ -3,7 +3,8 @@
 # experiment suite as machine-readable JSON, run sequentially (-workers 1)
 # and without wall times (-stable) so the tables are byte-reproducible, plus
 # a `timings` block of wall-clock ns/op figures for the solver and search
-# benchmarks (BenchmarkRevisedSolve*, BenchmarkBatchSolve*,
+# benchmarks (BenchmarkRevisedSolve*: the E7 and serving sizes, each a
+# verified cascade solve like every revised solve; BenchmarkBatchSolve*,
 # BenchmarkModelBatch*, and BenchmarkOptSearch{AStar,Dijkstra}*: the exact
 # engine and its blind reference) plus the incremental-path pairs
 # (BenchmarkDualResolve*, BenchmarkModelExtendResolve/BenchmarkModelColdResolve,
